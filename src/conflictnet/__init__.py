@@ -23,6 +23,7 @@ from .errors import (
     ConflictNetError,
     DegenerateBattle,
     DimensionTooLarge,
+    NoConvergence,
     NonFiniteEvaluation,
     PreconditionViolation,
     UnknownExample,
@@ -67,7 +68,7 @@ from .network import (
     payoff,
     winning_probabilities,
 )
-from .rootfind import BracketingConfig, brent_increasing, invert_h, solve_increasing
+from .rootfind import BracketingConfig, brent_increasing, invert_h
 from .sweep import SweepAxis, SweepSpec, run_sweep
 
 __version__ = "0.1.0"
@@ -89,6 +90,7 @@ __all__ = [
     "IterationConfig",
     "NETWORK_SCHEMA",
     "NeutralityReport",
+    "NoConvergence",
     "NonFiniteEvaluation",
     "PiecewisePowerAffineProduction",
     "PowerCost",
@@ -126,7 +128,6 @@ __all__ = [
     "reverse_valuations",
     "run_sweep",
     "solve_de",
-    "solve_increasing",
     "solve_nash_iterative",
     "solve_nash_ue_iterative",
     "solve_ue",

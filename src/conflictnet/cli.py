@@ -7,12 +7,15 @@ function), ``--tullock`` (per-size power exponents), and ``--v`` (per-size
 prizes in ascending size order).  Reports are JSON with sorted keys and full
 float precision; markdown and CSV renderings round to 6 significant figures.
 
-Exit codes: 0 success, 1 input error, 2 solver non-convergence.
+Exit codes: 0 success, 1 input error, 2 solver failure (bracket failure,
+NaN evaluation, or non-convergence).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -21,13 +24,11 @@ import numpy as np
 
 from .analysis import ComparisonReport, compare_regimes, neutrality_check
 from .equilibrium import DEResult, UEResult, solve_de, solve_ue
-from .errors import ConflictNetError
+from .errors import BracketFailure, ConflictNetError, NoConvergence, NonFiniteEvaluation
 from .functions import (
-    CaraProduction,
-    PiecewisePowerAffineProduction,
+    _PRODUCTION_FAMILIES,
     PowerProduction,
     ProductionFunction,
-    RatioProduction,
     validate_production,
 )
 from .general_solver import IterationConfig, SolveOutcome, solve_nash_iterative, solve_nash_ue_iterative
@@ -38,6 +39,7 @@ from .io import (
     dumps_sorted,
     load_network,
     network_to_dict,
+    reject_nonfinite_constant,
 )
 from .network import (
     Battle,
@@ -55,9 +57,13 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOCONVERGE = 2
 
+# Solver failures on valid input; every other error main catches is an input error.
+_SOLVER_FAILURES = (BracketFailure, NonFiniteEvaluation, NoConvergence)
+
 # Shorthand for the concave piecewise benchmark production (power branch
 # 2*sqrt(x) glued to x+1 at the breakpoint 1).
 _NAMED_PRODUCTIONS = {"piecewise-f3": "piecewise:2,0.5,1"}
+_FAMILY_ALIASES = {"piecewise": "piecewise_power_affine"}
 
 
 class InputError(Exception):
@@ -65,28 +71,30 @@ class InputError(Exception):
 
 
 def parse_production_flag(text: str) -> ProductionFunction:
-    """Parse ``family:params`` flags such as ``power:2,0.5`` or ``ratio:1``."""
+    """Parse ``family:params`` flags such as ``power:2,0.5`` or ``ratio:1``.
+
+    Parameters are positional, in the order ``_PRODUCTION_FAMILIES`` names them.
+    """
     text = _NAMED_PRODUCTIONS.get(text, text)
     family, _, raw = text.partition(":")
+    family = _FAMILY_ALIASES.get(family, family)
+    if family not in _PRODUCTION_FAMILIES:
+        known = [*_PRODUCTION_FAMILIES, *_FAMILY_ALIASES, *_NAMED_PRODUCTIONS]
+        raise InputError(f"unknown production family {family!r} ({', '.join(known)})")
+    cls, names = _PRODUCTION_FAMILIES[family]
     try:
         params = [float(p) for p in raw.split(",")] if raw else []
     except ValueError:
         raise InputError(f"bad production parameters in {text!r}") from None
+    if len(params) != len(names):
+        raise InputError(
+            f"bad production spec {text!r}: {family} takes parameters "
+            f"{','.join(names)}, got {len(params)} values"
+        )
     try:
-        if family == "power":
-            return PowerProduction(*params)
-        if family == "ratio":
-            return RatioProduction(*params)
-        if family == "cara":
-            return CaraProduction(*params)
-        if family in ("piecewise", "piecewise_power_affine"):
-            return PiecewisePowerAffineProduction(*params)
-    except (TypeError, ValueError) as exc:
+        return cls(*params)
+    except ValueError as exc:
         raise InputError(f"bad production spec {text!r}: {exc}") from None
-    raise InputError(
-        f"unknown production family {family!r} "
-        "(power, ratio, cara, piecewise, piecewise-f3)"
-    )
 
 
 def _parse_tullock_flag(text: str) -> dict[int, ProductionFunction]:
@@ -256,8 +264,11 @@ def _compare_csv(report: ComparisonReport) -> str:
     common = report.structure.common_production()
     label = _production_label(common) if common is not None else "per-size"
     verdict = report.curvature.verdict if report.curvature else "heterogeneous"
-    head = "f,curvature,X_ue,ordering,X_de,payoff_ue,payoff_de,consistent,recommendation"
-    row = ",".join(
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["f", "curvature", "X_ue", "ordering", "X_de", "payoff_ue",
+                     "payoff_de", "consistent", "recommendation"])
+    writer.writerow(
         [
             label,
             verdict,
@@ -270,7 +281,7 @@ def _compare_csv(report: ComparisonReport) -> str:
             str(report.recommendation),
         ]
     )
-    return head + "\n" + row + "\n"
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +398,10 @@ def _cmd_neutrality(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        doc = json.loads(
+            Path(args.spec).read_text(encoding="utf-8"),
+            parse_constant=reject_nonfinite_constant,
+        )
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read sweep spec {args.spec}: {exc}") from None
     if not isinstance(doc, dict):
@@ -560,15 +574,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
-    except InputError as exc:
+    except (InputError, ConflictNetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SchemaViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConflictNetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_NOCONVERGE if isinstance(exc, _SOLVER_FAILURES) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -4,12 +4,12 @@ Both regimes reduce to one monotone scalar fixed point in the per-player
 total effort mu.  Under discriminatory effort (DE), for a candidate mu each
 size class k has a unique battle effort ``x_k = h_k^{-1}(v_k (k-1) / (k^2
 C'(mu)))``; mu must then equal ``sum_k d_k x_k``, and the left side minus the
-right side of that equation is strictly increasing, so bracketed bisection
-finds the unique root.  Under uniform effort (UE) the same scheme runs with a
-single effort level in all battles and the marginal cost scaled by the number
-of battles per player.  At either equilibrium every participant of a size-k
-battle wins with probability exactly 1/k, which the payoff computation uses
-directly instead of re-evaluating the contest success function.
+right side of that equation is strictly increasing, so the bracketed Brent
+solver finds the unique root.  Under uniform effort (UE) the same scheme runs
+with a single effort level in all battles and the marginal cost scaled by the
+number of battles per player.  At either equilibrium every participant of a
+size-k battle wins with probability exactly 1/k, which the payoff computation
+uses directly instead of re-evaluating the contest success function.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .network import SemiSymmetricStructure
-from .rootfind import BracketingConfig, DEFAULT_CONFIG, invert_h, solve_increasing
+from .rootfind import BracketingConfig, DEFAULT_CONFIG, brent_increasing, invert_h
 
 __all__ = ["DEResult", "UEResult", "solve_de", "solve_ue", "reverse_valuations"]
 
@@ -42,10 +42,6 @@ class DEResult:
     total: float
     payoff: float
     residuals: dict[int, float]
-
-    @property
-    def mu(self) -> float:
-        return self.total
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ def solve_de(
     Construction: for a candidate total mu, each size-k effort solves
     ``h_k(x) = v_k (k-1) / (k^2 C'(mu))``; the consistency gap
     ``mu - sum_k d_k x_k(mu)`` is strictly increasing in mu and crosses zero
-    exactly once, so it is bracketed from mu = 1 and bisected.
+    exactly once, so it is bracketed from mu = 1 and solved by Brent's method.
     """
     targets = {k: ss.prizes[k] * _size_weight(k) for k in ss.sizes}
 
@@ -88,7 +84,7 @@ def solve_de(
         xs = efforts_at(mu)
         return mu - sum(ss.degrees[k] * xs[k] for k in ss.sizes)
 
-    mu_root = solve_increasing(gap, 0.0, cfg)
+    mu_root = brent_increasing(gap, 0.0, cfg)
     efforts = efforts_at(mu_root)
     # Re-anchor the reported total on the final efforts so the accounting
     # identity total = sum_k d_k x_k holds to float precision.
@@ -149,12 +145,12 @@ def solve_ue(
 
         def effort_at(mu: float) -> float:
             lam = ss.cost.c_prime(mu) * D
-            return solve_increasing(inverse_aggregate, 1.0 / lam, cfg)
+            return brent_increasing(inverse_aggregate, 1.0 / lam, cfg)
 
     def gap(mu: float) -> float:
         return mu - D * effort_at(mu)
 
-    mu_root = solve_increasing(gap, 0.0, cfg)
+    mu_root = brent_increasing(gap, 0.0, cfg)
     effort = effort_at(mu_root)
     total = D * effort
     lam = ss.cost.c_prime(total) * D

@@ -13,6 +13,10 @@ class BracketFailure(ConflictNetError):
     """Geometric bracket expansion exhausted without straddling the target."""
 
 
+class NoConvergence(ConflictNetError):
+    """A root finder used up its iteration budget before the bracket closed."""
+
+
 class UnknownPlayer(ConflictNetError):
     """A player id is not part of the network."""
 

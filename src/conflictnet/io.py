@@ -34,6 +34,7 @@ __all__ = [
     "load_network",
     "dump_network",
     "dumps_sorted",
+    "reject_nonfinite_constant",
 ]
 
 _FUNCTION_SPEC = {
@@ -155,9 +156,14 @@ def dumps_sorted(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def reject_nonfinite_constant(token: str):
+    """``json.load`` hook refusing ``NaN`` and ``Infinity``, which JSON itself lacks."""
+    raise SchemaViolation("/", f"non-finite number {token} is not allowed")
+
+
 def load_network(path) -> ConflictNetwork:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=reject_nonfinite_constant)
     if not isinstance(doc, dict):
         raise SchemaViolation("/", "top-level JSON value must be an object")
     return network_from_dict(doc)

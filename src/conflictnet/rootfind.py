@@ -1,24 +1,24 @@
 """Monotone scalar root finding on the positive axis.
 
 The solvers in this package reduce every equilibrium computation to roots of
-strictly monotone scalar functions.  The default method is geometric bracket
-expansion from a positive seed followed by plain bisection: it needs nothing
+strictly monotone scalar functions, all solved by one bracketed method
+(`brent_increasing`): geometric bracket expansion from a positive seed,
+then Brent's method (Brent 1973), whose bisection fallback needs nothing
 beyond monotonicity and therefore tolerates kinks in piecewise production
-functions.  A Brent-type variant (`brent_increasing`) converges in far fewer
-evaluations on smooth problems and is used by the iterative best-response
-solver, where the inner root finds dominate runtime.
+functions.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BracketFailure, NonFiniteEvaluation
+from .errors import BracketFailure, NoConvergence, NonFiniteEvaluation
 from .functions import ProductionFunction
 
-__all__ = ["BracketingConfig", "solve_increasing", "brent_increasing", "invert_h"]
+__all__ = ["BracketingConfig", "brent_increasing", "invert_h"]
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _expand_bracket(g, target, cfg, seed=None):
     )
 
 
-def solve_increasing(
+def brent_increasing(
     g: Callable[[float], float],
     target: float,
     cfg: BracketingConfig = DEFAULT_CONFIG,
@@ -100,42 +100,15 @@ def solve_increasing(
 
     The caller is responsible for the range of ``g`` covering the target.
     Deterministic for a fixed configuration: bracket by geometric expansion
-    from the seed, then bisect until the bracket width drops below
-    ``abs_tol + rel_tol * |x|``.
+    from the seed, then take inverse quadratic and secant steps, falling back
+    to bisection whenever they stall (infinite values force bisection), until
+    the bracket width drops below ``abs_tol + rel_tol * |x|`` or to float
+    spacing.
 
     Raises:
         BracketFailure: expansion exhausted without straddling the target.
         NonFiniteEvaluation: ``g`` returned NaN.
-    """
-    lo, hi = _expand_bracket(g, target, cfg, seed)
-    if lo == hi:
-        return lo
-    for _ in range(cfg.max_iterations):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= cfg.width_tol(mid):
-            return mid
-        y = _checked(g, mid)
-        if y == target:
-            return mid
-        if y < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def brent_increasing(
-    g: Callable[[float], float],
-    target: float,
-    cfg: BracketingConfig = DEFAULT_CONFIG,
-    seed: float | None = None,
-) -> float:
-    """Like :func:`solve_increasing` but with Brent's method inside the bracket.
-
-    Inverse quadratic and secant steps are attempted first and fall back to
-    bisection whenever they stall, so convergence is still guaranteed under
-    monotonicity alone; on smooth functions it needs roughly a tenth of the
-    evaluations.  Infinite values force bisection steps.
+        NoConvergence: ``max_iterations`` steps left the bracket open.
     """
     lo, hi = _expand_bracket(g, target, cfg, seed)
     if lo == hi:
@@ -159,7 +132,9 @@ def brent_increasing(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * cfg.width_tol(b)
+        # Brent's floor of two machine epsilons keeps a tolerance finer than
+        # float spacing from stalling the bracket one ulp wide.
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * cfg.width_tol(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -195,7 +170,10 @@ def brent_increasing(
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-    return b
+    raise NoConvergence(
+        f"bracket [{min(b, c)!r}, {max(b, c)!r}] for target {target!r} still "
+        f"open after {cfg.max_iterations} iterations"
+    )
 
 
 def invert_h(
@@ -211,4 +189,4 @@ def invert_h(
     """
     if not y > 0:
         raise ValueError(f"h target must be positive, got {y!r}")
-    return solve_increasing(pf.h, y, cfg, seed)
+    return brent_increasing(pf.h, y, cfg, seed)

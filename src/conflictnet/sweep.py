@@ -68,11 +68,8 @@ class SweepSpec:
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         cap = int(os.environ.get(MAX_GRID_ENV, DEFAULT_MAX_GRID))
-        total = 1
-        for axis in self.axes:
-            total *= axis.steps
-        if total > cap:
-            raise ValueError(f"sweep grid has {total} points, cap is {cap}")
+        if self.grid_size > cap:
+            raise ValueError(f"sweep grid has {self.grid_size} points, cap is {cap}")
 
     @property
     def grid_size(self) -> int:

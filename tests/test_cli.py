@@ -6,7 +6,11 @@ import math
 
 import pytest
 
+import conflictnet.cli
 from conflictnet import (
+    BracketFailure,
+    NoConvergence,
+    NonFiniteEvaluation,
     SchemaViolation,
     generate_simplex,
     generate_triangle,
@@ -62,6 +66,17 @@ def test_solve_rejects_empty_battle_list(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--input", str(path))
     assert code == 1
     assert "/battles" in err
+
+
+@pytest.mark.parametrize("failure", [BracketFailure, NonFiniteEvaluation, NoConvergence])
+def test_solver_failures_exit_with_code_two(capsys, monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise failure("forced")
+
+    monkeypatch.setattr(conflictnet.cli, "solve_de", fail)
+    code, _, err = run_cli(capsys, "solve", "--example", "triangle", "--regime", "de")
+    assert code == 2
+    assert "forced" in err
 
 
 @pytest.mark.parametrize(
@@ -165,6 +180,20 @@ def test_compare_csv_format(capsys):
     cells = row.split(",")
     assert cells[1] == "convex"
     assert cells[3] == "<"
+
+
+@pytest.mark.parametrize("flag,label", [
+    ("power:2,0.5", "power(2,0.5)"),
+    ("piecewise-f3", "piecewise_power_affine(2,0.5,1)"),
+])
+def test_compare_csv_quotes_labels_with_commas(capsys, flag, label):
+    code, out, _ = run_cli(
+        capsys, "compare", "--example", "triangle", "--f", flag, "--format", "csv",
+    )
+    assert code == 0
+    header, row = list(csv.reader(out.splitlines()))
+    assert len(header) == len(row) == 9
+    assert row[0] == label
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +377,28 @@ def test_validate_reports_schema_pointer(tmp_path, capsys):
     assert any("/battles/0/prize" in e for e in report["errors"])
 
 
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_json_numbers_are_input_errors(tmp_path, capsys, constant):
+    # json.dumps writes float("Infinity") as the bare token Infinity.
+    doc = network_to_dict(generate_triangle())
+    doc["battles"][0]["prize"] = float(constant)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "solve", "--input", str(path))
+    assert code == 1
+    assert "non-finite" in err
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+
+    spec = write_spec(
+        tmp_path, {"example": "triangle", "v": [float(constant), 1], "output": "x.csv"}
+    )
+    code, _, err = run_cli(capsys, "sweep", str(spec))
+    assert code == 1
+    assert "non-finite" in err
+
+
 def test_examples_lists_names(capsys):
     code, out, _ = run_cli(capsys, "examples")
     assert code == 0
@@ -385,3 +436,16 @@ def test_bad_production_parameters_point_at_their_battle():
         network_from_dict(doc)
     assert info.value.pointer == "/battles/1/production"
     assert "(0, 1]" in str(info.value)
+
+
+@pytest.mark.parametrize("flag", ["power:1", "ratio:1,2", "bogus:1", "cara:x", "cara:-1"])
+def test_bad_production_flags_are_input_errors(capsys, flag):
+    code, _, err = run_cli(capsys, "solve", "--example", "triangle", "--f", flag)
+    assert code == 1
+    assert flag.partition(":")[0] in err
+
+
+def test_production_flag_aliases_name_the_registry_family(capsys):
+    named = run_json(capsys, "solve", "--example", "triangle", "--f", "piecewise-f3")
+    aliased = run_json(capsys, "solve", "--example", "triangle", "--f", "piecewise:2,0.5,1")
+    assert named == aliased

@@ -10,30 +10,47 @@ from conflictnet import (
     BracketFailure,
     BracketingConfig,
     CaraProduction,
+    NoConvergence,
     NonFiniteEvaluation,
     PiecewisePowerAffineProduction,
     PowerProduction,
     RatioProduction,
     brent_increasing,
     invert_h,
-    solve_increasing,
 )
 
 from conftest import BENCHMARK_PRODUCTIONS
 
 
+def closed_form_h_inverse(pf, y):
+    """Exact ``h^{-1}(y)`` per family, independent of any root finder."""
+    if isinstance(pf, PowerProduction):
+        return pf.r * y
+    if isinstance(pf, RatioProduction):
+        c = pf.c
+        return 2 * c * y / (c + math.sqrt(c * c + 4 * c * y))
+    if isinstance(pf, CaraProduction):
+        return math.log1p(pf.alpha * y) / pf.alpha
+    if isinstance(pf, PiecewisePowerAffineProduction):
+        # h(x) = x/r up to the breakpoint s, then x + b/a.
+        if y <= pf.s / pf.r:
+            return pf.r * y
+        return y - pf.intercept / pf.slope
+    raise TypeError(type(pf).__name__)
+
+
 def test_linear_target():
-    assert solve_increasing(lambda x: 2 * x, 3.0) == pytest.approx(1.5, rel=1e-10)
+    assert brent_increasing(lambda x: 2 * x, 3.0) == pytest.approx(1.5, rel=1e-10)
 
 
 def test_quadratic_target():
-    assert solve_increasing(lambda x: x * (1 + x), 2.0) == pytest.approx(1.0, rel=1e-10)
+    assert brent_increasing(lambda x: x * (1 + x), 2.0) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_cara_h_inversion_hits_log_two():
     # h(x) = exp(x) - 1 for unit rate, so h(x) = 1 at x = ln 2.
     pf = CaraProduction(alpha=1.0)
-    assert solve_increasing(pf.h, 1.0) == pytest.approx(math.log(2.0), rel=1e-9)
+    assert brent_increasing(pf.h, 1.0) == pytest.approx(math.log(2.0), rel=1e-9)
     assert invert_h(pf, 1.0) == pytest.approx(math.log(2.0), rel=1e-9)
 
 
@@ -58,19 +75,34 @@ def test_invert_h_requires_positive_target():
 
 def test_bracket_failure_on_bounded_function():
     with pytest.raises(BracketFailure):
-        solve_increasing(math.atan, 2.0, BracketingConfig(max_expansions=60))
+        brent_increasing(math.atan, 2.0, BracketingConfig(max_expansions=60))
 
 
 def test_nan_evaluations_are_rejected():
     with pytest.raises(NonFiniteEvaluation):
-        solve_increasing(lambda x: math.nan, 1.0)
+        brent_increasing(lambda x: math.nan, 1.0)
 
 
 def test_deterministic_for_fixed_config():
     cfg = BracketingConfig()
-    a = solve_increasing(lambda x: x**3, 11.0, cfg)
-    b = solve_increasing(lambda x: x**3, 11.0, cfg)
+    a = brent_increasing(lambda x: x**3, 11.0, cfg)
+    b = brent_increasing(lambda x: x**3, 11.0, cfg)
     assert a == b
+
+
+def test_exhausted_iterations_raise():
+    # Seven Brent steps close this bracket; three must not return a value.
+    cfg = BracketingConfig(max_iterations=3)
+    with pytest.raises(NoConvergence):
+        brent_increasing(lambda x: x**3, 11.0, cfg)
+    assert brent_increasing(lambda x: x**3, 11.0) == pytest.approx(11.0 ** (1 / 3), rel=1e-10)
+
+
+def test_tolerance_below_float_spacing_still_converges():
+    cfg = BracketingConfig(abs_tol=1e-300, rel_tol=1e-300)
+    assert brent_increasing(lambda x: x * (x + 1), 0.625, cfg) == pytest.approx(
+        (math.sqrt(3.5) - 1) / 2, rel=1e-15
+    )
 
 
 def test_config_validation():
@@ -115,11 +147,11 @@ def test_invert_h_is_monotone_in_target(name, y1, y2):
     name=st.sampled_from(sorted(BENCHMARK_PRODUCTIONS)),
     target=st.floats(min_value=1e-3, max_value=1e3),
 )
-def test_brent_agrees_with_bisection(name, target):
+def test_brent_agrees_with_closed_form_inverse(name, target):
     pf = BENCHMARK_PRODUCTIONS[name]
-    slow = solve_increasing(pf.h, target)
-    fast = brent_increasing(pf.h, target)
-    assert fast == pytest.approx(slow, rel=1e-8)
+    assert brent_increasing(pf.h, target) == pytest.approx(
+        closed_form_h_inverse(pf, target), rel=1e-8
+    )
 
 
 def test_brent_handles_kinked_functions():
