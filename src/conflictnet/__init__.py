@@ -51,7 +51,6 @@ from .general_solver import (
 )
 from .generators import generate_example, generate_simplex, generate_triangle
 from .io import (
-    NETWORK_SCHEMA,
     SchemaViolation,
     dump_network,
     load_network,
@@ -88,7 +87,6 @@ __all__ = [
     "DimensionTooLarge",
     "EffortProfile",
     "IterationConfig",
-    "NETWORK_SCHEMA",
     "NeutralityReport",
     "NoConvergence",
     "NonFiniteEvaluation",

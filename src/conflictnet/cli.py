@@ -112,12 +112,9 @@ def _parse_tullock_flag(text: str) -> dict[int, ProductionFunction]:
 
 def _parse_prizes_flag(text: str) -> list[float]:
     try:
-        prizes = [float(p) for p in text.split(",")]
+        return [float(p) for p in text.split(",")]
     except ValueError:
         raise InputError(f"bad --v list {text!r}") from None
-    if not all(p > 0 for p in prizes):
-        raise InputError("--v prizes must all be positive")
-    return prizes
 
 
 def _override_network(
@@ -359,8 +356,6 @@ def _parse_grid_flag(text: str, sizes: tuple[int, ...]):
                 raise InputError(
                     f"grid point {chunk!r} needs {len(sizes)} prizes for sizes {sizes}"
                 )
-            if any(v <= 0 for v in values):
-                raise InputError(f"grid point {chunk!r} has a non-positive prize")
             grid.append(dict(zip(sizes, values)))
         if not grid:
             raise InputError("explicit grid is empty")
@@ -396,6 +391,12 @@ def _cmd_neutrality(args) -> int:
     return EXIT_OK
 
 
+_SWEEP_FIELD_TYPES = {
+    "network": str, "example": str, "f": str, "tullock": str, "output": str,
+    "v": list, "axes": list, "parallelism": int,
+}
+
+
 def _cmd_sweep(args) -> int:
     try:
         doc = json.loads(
@@ -406,6 +407,10 @@ def _cmd_sweep(args) -> int:
         raise InputError(f"cannot read sweep spec {args.spec}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("sweep spec must be a JSON object")
+    for key, kind in _SWEEP_FIELD_TYPES.items():
+        value = doc.get(key)
+        if key in doc and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise InputError(f"sweep spec field {key!r} must be {kind.__name__}, got {value!r}")
 
     base_args = argparse.Namespace(
         input=doc.get("network"),
@@ -435,7 +440,7 @@ def _cmd_sweep(args) -> int:
         raise InputError("sweep needs an output path (spec 'output' or --output)")
     try:
         spec = SweepSpec(
-            base=base, axes=tuple(axes), parallelism=int(doc.get("parallelism", 1))
+            base=base, axes=tuple(axes), parallelism=doc.get("parallelism", 1)
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None

@@ -93,8 +93,8 @@ class PowerProduction(ProductionFunction):
     family: str = field(default="power", init=False, repr=False)
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise ValueError(f"scale A must be positive, got {self.A}")
+        if not 0 < self.A < math.inf:
+            raise ValueError(f"scale A must be positive and finite, got {self.A}")
         if not 0 < self.r <= 1:
             raise ValueError(f"exponent r must lie in (0, 1], got {self.r}")
 
@@ -141,8 +141,8 @@ class RatioProduction(ProductionFunction):
     family: str = field(default="ratio", init=False, repr=False)
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"shift c must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"shift c must be positive and finite, got {self.c}")
 
     def f(self, x):
         return x / (x + self.c)
@@ -177,8 +177,8 @@ class CaraProduction(ProductionFunction):
     family: str = field(default="cara", init=False, repr=False)
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"rate alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"rate alpha must be positive and finite, got {self.alpha}")
 
     def f(self, x):
         return -math.expm1(-self.alpha * x)
@@ -224,12 +224,12 @@ class PiecewisePowerAffineProduction(ProductionFunction):
     family: str = field(default="piecewise_power_affine", init=False, repr=False)
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise ValueError(f"scale A must be positive, got {self.A}")
+        if not 0 < self.A < math.inf:
+            raise ValueError(f"scale A must be positive and finite, got {self.A}")
         if not 0 < self.r <= 1:
             raise ValueError(f"exponent r must lie in (0, 1], got {self.r}")
-        if not self.s > 0:
-            raise ValueError(f"breakpoint s must be positive, got {self.s}")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"breakpoint s must be positive and finite, got {self.s}")
 
     @property
     def slope(self) -> float:
@@ -323,10 +323,10 @@ class PowerCost(CostFunction):
     family: str = field(default="power", init=False, repr=False)
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"scale kappa must be positive, got {self.kappa}")
-        if not self.p >= 1:
-            raise ValueError(f"exponent p must be >= 1, got {self.p}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"scale kappa must be positive and finite, got {self.kappa}")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"exponent p must be >= 1 and finite, got {self.p}")
 
     def c(self, total):
         return self.kappa * total**self.p / self.p

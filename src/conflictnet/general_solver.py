@@ -60,8 +60,8 @@ class IterationConfig:
     initial_profile: EffortProfile | None = None
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
         if self.initial not in ("constant", "random", "explicit"):

@@ -1,4 +1,4 @@
-"""Network JSON schema, loading, and deterministic serialization.
+"""Network JSON loading and deterministic serialization.
 
 The on-disk format is::
 
@@ -11,23 +11,25 @@ The on-disk format is::
       ]
     }
 
+Loading checks only the document's shape: objects carry exactly their keys,
+ids are strings or integers, battle ids are strings, and prizes and
+parameters are JSON numbers.  Every rule on values (positive finite prizes,
+distinct participants, known players, parameter domains) belongs to the
+constructor that builds the part.  Both kinds of failure raise
+`SchemaViolation` at the JSON pointer of the part that broke the rule.
+
 Serialization sorts object keys so reports and fixtures are diffable;
 battle order is preserved because it is part of the input's identity.
-Schema violations are reported with JSON-pointer paths.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
-
-import jsonschema
 
 from .functions import cost_from_spec, production_from_spec
 from .network import Battle, ConflictNetwork
 
 __all__ = [
-    "NETWORK_SCHEMA",
     "SchemaViolation",
     "network_from_dict",
     "network_to_dict",
@@ -37,102 +39,88 @@ __all__ = [
     "reject_nonfinite_constant",
 ]
 
-_FUNCTION_SPEC = {
-    "type": "object",
-    "required": ["family", "params"],
-    "additionalProperties": False,
-    "properties": {
-        "family": {"type": "string"},
-        "params": {"type": "object"},
-    },
-}
-
-NETWORK_SCHEMA: dict[str, Any] = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["players", "cost", "battles"],
-    "additionalProperties": False,
-    "properties": {
-        "players": {
-            "type": "array",
-            "minItems": 1,
-            "uniqueItems": True,
-            "items": {"type": ["string", "integer"]},
-        },
-        "cost": _FUNCTION_SPEC,
-        "battles": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id", "participants", "prize", "production"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "participants": {
-                        "type": "array",
-                        "minItems": 2,
-                        "uniqueItems": True,
-                        "items": {"type": ["string", "integer"]},
-                    },
-                    "prize": {"type": "number", "exclusiveMinimum": 0},
-                    "production": _FUNCTION_SPEC,
-                },
-            },
-        },
-    },
-}
-
 
 class SchemaViolation(ValueError):
-    """Input document does not match the network schema."""
+    """Input document does not describe a valid network."""
 
     def __init__(self, pointer: str, message: str):
-        self.pointer = pointer
-        super().__init__(f"at {pointer}: {message}")
+        self.pointer = pointer or "/"
+        super().__init__(f"at {self.pointer}: {message}")
 
 
-def _pointer(path) -> str:
-    return "/" + "/".join(str(part) for part in path) if path else "/"
+# Pointers below are built by appending "/part"; the document root is "".
+
+def _object(value, keys: tuple[str, ...], at: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaViolation(at, f"expected an object with keys {list(keys)}")
+    missing = [k for k in keys if k not in value]
+    extra = [k for k in value if k not in keys]
+    if missing or extra:
+        raise SchemaViolation(at, f"missing keys {missing}, unexpected keys {extra}")
+    return value
+
+
+def _ids(value, at: str) -> tuple:
+    if not isinstance(value, list):
+        raise SchemaViolation(at, "expected a list of player ids")
+    for i, pid in enumerate(value):
+        # A float such as 1.0 is a JSON integer too.
+        integral = isinstance(pid, int) or isinstance(pid, float) and pid.is_integer()
+        if not isinstance(pid, str) and (isinstance(pid, bool) or not integral):
+            raise SchemaViolation(f"{at}/{i}", f"expected a string or integer id, got {pid!r}")
+    return tuple(value)
+
+
+def _number(value, at: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaViolation(at, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaViolation(at, "number is too large for a float") from None
+
+
+def _function_spec(value, at: str) -> dict:
+    spec = _object(value, ("family", "params"), at)
+    if not isinstance(spec["family"], str):
+        raise SchemaViolation(f"{at}/family", "expected a string")
+    if not isinstance(spec["params"], dict):
+        raise SchemaViolation(f"{at}/params", "expected an object")
+    params = {k: _number(v, f"{at}/params/{k}") for k, v in spec["params"].items()}
+    return {"family": spec["family"], "params": params}
+
+
+def _build(at: str, constructor, *args):
+    """Call a constructor and re-raise its ValueError at the part it rejects."""
+    try:
+        return constructor(*args)
+    except ValueError as exc:
+        field = getattr(exc, "field", None)
+        raise SchemaViolation(f"{at}/{field}" if field else at, str(exc)) from exc
 
 
 def network_from_dict(doc: dict) -> ConflictNetwork:
-    """Validate a document against the schema and build the network."""
-    validator = jsonschema.Draft202012Validator(NETWORK_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        raise SchemaViolation(_pointer(first.absolute_path), first.message)
-
-    try:
-        cost = cost_from_spec(doc["cost"])
-    except ValueError as exc:
-        raise SchemaViolation("/cost", str(exc)) from exc
-
+    """Check the document's shape and build the network."""
+    _object(doc, ("players", "cost", "battles"), "")
+    players = _ids(doc["players"], "/players")
+    cost = _build("/cost", cost_from_spec, _function_spec(doc["cost"], "/cost"))
+    if not isinstance(doc["battles"], list):
+        raise SchemaViolation("/battles", "expected a list of battles")
     battles = []
     for i, spec in enumerate(doc["battles"]):
-        try:
-            production = production_from_spec(spec["production"])
-        except ValueError as exc:
-            raise SchemaViolation(f"/battles/{i}/production", str(exc)) from exc
-        try:
-            battles.append(
-                Battle(
-                    id=spec["id"],
-                    participants=tuple(spec["participants"]),
-                    prize=float(spec["prize"]),
-                    production=production,
-                )
-            )
-        except ValueError as exc:
-            raise SchemaViolation(f"/battles/{i}", str(exc)) from exc
-
-    try:
-        return ConflictNetwork(
-            players=tuple(doc["players"]), battles=tuple(battles), cost=cost
+        at = f"/battles/{i}"
+        _object(spec, ("id", "participants", "prize", "production"), at)
+        if not isinstance(spec["id"], str):
+            raise SchemaViolation(f"{at}/id", "expected a string")
+        participants = _ids(spec["participants"], f"{at}/participants")
+        prize = _number(spec["prize"], f"{at}/prize")
+        production = _build(
+            f"{at}/production",
+            production_from_spec,
+            _function_spec(spec["production"], f"{at}/production"),
         )
-    except ValueError as exc:
-        raise SchemaViolation("/", str(exc)) from exc
+        battles.append(_build(at, Battle, spec["id"], participants, prize, production))
+    return _build("", ConflictNetwork, players, tuple(battles), cost)
 
 
 def network_to_dict(network: ConflictNetwork) -> dict:
@@ -164,8 +152,6 @@ def reject_nonfinite_constant(token: str):
 def load_network(path) -> ConflictNetwork:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh, parse_constant=reject_nonfinite_constant)
-    if not isinstance(doc, dict):
-        raise SchemaViolation("/", "top-level JSON value must be an object")
     return network_from_dict(doc)
 
 

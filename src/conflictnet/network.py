@@ -10,6 +10,7 @@ and every operation is a pure function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
@@ -33,6 +34,14 @@ __all__ = [
 ]
 
 
+class FieldError(ValueError):
+    """A constructor argument breaks a rule; ``field`` names the argument."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class Battle:
     """A single contest over one prize among two or more players."""
@@ -45,13 +54,19 @@ class Battle:
     def __post_init__(self):
         object.__setattr__(self, "participants", tuple(self.participants))
         if len(set(self.participants)) < 2:
-            raise ValueError(
-                f"battle {self.id!r} needs at least 2 distinct participants"
+            raise FieldError(
+                "participants",
+                f"battle {self.id!r} needs at least 2 distinct participants",
             )
         if len(set(self.participants)) != len(self.participants):
-            raise ValueError(f"battle {self.id!r} lists a participant twice")
-        if not self.prize > 0:
-            raise ValueError(f"battle {self.id!r} prize must be positive")
+            raise FieldError(
+                "participants", f"battle {self.id!r} lists a participant twice"
+            )
+        if not 0 < self.prize < math.inf:
+            raise FieldError(
+                "prize",
+                f"battle {self.id!r} prize must be positive and finite, got {self.prize}",
+            )
 
     @property
     def size(self) -> int:
@@ -76,22 +91,24 @@ class ConflictNetwork:
         object.__setattr__(self, "players", tuple(self.players))
         object.__setattr__(self, "battles", tuple(self.battles))
         if len(set(self.players)) != len(self.players):
-            raise ValueError("duplicate player ids")
+            raise FieldError("players", "duplicate player ids")
+        if not self.battles:
+            raise FieldError("battles", "network needs at least one battle")
         ids = [b.id for b in self.battles]
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate battle ids")
+            raise FieldError("battles", "duplicate battle ids")
         player_set = set(self.players)
         by_player: dict[PlayerId, list[Battle]] = {p: [] for p in self.players}
         for battle in self.battles:
             for p in battle.participants:
                 if p not in player_set:
-                    raise ValueError(
-                        f"battle {battle.id!r} references unknown player {p!r}"
+                    raise FieldError(
+                        "battles", f"battle {battle.id!r} references unknown player {p!r}"
                     )
                 by_player[p].append(battle)
         idle = [p for p, bs in by_player.items() if not bs]
         if idle:
-            raise ValueError(f"players in no battle: {idle}")
+            raise FieldError("players", f"players in no battle: {idle}")
         object.__setattr__(
             self, "_battles_by_player", {p: tuple(bs) for p, bs in by_player.items()}
         )
@@ -120,8 +137,8 @@ class EffortProfile:
     def __post_init__(self):
         object.__setattr__(self, "efforts", dict(self.efforts))
         for key, x in self.efforts.items():
-            if x < 0:
-                raise ValueError(f"negative effort {x} at {key}")
+            if not 0 <= x < math.inf:
+                raise ValueError(f"non-finite or negative effort {x} at {key}")
 
     @classmethod
     def constant(cls, network: ConflictNetwork, value: float) -> "EffortProfile":
@@ -234,8 +251,8 @@ class SemiSymmetricStructure:
                 raise ValueError(f"battle size must be >= 2, got {k}")
             if self.degrees.get(k, 0) < 1:
                 raise ValueError(f"degree d_{k} must be >= 1")
-            if not self.prizes.get(k, 0.0) > 0:
-                raise ValueError(f"prize v_{k} must be positive")
+            if not 0 < self.prizes.get(k, 0.0) < math.inf:
+                raise ValueError(f"prize v_{k} must be positive and finite")
             if k not in self.productions:
                 raise ValueError(f"missing production function for size {k}")
 
@@ -348,16 +365,6 @@ def check_semi_symmetry(
 
     if violations:
         return SemiSymmetryViolations(tuple(violations))
-    if any(d < 1 for d in degrees.values()):
-        # Unreachable for a valid network (each size occurs in some battle),
-        # kept as a guard for the structure invariant.
-        return SemiSymmetryViolations(
-            tuple(
-                SemiSymmetryViolation("degree", k, f"zero degree for size {k}")
-                for k, d in degrees.items()
-                if d < 1
-            )
-        )
     return SemiSymmetricStructure(
         sizes=tuple(sizes),
         degrees=degrees,

@@ -37,8 +37,8 @@ class BracketingConfig:
             raise ValueError("initial guess must be positive")
         if not self.expansion_factor > 1:
             raise ValueError("expansion factor must exceed 1")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
     def width_tol(self, x: float) -> float:
         return self.abs_tol + self.rel_tol * abs(x)

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -436,6 +440,124 @@ def test_bad_production_parameters_point_at_their_battle():
         network_from_dict(doc)
     assert info.value.pointer == "/battles/1/production"
     assert "(0, 1]" in str(info.value)
+
+
+_DROP = object()
+
+
+def _set(path, value):
+    """Mutation of a triangle document: put ``value`` at ``path``, or delete it."""
+    def mutate(doc):
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        if value is _DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,pointer", [
+    (lambda doc: [doc], "/"),
+    (_set(("players",), _DROP), "/"),
+    (_set(("extra",), 1), "/"),
+    (_set(("players",), "1,2,3"), "/players"),
+    (_set(("players", 1), True), "/players/1"),
+    (_set(("players", 0), 1.5), "/players/0"),
+    (_set(("cost",), []), "/cost"),
+    (_set(("cost", "params"), _DROP), "/cost"),
+    (_set(("cost", "family"), 1), "/cost/family"),
+    (_set(("cost", "params"), [1, 2]), "/cost/params"),
+    (_set(("cost", "params", "kappa"), None), "/cost/params/kappa"),
+    (_set(("battles",), {}), "/battles"),
+    (_set(("battles", 2), "c"), "/battles/2"),
+    (_set(("battles", 1, "extra"), 1), "/battles/1"),
+    (_set(("battles", 0, "id"), 7), "/battles/0/id"),
+    (_set(("battles", 0, "participants"), 1), "/battles/0/participants"),
+    (_set(("battles", 0, "participants", 1), None), "/battles/0/participants/1"),
+    (_set(("battles", 0, "prize"), "5"), "/battles/0/prize"),
+    (_set(("battles", 0, "prize"), False), "/battles/0/prize"),
+    (_set(("battles", 0, "prize"), 10**400), "/battles/0/prize"),
+    (_set(("battles", 0, "prize"), 1e400), "/battles/0/prize"),
+    (_set(("battles", 3, "production", "extra"), 1), "/battles/3/production"),
+    (_set(("battles", 3, "production", "params", "A"), "inf"), "/battles/3/production/params/A"),
+    (_set(("battles", 3, "production", "params", "r"), True), "/battles/3/production/params/r"),
+], ids=[
+    "doc-not-object", "doc-missing-key", "doc-extra-key", "players-not-list",
+    "player-id-bool", "player-id-fraction", "cost-not-object", "cost-missing-key",
+    "family-not-string", "params-not-object", "param-null", "battles-not-list",
+    "battle-not-object", "battle-extra-key", "battle-id-not-string",
+    "participants-not-list", "participant-id-null", "prize-string", "prize-bool",
+    "prize-int-too-large", "prize-infinite", "production-extra-key", "param-string",
+    "param-bool",
+])
+def test_shape_violations_carry_the_pointer_of_the_bad_part(mutate, pointer):
+    doc = mutate(network_to_dict(generate_triangle()))
+    with pytest.raises(SchemaViolation) as info:
+        network_from_dict(doc)
+    assert info.value.pointer == pointer
+
+
+def test_integral_float_player_ids_still_load():
+    doc = network_to_dict(generate_triangle())
+    doc["players"] = [1.0, 2, 3]
+    assert network_from_dict(doc).players == (1.0, 2, 3)
+
+
+@pytest.mark.parametrize("value", ["null", "1e400"])
+def test_validate_reports_bad_parameters_as_invalid(tmp_path, capsys, value):
+    text = json.dumps(network_to_dict(generate_triangle())).replace(
+        '"kappa": 1.0', f'"kappa": {value}'
+    )
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert "/cost" in report["errors"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--v", "inf,1"),
+    ("solve", "--f", "ratio:inf"),
+    ("solve", "--f", "power:inf,0.5"),
+    ("solve", "--tol", "inf"),
+    ("neutrality", "--grid", "explicit:inf,1"),
+], ids=lambda argv: " ".join(argv[1:]))
+def test_non_finite_flags_are_input_errors(capsys, argv):
+    command, *flags = argv
+    code, _, err = run_cli(capsys, command, "--example", "triangle", *flags)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("parallelism", None), ("parallelism", "2"), ("v", 5), ("f", 5), ("axes", 5),
+])
+def test_sweep_spec_fields_of_the_wrong_type_are_input_errors(tmp_path, capsys, field, value):
+    spec = {
+        "example": "triangle",
+        "axes": [{"param": "v2", "min": 1, "max": 5, "steps": 5}],
+        "output": str(tmp_path / "out.csv"),
+        field: value,
+    }
+    code, _, err = run_cli(capsys, "sweep", str(write_spec(tmp_path, spec)))
+    assert code == 1
+    assert err.startswith("error:") and repr(field) in err
+
+
+def test_cli_import_does_not_load_jsonschema():
+    src = Path(conflictnet.__file__).resolve().parents[1]
+    probe = "import sys, conflictnet.cli; print('jsonschema' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("flag", ["power:1", "ratio:1,2", "bogus:1", "cara:x", "cara:-1"])

@@ -170,6 +170,12 @@ def test_validation_raises_on_non_finite_values():
         lambda: PiecewisePowerAffineProduction(A=1.0, r=0.5, s=0.0),
         lambda: PowerCost(kappa=0.0),
         lambda: PowerCost(p=0.5),
+        lambda: PowerProduction(A=math.inf, r=0.5),
+        lambda: RatioProduction(c=math.inf),
+        lambda: CaraProduction(alpha=math.inf),
+        lambda: PiecewisePowerAffineProduction(A=1.0, r=0.5, s=math.inf),
+        lambda: PowerCost(kappa=math.inf),
+        lambda: PowerCost(p=math.inf),
     ],
 )
 def test_invalid_parameters_rejected(bad):

@@ -234,6 +234,8 @@ def test_iteration_config_validation():
     with pytest.raises(ValueError):
         IterationConfig(tolerance=0.0)
     with pytest.raises(ValueError):
+        IterationConfig(tolerance=math.inf)
+    with pytest.raises(ValueError):
         IterationConfig(damping=0.0)
     with pytest.raises(ValueError):
         IterationConfig(initial="explicit")

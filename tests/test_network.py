@@ -1,5 +1,7 @@
 """Network types, winning probabilities, payoffs, and semi-symmetry."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,9 @@ def test_battle_requires_two_distinct_participants_and_positive_prize():
         Battle("t", (1, 1), 1.0, pf)
     with pytest.raises(ValueError):
         Battle("t", (1, 2), 0.0, pf)
+    for prize in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Battle("t", (1, 2), prize, pf)
 
 
 def test_network_rejects_unknown_participants_idle_players_and_dup_ids():
@@ -55,6 +60,8 @@ def test_network_rejects_unknown_participants_idle_players_and_dup_ids():
         ConflictNetwork((1, 2), (Battle("t", (1, 3), 1.0, pf),), cost)
     with pytest.raises(ValueError, match="no battle"):
         ConflictNetwork((1, 2, 3), (Battle("t", (1, 2), 1.0, pf),), cost)
+    with pytest.raises(ValueError, match="at least one battle"):
+        ConflictNetwork((), (), cost)
     with pytest.raises(ValueError, match="duplicate battle ids"):
         ConflictNetwork(
             (1, 2),
@@ -65,8 +72,9 @@ def test_network_rejects_unknown_participants_idle_players_and_dup_ids():
 
 def test_effort_profile_requires_exact_incidence_and_nonnegativity():
     net = generate_triangle()
-    with pytest.raises(ValueError, match="negative effort"):
-        EffortProfile({(1, "a"): -1.0})
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="negative effort"):
+            EffortProfile({(1, "a"): bad})
     sparse = EffortProfile({(1, "a"): 1.0})
     with pytest.raises(ValueError, match="incidence"):
         sparse.validate_for(net)
@@ -235,7 +243,8 @@ def test_structure_invariants_enforced():
     pf = PowerProduction(1.0, 1.0)
     with pytest.raises(ValueError, match="size must be >= 2"):
         SemiSymmetricStructure((1,), {1: 1}, {1: 1.0}, {1: pf}, PowerCost())
-    with pytest.raises(ValueError, match="must be positive"):
-        SemiSymmetricStructure((2,), {2: 1}, {2: 0.0}, {2: pf}, PowerCost())
+    for prize in (0.0, math.inf):
+        with pytest.raises(ValueError, match="must be positive"):
+            SemiSymmetricStructure((2,), {2: 1}, {2: prize}, {2: pf}, PowerCost())
     with pytest.raises(ValueError, match="d_2"):
         SemiSymmetricStructure((2,), {2: 0}, {2: 1.0}, {2: pf}, PowerCost())

@@ -111,6 +111,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BracketingConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
+        BracketingConfig(rel_tol=math.inf)
+    with pytest.raises(ValueError):
         BracketingConfig(initial_guess=0.0)
 
 
