@@ -180,9 +180,7 @@ def _structure_from_args(args) -> SemiSymmetricStructure:
 
 def _bracketing_config(args) -> BracketingConfig:
     tol = getattr(args, "tol", None)
-    if tol is None:
-        return BracketingConfig()
-    return BracketingConfig(abs_tol=min(tol, 1e-12), rel_tol=tol)
+    return BracketingConfig() if tol is None else BracketingConfig(rel_tol=tol)
 
 
 def _write_report(text: str, output: str | None) -> None:
@@ -514,7 +512,12 @@ def _add_network_flags(sub) -> None:
     sub.add_argument(
         "--v", dest="prizes", help="per-size prizes in ascending size order, e.g. 5,72"
     )
-    sub.add_argument("--tol", type=float, help="solver tolerance override")
+    sub.add_argument(
+        "--tol", type=float,
+        help="solver tolerance (default 1e-10): the root finder's relative "
+        "stopping width for semi-symmetric solves; the largest absolute effort "
+        "change between iterations for iterative solves",
+    )
     sub.add_argument("--seed", type=int, help="seed for randomized starting points")
     sub.add_argument("--output", help="write the report here instead of stdout")
 

@@ -41,7 +41,7 @@ DEGENERATE_FLOOR = 1e-12
 
 # Inner root finds run well below the profile-change tolerance so that
 # best-response quantization noise cannot stall the outer iteration.
-_INNER_CFG = BracketingConfig(abs_tol=1e-15, rel_tol=1e-13)
+_INNER_CFG = BracketingConfig(rel_tol=1e-13)
 
 # Relative deviation-gain bound certifying an equilibrium.
 _GAIN_TOL = 1e-6

@@ -2,10 +2,10 @@
 
 The solvers in this package reduce every equilibrium computation to roots of
 strictly monotone scalar functions, all solved by one bracketed method
-(`brent_increasing`): geometric bracket expansion from a positive seed,
-then Brent's method (Brent 1973), whose bisection fallback needs nothing
-beyond monotonicity and therefore tolerates kinks in piecewise production
-functions.
+(`brent_increasing`): doubling or halving from a positive seed across the
+float range, then Brent's method (Brent 1973) with a purely relative stopping
+rule, whose bisection fallback needs nothing beyond monotonicity and
+therefore tolerates kinks in piecewise production functions.
 """
 
 from __future__ import annotations
@@ -20,28 +20,19 @@ from .functions import ProductionFunction
 
 __all__ = ["BracketingConfig", "brent_increasing", "invert_h"]
 
+# Brent steps allowed once the bracket is found; reaching it raises.
+MAX_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class BracketingConfig:
-    """Bracket expansion and termination parameters."""
+    """Relative width at which Brent's method stops: ``rel_tol * |x|``."""
 
-    initial_guess: float = 1.0
-    expansion_factor: float = 2.0
-    max_expansions: int = 200
-    abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_iterations: int = 200
 
     def __post_init__(self):
-        if not self.initial_guess > 0:
-            raise ValueError("initial guess must be positive")
-        if not self.expansion_factor > 1:
-            raise ValueError("expansion factor must exceed 1")
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-
-    def width_tol(self, x: float) -> float:
-        return self.abs_tol + self.rel_tol * abs(x)
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 DEFAULT_CONFIG = BracketingConfig()
@@ -54,40 +45,33 @@ def _checked(g: Callable[[float], float], x: float) -> float:
     return value
 
 
-def _expand_bracket(g, target, cfg, seed=None):
-    """Find lo < hi with g(lo) <= target <= g(hi) by geometric expansion.
+def _expand_bracket(g, target, seed):
+    """Find lo < hi with g(lo) <= target <= g(hi) by doubling or halving.
 
-    Expansion runs downward and upward from the seed.  An overflow of ``g``
-    to +inf counts as being above the target: the functions inverted here
-    grow without bound, so overflow only ever happens past the root.
+    Expansion runs from the seed until the next point would leave the float
+    range (0 or +inf); ``g`` is never evaluated at either end.  An overflow
+    of ``g`` to +inf counts as being above the target: the functions inverted
+    here grow without bound, so overflow only ever happens past the root.
     """
-    x0 = cfg.initial_guess if seed is None else seed
-    y0 = _checked(g, x0)
+    if not 0 < seed < math.inf:
+        raise ValueError(f"bracket seed must be positive and finite, got {seed!r}")
+    y0 = _checked(g, seed)
     if y0 == target:
-        return x0, x0
+        return seed, seed
 
-    factor = cfg.expansion_factor
     if y0 < target:
-        lo, hi = x0, x0 * factor
-        for _ in range(cfg.max_expansions):
-            y = _checked(g, hi)
-            if y >= target:
+        lo, hi = seed, seed * 2.0
+        while hi < math.inf:
+            if _checked(g, hi) >= target:
                 return lo, hi
-            lo, hi = hi, hi * factor
-        raise BracketFailure(
-            f"no upper bracket for target {target!r} after "
-            f"{cfg.max_expansions} expansions from {x0!r}"
-        )
-    lo, hi = x0 / factor, x0
-    for _ in range(cfg.max_expansions):
-        y = _checked(g, lo)
-        if y <= target:
+            lo, hi = hi, hi * 2.0
+        raise BracketFailure(f"no upper bracket for target {target!r}: g < target up to {lo!r}")
+    lo, hi = seed / 2.0, seed
+    while lo > 0.0:
+        if _checked(g, lo) <= target:
             return lo, hi
-        lo, hi = lo / factor, lo
-    raise BracketFailure(
-        f"no lower bracket for target {target!r} after "
-        f"{cfg.max_expansions} expansions from {x0!r}"
-    )
+        lo, hi = lo / 2.0, lo
+    raise BracketFailure(f"no lower bracket for target {target!r}: g > target down to {hi!r}")
 
 
 def brent_increasing(
@@ -99,18 +83,19 @@ def brent_increasing(
     """Solve ``g(x) = target`` for strictly increasing ``g`` on ``(0, inf)``.
 
     The caller is responsible for the range of ``g`` covering the target.
-    Deterministic for a fixed configuration: bracket by geometric expansion
-    from the seed, then take inverse quadratic and secant steps, falling back
-    to bisection whenever they stall (infinite values force bisection), until
-    the bracket width drops below ``abs_tol + rel_tol * |x|`` or to float
-    spacing.
+    Deterministic for a fixed configuration: bracket by doubling or halving
+    from the seed (1.0 unless given) through the whole positive float range,
+    then take inverse quadratic and secant steps, falling back to bisection
+    whenever they stall (infinite values force bisection), until the bracket
+    half-width drops to ``0.5 * rel_tol * |x|`` or to float spacing: the same
+    relative accuracy at every scale.
 
     Raises:
-        BracketFailure: expansion exhausted without straddling the target.
+        BracketFailure: no float in ``(0, inf)`` straddles the target.
         NonFiniteEvaluation: ``g`` returned NaN.
-        NoConvergence: ``max_iterations`` steps left the bracket open.
+        NoConvergence: ``MAX_ITERATIONS`` steps left the bracket open.
     """
-    lo, hi = _expand_bracket(g, target, cfg, seed)
+    lo, hi = _expand_bracket(g, target, 1.0 if seed is None else seed)
     if lo == hi:
         return lo
 
@@ -128,13 +113,13 @@ def brent_increasing(
         return b
     c, fc = a, fa
     d = e = b - a
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         # Brent's floor of two machine epsilons keeps a tolerance finer than
         # float spacing from stalling the bracket one ulp wide.
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * cfg.width_tol(b)
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * cfg.rel_tol * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -172,7 +157,7 @@ def brent_increasing(
             d = e = b - a
     raise NoConvergence(
         f"bracket [{min(b, c)!r}, {max(b, c)!r}] for target {target!r} still "
-        f"open after {cfg.max_iterations} iterations"
+        f"open after {MAX_ITERATIONS} iterations"
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +44,8 @@ class SweepAxis:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
+            raise ValueError(f"axis {self.param!r} range must be finite")
         if self.steps < 1:
             raise ValueError(f"axis {self.param!r} needs at least 1 step")
         if self.steps > 1 and not self.maximum > self.minimum:

@@ -13,15 +13,17 @@ from conflictnet import (
     PreconditionViolation,
     RatioProduction,
     SemiSymmetricStructure,
+    check_semi_symmetry,
     classify_h,
     compare_regimes,
+    generate_simplex,
     neutrality_check,
     solve_de,
     solve_ue,
     tullock_closed_form_total,
 )
 
-from conftest import random_structure, triangle_structure
+from conftest import BENCHMARK_PRODUCTIONS, random_structure, triangle_structure
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +269,13 @@ def test_closed_form_preconditions():
         tullock_closed_form_total(cubic)
     with pytest.raises(PreconditionViolation, match="power"):
         tullock_closed_form_total(triangle_structure(RatioProduction(1.0)))
+
+
+@pytest.mark.parametrize("v", [1e-22, 1e22])
+@pytest.mark.parametrize("family", ["ratio", "cara", "piecewise"])
+def test_simplex_comparison_holds_at_extreme_prize_scales(family, v):
+    network = generate_simplex(v, v, v, production=BENCHMARK_PRODUCTIONS[family])
+    report = compare_regimes(check_semi_symmetry(network))
+    de = report.de
+    assert max(de.residuals.values()) <= 1e-8 * de.marginal_cost
+    assert report.theorem_consistent is True

@@ -23,6 +23,7 @@ from conflictnet import (
 )
 from conflictnet.cli import main
 from conflictnet.io import dumps_sorted
+from conflictnet.sweep import SweepAxis
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +61,15 @@ def test_solve_simplex_linear_tullock_regimes_coincide(capsys):
     de, ue = report["de"]["total"], report["ue"]["total"]
     assert de == pytest.approx(ue, rel=1e-8)
     assert de == pytest.approx(math.sqrt(5 / 4 * 2 + 5 * 2 / 9 * 3 + 72 * 3 / 16), rel=1e-8)
+
+
+def test_solve_tullock_triangle_at_prizes_near_the_float_floor(capsys):
+    report = run_json(
+        capsys, "solve", "--example", "triangle", "--f", "power:1,1", "--v", "1e-300,1e-300"
+    )
+    de, ue = report["de"]["total"], report["ue"]["total"]
+    assert de == pytest.approx(ue, rel=1e-9)
+    assert de == pytest.approx(8.49837e-151, rel=1e-5)
 
 
 def test_solve_rejects_empty_battle_list(tmp_path, capsys):
@@ -226,6 +236,16 @@ def test_neutrality_ratio_explicit_counterexample(capsys):
     assert report["worst"]["prizes"] == {"2": 5.0, "3": 72.0}
 
 
+def test_neutrality_power_holds_at_small_prizes(capsys):
+    report = run_json(
+        capsys,
+        "neutrality", "--example", "triangle", "--f", "power:1,0.5",
+        "--grid", "explicit:1e-22,1e-22",
+    )
+    assert report["neutral"] is True
+    assert report["max_gap"] <= 1e-9
+
+
 def test_neutrality_empty_grid_is_an_input_error(capsys):
     code, _, err = run_cli(
         capsys,
@@ -353,6 +373,26 @@ def test_sweep_grid_cap_from_environment(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sweep", str(spec))
     assert code == 1
     assert "cap is 4" in err
+
+
+@pytest.mark.parametrize("bounds", [(1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_sweep_axis_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="'v2' range must be finite"):
+        SweepAxis("v2", *bounds, 3)
+
+
+def test_sweep_axis_overflowing_to_infinity_is_an_input_error(tmp_path, capsys):
+    # 1e400 is valid JSON but parses to float('inf').
+    path = tmp_path / "sweep.json"
+    path.write_text(
+        '{"example": "triangle", "output": "%s", '
+        '"axes": [{"param": "v2", "min": 1, "max": 1e400, "steps": 3}]}'
+        % (tmp_path / "out.csv")
+    )
+    code, _, err = run_cli(capsys, "sweep", str(path))
+    assert code == 1
+    assert err.startswith("error: bad sweep axis #0") and "'v2'" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # ---------------------------------------------------------------------------

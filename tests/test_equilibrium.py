@@ -15,6 +15,7 @@ from conflictnet import (
     reverse_valuations,
     solve_de,
     solve_ue,
+    tullock_closed_form_total,
     winning_probabilities,
 )
 
@@ -218,3 +219,16 @@ def test_power_families_make_regimes_agree_with_closed_form():
         )
         assert solve_de(ss).total == pytest.approx(expected, rel=1e-8)
         assert solve_ue(ss).total == pytest.approx(expected, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Prize scales across the float range
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [1.0, 0.5])
+@pytest.mark.parametrize("v", [1e-300, 1e-150, 1e-22, 1e22, 1e150, 1e300])
+def test_tullock_neutrality_holds_at_every_prize_scale(r, v):
+    ss = triangle_structure(PowerProduction(1.0, r)).with_prizes({2: v, 3: 3 * v})
+    expected = tullock_closed_form_total(ss)
+    assert solve_de(ss).total == pytest.approx(expected, rel=1e-9)
+    assert solve_ue(ss).total == pytest.approx(expected, rel=1e-9)

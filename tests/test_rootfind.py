@@ -1,5 +1,6 @@
 """Monotone root-finding primitives and h inversion."""
 
+import dataclasses
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from conflictnet import (
     invert_h,
 )
 
+from conflictnet import rootfind
 from conftest import BENCHMARK_PRODUCTIONS
 
 
@@ -75,7 +77,39 @@ def test_invert_h_requires_positive_target():
 
 def test_bracket_failure_on_bounded_function():
     with pytest.raises(BracketFailure):
-        brent_increasing(math.atan, 2.0, BracketingConfig(max_expansions=60))
+        brent_increasing(math.atan, 2.0)
+
+
+@pytest.mark.parametrize(
+    "g, target, root",
+    [(math.atan, 2.0, None), (lambda x: x, -1.0, None), (lambda x: x, 1e-320, 1e-320)],
+)
+def test_expansion_never_evaluates_at_zero_or_infinity(g, target, root):
+    def guarded(x):
+        assert 0.0 < x < math.inf, f"evaluated at {x!r}"
+        return g(x)
+
+    if root is None:
+        with pytest.raises(BracketFailure):
+            brent_increasing(guarded, target)
+    else:
+        assert brent_increasing(guarded, target) == root
+
+
+@pytest.mark.parametrize("target", [1e-300, 1e-150, 1e-22, 1e22, 1e150, 1e300])
+def test_relative_accuracy_at_every_scale(target):
+    assert brent_increasing(lambda x: x**3, target) == pytest.approx(
+        target ** (1 / 3), rel=1e-10
+    )
+    assert brent_increasing(lambda x: x * (1 + x), target) == pytest.approx(
+        closed_form_h_inverse(RatioProduction(1.0), target), rel=1e-10
+    )
+
+
+def test_seed_must_be_positive_and_finite():
+    for seed in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError):
+            brent_increasing(lambda x: x, 1.0, seed=seed)
 
 
 def test_nan_evaluations_are_rejected():
@@ -90,16 +124,17 @@ def test_deterministic_for_fixed_config():
     assert a == b
 
 
-def test_exhausted_iterations_raise():
+def test_exhausted_iterations_raise(monkeypatch):
     # Seven Brent steps close this bracket; three must not return a value.
-    cfg = BracketingConfig(max_iterations=3)
+    monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 3)
     with pytest.raises(NoConvergence):
-        brent_increasing(lambda x: x**3, 11.0, cfg)
+        brent_increasing(lambda x: x**3, 11.0)
+    monkeypatch.undo()
     assert brent_increasing(lambda x: x**3, 11.0) == pytest.approx(11.0 ** (1 / 3), rel=1e-10)
 
 
 def test_tolerance_below_float_spacing_still_converges():
-    cfg = BracketingConfig(abs_tol=1e-300, rel_tol=1e-300)
+    cfg = BracketingConfig(rel_tol=1e-300)
     assert brent_increasing(lambda x: x * (x + 1), 0.625, cfg) == pytest.approx(
         (math.sqrt(3.5) - 1) / 2, rel=1e-15
     )
@@ -107,13 +142,13 @@ def test_tolerance_below_float_spacing_still_converges():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        BracketingConfig(expansion_factor=1.0)
-    with pytest.raises(ValueError):
-        BracketingConfig(abs_tol=0.0)
+        BracketingConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         BracketingConfig(rel_tol=math.inf)
-    with pytest.raises(ValueError):
-        BracketingConfig(initial_guess=0.0)
+
+
+def test_config_has_one_relative_tolerance():
+    assert [f.name for f in dataclasses.fields(BracketingConfig)] == ["rel_tol"]
 
 
 @settings(max_examples=80, deadline=None)
