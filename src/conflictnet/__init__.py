@@ -67,7 +67,7 @@ from .network import (
     payoff,
     winning_probabilities,
 )
-from .rootfind import BracketingConfig, brent_increasing, invert_h
+from .rootfind import BracketingConfig, brent_increasing
 from .sweep import SweepAxis, SweepSpec, run_sweep
 
 __version__ = "0.1.0"
@@ -117,7 +117,6 @@ __all__ = [
     "generate_example",
     "generate_simplex",
     "generate_triangle",
-    "invert_h",
     "load_network",
     "network_from_dict",
     "network_to_dict",

@@ -193,7 +193,7 @@ class ComparisonReport:
     ue: UEResult
     ordering: str  # "<", "=", ">" comparing the DE total with the UE total
     effort_gap: float  # relative |X_de - X_ue| / X_ue
-    payoff_gap: float  # relative |payoff_de - payoff_ue|, same normalization
+    payoff_gap: float  # |payoff_de - payoff_ue| / sum_k d_k v_k / k
     theorem_consistent: bool | None
     recommendation: str | None
 
@@ -247,7 +247,10 @@ def compare_regimes(
     ue = solve_ue(ss, cfg)
 
     effort_gap = abs(de.total - ue.total) / abs(ue.total)
-    payoff_gap = abs(de.payoff - ue.payoff) / abs(ue.total)
+    # Payoffs are prizes minus a cost that scales like effort squared, so
+    # their gap is measured against the prize term, not the total.
+    prize_term = ss.prize_term
+    payoff_gap = abs(de.payoff - ue.payoff) / prize_term
     if effort_gap <= NEUTRALITY_TOL:
         ordering = "="
     elif de.total < ue.total:
@@ -277,8 +280,8 @@ def compare_regimes(
         consistent = None
     else:
         payoff_ok = {
-            "<": de.payoff >= ue.payoff - NEUTRALITY_TOL * abs(ue.total),
-            ">": de.payoff <= ue.payoff + NEUTRALITY_TOL * abs(ue.total),
+            "<": de.payoff >= ue.payoff - NEUTRALITY_TOL * prize_term,
+            ">": de.payoff <= ue.payoff + NEUTRALITY_TOL * prize_term,
             "=": payoff_gap <= NEUTRALITY_TOL,
         }[ordering]
         consistent = ordering in predicted and payoff_ok

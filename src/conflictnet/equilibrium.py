@@ -1,23 +1,24 @@
 """Equilibrium solvers for semi-symmetric conflict networks.
 
-Both regimes reduce to one monotone scalar fixed point in the per-player
-total effort mu.  Under discriminatory effort (DE), for a candidate mu each
-size class k has a unique battle effort ``x_k = h_k^{-1}(v_k (k-1) / (k^2
-C'(mu)))``; mu must then equal ``sum_k d_k x_k``, and the left side minus the
-right side of that equation is strictly increasing, so the bracketed Brent
-solver finds the unique root.  Under uniform effort (UE) the same scheme runs
-with a single effort level in all battles and the marginal cost scaled by the
-number of battles per player.  At either equilibrium every participant of a
+Each regime reduces to one strictly increasing scalar condition, solved by a
+single call of the bracketed Brent solver; no root find is nested inside
+another.  Under discriminatory effort (DE), for a candidate per-player total
+mu each size class k has the battle effort ``x_k = h_k^{-1}(v_k (k-1) / (k^2
+C'(mu)))``, taken from the production family's closed-form inverse, and mu
+must equal ``sum_k d_k x_k``.  Under uniform effort (UE) the single effort x
+solves ``D C'(D x) = sum_k w_k / h_k(x)`` with ``D`` battles per player and
+``w_k = d_k v_k (k-1) / k^2``.  At either equilibrium every participant of a
 size-k battle wins with probability exactly 1/k, which the payoff computation
 uses directly instead of re-evaluating the contest success function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .network import SemiSymmetricStructure
-from .rootfind import BracketingConfig, DEFAULT_CONFIG, brent_increasing, invert_h
+from .rootfind import BracketingConfig, DEFAULT_CONFIG, brent_increasing
 
 __all__ = ["DEResult", "UEResult", "solve_de", "solve_ue", "reverse_valuations"]
 
@@ -56,10 +57,7 @@ class UEResult:
 
 
 def _symmetric_payoff(ss: SemiSymmetricStructure, total: float) -> float:
-    value = sum(
-        ss.degrees[k] * ss.prizes[k] / k for k in ss.sizes
-    )
-    return value - ss.cost.c(total)
+    return ss.prize_term - ss.cost.c(total)
 
 
 def solve_de(
@@ -67,8 +65,8 @@ def solve_de(
 ) -> DEResult:
     """Solve the discriminatory-effort equilibrium.
 
-    Construction: for a candidate total mu, each size-k effort solves
-    ``h_k(x) = v_k (k-1) / (k^2 C'(mu))``; the consistency gap
+    Construction: for a candidate total mu, each size-k effort is
+    ``h_k^{-1}(v_k (k-1) / (k^2 C'(mu)))`` in closed form; the consistency gap
     ``mu - sum_k d_k x_k(mu)`` is strictly increasing in mu and crosses zero
     exactly once, so it is bracketed from mu = 1 and solved by Brent's method.
     """
@@ -76,9 +74,7 @@ def solve_de(
 
     def efforts_at(mu: float) -> dict[int, float]:
         lam = ss.cost.c_prime(mu)
-        return {
-            k: invert_h(ss.productions[k], targets[k] / lam, cfg) for k in ss.sizes
-        }
+        return {k: ss.productions[k].h_inv(targets[k] / lam) for k in ss.sizes}
 
     def gap(mu: float) -> float:
         xs = efforts_at(mu)
@@ -115,43 +111,26 @@ def solve_ue(
 
     With a single effort level x in all battles, the first-order condition
     aggregates the marginal benefits of all battle sizes:
-    ``sum_k d_k v_k (k-1)/k^2 * f_k'(x)/f_k(x) = C'(mu) * D`` with
-    ``mu = D x`` and ``D`` the number of battles per player.  The aggregate
-    marginal benefit is strictly decreasing from +inf to 0, so its reciprocal
-    is inverted by the same bracketed monotone scheme; the outer fixed point
-    on mu mirrors the discriminatory case.  When production functions differ
-    across sizes this size-indexed aggregate is the defining condition.
+    ``sum_k w_k f_k'(x)/f_k(x) = D C'(D x)`` with ``w_k = d_k v_k (k-1)/k^2``
+    and ``D`` the number of battles per player.  Since ``f_k'/f_k = 1/h_k``
+    and every ``h_k`` is strictly increasing, ``D C'(D x) - sum_k w_k / h_k(x)``
+    is strictly increasing in x, so one Brent root gives the effort, whether
+    or not the production functions differ across sizes.
     """
     weights = {k: ss.degrees[k] * ss.prizes[k] * _size_weight(k) for k in ss.sizes}
     D = ss.total_degree
-    common = ss.common_production()
 
-    if common is not None:
-        total_weight = sum(weights.values())
+    def gap(x: float) -> float:
+        benefit = 0.0
+        for k in ss.sizes:
+            h = ss.productions[k].h(x)
+            if h == 0.0:
+                # h underflowed: the marginal benefit is beyond float range.
+                return -math.inf
+            benefit += weights[k] / h
+        return D * ss.cost.c_prime(D * x) - benefit
 
-        def effort_at(mu: float) -> float:
-            lam = ss.cost.c_prime(mu) * D
-            return invert_h(common, total_weight / lam, cfg)
-
-    else:
-        def inverse_aggregate(x: float) -> float:
-            benefit = sum(
-                weights[k]
-                * ss.productions[k].f_prime(x)
-                / ss.productions[k].f(x)
-                for k in ss.sizes
-            )
-            return 1.0 / benefit
-
-        def effort_at(mu: float) -> float:
-            lam = ss.cost.c_prime(mu) * D
-            return brent_increasing(inverse_aggregate, 1.0 / lam, cfg)
-
-    def gap(mu: float) -> float:
-        return mu - D * effort_at(mu)
-
-    mu_root = brent_increasing(gap, 0.0, cfg)
-    effort = effort_at(mu_root)
+    effort = brent_increasing(gap, 0.0, cfg)
     total = D * effort
     lam = ss.cost.c_prime(total) * D
     benefit = sum(

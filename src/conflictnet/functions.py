@@ -1,16 +1,18 @@
 """Contest production functions and effort cost functions.
 
 Every production family ships analytic first, second, and third derivatives;
-derived quantities such as the inverse semi-elasticity ``h = f / f'`` are
-implemented in closed form per family rather than as generic quotients, since
-solver accuracy depends on an exact ``h``.  All families satisfy ``f(0) = 0``,
-``f' > 0`` and ``f'' <= 0`` on the positive axis (away from a declared kink),
-which makes ``h`` strictly increasing with ``h(0+) = 0`` and ``h -> +inf``.
+derived quantities such as the inverse semi-elasticity ``h = f / f'`` and
+its inverse ``h_inv`` are implemented in closed form per family rather than
+as generic quotients or root finds, since solver accuracy depends on an exact
+``h``.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'' <= 0`` on the
+positive axis (away from a declared kink), which makes ``h`` strictly
+increasing with ``h(0+) = 0`` and ``h -> +inf``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -67,6 +69,10 @@ class ProductionFunction(ABC):
     def h(self, x: float) -> float:
         """Inverse semi-elasticity ``f(x) / f'(x)`` in closed form."""
 
+    @abstractmethod
+    def h_inv(self, y: float) -> float:
+        """Unique ``x > 0`` with ``h(x) = y`` for ``y > 0``, in closed form."""
+
     def kinks(self) -> tuple[float, ...]:
         """Points where the second derivative does not exist."""
         return ()
@@ -78,6 +84,11 @@ class ProductionFunction(ABC):
     @abstractmethod
     def to_spec(self) -> dict:
         """JSON-serializable ``{"family", "params"}`` description."""
+
+
+def _check_h_target(y: float) -> None:
+    if not y > 0:
+        raise ValueError(f"h target must be positive, got {y!r}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,10 @@ class PowerProduction(ProductionFunction):
     def h(self, x):
         return x / self.r
 
+    def h_inv(self, y):
+        _check_h_target(y)
+        return self.r * y
+
     def h_curvature(self):
         return "linear"
 
@@ -157,7 +172,19 @@ class RatioProduction(ProductionFunction):
         return 6.0 * self.c / (x + self.c) ** 4
 
     def h(self, x):
-        return x * (x + self.c) / self.c
+        # x * (x + c) / c would overflow in the product for c > 1.
+        return x * (x / self.c + 1.0)
+
+    def h_inv(self, y):
+        # Positive root of x^2 + c x - c y = 0, written so that nothing
+        # cancels; y / c underflowing to 0 leaves x = y, exact to first order.
+        _check_h_target(y)
+        t = y / self.c
+        if t < math.inf:
+            return y / (0.5 + math.sqrt(0.25 + t))
+        # Only a tiny c overflows y / c; the root is then sqrt(c y) to
+        # float precision.
+        return math.sqrt(y) * math.sqrt(self.c)
 
     def h_curvature(self):
         return "convex"
@@ -193,12 +220,28 @@ class CaraProduction(ProductionFunction):
         return self.alpha**3 * math.exp(-self.alpha * x)
 
     def h(self, x):
-        # expm1 keeps h accurate near zero; overflows to inf for huge x,
-        # which bracketing code treats as "above any finite target".
+        # expm1 keeps h accurate near zero.  Past exp's range h is still
+        # finite for alpha > 1, as exp(alpha x - log alpha); beyond that it
+        # is inf, which bracketing code treats as "above any finite target".
         try:
             return math.expm1(self.alpha * x) / self.alpha
         except OverflowError:
+            pass
+        try:
+            return math.exp(self.alpha * x - math.log(self.alpha))
+        except OverflowError:
             return math.inf
+
+    def h_inv(self, y):
+        _check_h_target(y)
+        z = self.alpha * y
+        if z < sys.float_info.min:
+            # alpha y is subnormal only where log1p(alpha y) / alpha = y to
+            # float precision.
+            return y
+        if z < math.inf:
+            return math.log1p(z) / self.alpha
+        return (math.log(self.alpha) + math.log(y)) / self.alpha
 
     def h_curvature(self):
         return "convex"
@@ -271,6 +314,12 @@ class PiecewisePowerAffineProduction(ProductionFunction):
         if x <= self.s:
             return x / self.r
         return x + self.intercept / self.slope
+
+    def h_inv(self, y):
+        _check_h_target(y)
+        if y <= self.s / self.r:
+            return self.r * y
+        return y - self.intercept / self.slope
 
     def kinks(self):
         return () if self.r == 1.0 else (self.s,)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBattle, DimensionTooLarge
+from .errors import BracketFailure, DegenerateBattle, DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId, payoff
 from .rootfind import BracketingConfig, brent_increasing
 
@@ -45,6 +45,8 @@ _INNER_CFG = BracketingConfig(rel_tol=1e-13)
 
 # Relative deviation-gain bound certifying an equilibrium.
 _GAIN_TOL = 1e-6
+
+_SMALLEST_FLOAT = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,14 @@ def _battle_effort(battle: Battle, rival_score: float, lam: float, seed) -> floa
     def transform(x):
         return (pf.f(x) + rival_score) ** 2 / pf.f_prime(x)
 
-    return brent_increasing(transform, target, _INNER_CFG, seed=seed)
+    try:
+        return brent_increasing(transform, target, _INNER_CFG, seed=seed)
+    except BracketFailure:
+        # With f'(0) = inf, G rises from 0 so slowly (power r near 1) that
+        # the root can lie below the smallest float: the effort is 0.
+        if transform(_SMALLEST_FLOAT) >= target:
+            return 0.0
+        raise
 
 
 def _best_response_discriminatory(

@@ -261,6 +261,11 @@ class SemiSymmetricStructure:
         """Number of battles each player participates in."""
         return sum(self.degrees[k] for k in self.sizes)
 
+    @property
+    def prize_term(self) -> float:
+        """Expected prizes ``sum_k d_k v_k / k`` per player at symmetry."""
+        return sum(self.degrees[k] * self.prizes[k] / k for k in self.sizes)
+
     def common_production(self) -> ProductionFunction | None:
         """The shared production function, or None if sizes differ."""
         functions = [self.productions[k] for k in self.sizes]

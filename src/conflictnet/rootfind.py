@@ -5,7 +5,9 @@ strictly monotone scalar functions, all solved by one bracketed method
 (`brent_increasing`): doubling or halving from a positive seed across the
 float range, then Brent's method (Brent 1973) with a purely relative stopping
 rule, whose bisection fallback needs nothing beyond monotonicity and
-therefore tolerates kinks in piecewise production functions.
+therefore tolerates kinks in piecewise production functions.  Inverting
+``h`` needs no root find: every production family has a closed-form
+``h_inv``, so a structured solve is one call of this solver.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketFailure, NoConvergence, NonFiniteEvaluation
-from .functions import ProductionFunction
 
-__all__ = ["BracketingConfig", "brent_increasing", "invert_h"]
+__all__ = ["BracketingConfig", "brent_increasing"]
 
 # Brent steps allowed once the bracket is found; reaching it raises.
 MAX_ITERATIONS = 200
@@ -160,18 +161,3 @@ def brent_increasing(
         f"open after {MAX_ITERATIONS} iterations"
     )
 
-
-def invert_h(
-    pf: ProductionFunction,
-    y: float,
-    cfg: BracketingConfig = DEFAULT_CONFIG,
-    seed: float | None = None,
-) -> float:
-    """Unique positive ``x`` with ``h(x) = y`` for a valid production function.
-
-    ``h`` is strictly increasing from 0 to +inf, so any ``y > 0`` has exactly
-    one preimage.
-    """
-    if not y > 0:
-        raise ValueError(f"h target must be positive, got {y!r}")
-    return brent_increasing(pf.h, y, cfg, seed)

@@ -16,7 +16,6 @@ import csv
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,6 +171,10 @@ def run_sweep(spec: SweepSpec, output) -> int:
             fh.flush()
         try:
             if spec.parallelism > 1:
+                # Imported here so that importing the package does not load
+                # multiprocessing.
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
                     rows = pool.map(_solve_point, pending, chunksize=8)
                     for row in rows:

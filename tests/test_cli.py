@@ -183,6 +183,17 @@ def test_compare_cara_json(capsys):
     assert report["recommendation"] == "ue"
 
 
+def test_compare_payoff_gap_is_relative_to_the_prizes_at_large_scale(capsys):
+    # Payoffs are of the order of the prizes (1e24), the totals of 1e12; a
+    # payoff gap over the total read one ulp of payoff as 1e-4.
+    report = run_json(
+        capsys, "compare", "--example", "simplex", "--f", "piecewise:2,0.5,1",
+        "--v", "5e22,7.2e23,1e24",
+    )
+    assert report["consistent"] is True
+    assert report["gaps"][1] <= 1e-12
+
+
 def test_compare_csv_format(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -319,6 +330,25 @@ def test_sweep_exponent_axis_matches_closed_form(tmp_path, capsys):
     for row in read_rows(out):
         r = float(row["r"])
         assert float(row["X_de"]) == pytest.approx(math.sqrt(r / 4.0), rel=1e-8)
+
+
+def test_parallel_sweep_writes_the_serial_rows(tmp_path, capsys):
+    outputs = []
+    for parallelism in (1, 2):
+        out = tmp_path / f"out{parallelism}.csv"
+        spec = {
+            "example": "triangle",
+            "f": "ratio:1",
+            "axes": [{"param": "v3", "min": 10, "max": 100, "steps": 10}],
+            "output": str(out),
+            "parallelism": parallelism,
+        }
+        spec_path = tmp_path / f"sweep{parallelism}.json"
+        spec_path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "sweep", str(spec_path))
+        assert code == 0, err
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_zero_axes_is_an_input_error(tmp_path, capsys):
@@ -598,6 +628,21 @@ def test_cli_import_does_not_load_jsonschema():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    src = Path(conflictnet.__file__).resolve().parents[1]
+    probe = (
+        "import sys, conflictnet.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("flag", ["power:1", "ratio:1,2", "bogus:1", "cara:x", "cara:-1"])

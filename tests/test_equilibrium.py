@@ -7,17 +7,24 @@ import pytest
 
 from conflictnet import (
     Battle,
+    BracketingConfig,
+    CaraProduction,
     ConflictNetwork,
     EffortProfile,
     PowerCost,
     PowerProduction,
+    RatioProduction,
     SemiSymmetricStructure,
+    brent_increasing,
+    check_semi_symmetry,
+    generate_example,
     reverse_valuations,
     solve_de,
     solve_ue,
     tullock_closed_form_total,
     winning_probabilities,
 )
+from conflictnet import equilibrium
 
 from conftest import BENCHMARK_PRODUCTIONS, random_structure, triangle_structure
 
@@ -232,3 +239,99 @@ def test_tullock_neutrality_holds_at_every_prize_scale(r, v):
     expected = tullock_closed_form_total(ss)
     assert solve_de(ss).total == pytest.approx(expected, rel=1e-9)
     assert solve_ue(ss).total == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# One root per regime
+# ---------------------------------------------------------------------------
+
+MIXED_STRUCTURE = SemiSymmetricStructure(
+    sizes=(2, 3),
+    degrees={2: 2, 3: 1},
+    prizes={2: 5.0, 3: 72.0},
+    productions={2: PowerProduction(2.0, 0.5), 3: RatioProduction(1.0)},
+    cost=PowerCost(1.0, 2.0),
+)
+
+ONE_ROOT_STRUCTURES = {
+    **{name: triangle_structure(pf) for name, pf in BENCHMARK_PRODUCTIONS.items()},
+    "mixed-power-ratio": MIXED_STRUCTURE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_ROOT_STRUCTURES))
+@pytest.mark.parametrize("solve", [solve_de, solve_ue])
+def test_each_structured_solve_is_one_root_find(monkeypatch, name, solve):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return brent_increasing(*args)
+
+    monkeypatch.setattr(equilibrium, "brent_increasing", counting)
+    solve(ONE_ROOT_STRUCTURES[name])
+    assert len(calls) == 1
+
+
+def nested_brent_totals(ss):
+    """DE and UE totals by nested root finds: an independent reference.
+
+    Each inner root inverts ``h`` (DE) or the aggregate ``1 / sum_k w_k / h_k``
+    (UE) numerically inside an outer root in the per-player total.
+    """
+    cfg = BracketingConfig(rel_tol=1e-13)
+    targets = {k: ss.prizes[k] * (k - 1) / k**2 for k in ss.sizes}
+
+    def de_efforts(mu):
+        lam = ss.cost.c_prime(mu)
+        return {
+            k: brent_increasing(ss.productions[k].h, targets[k] / lam, cfg)
+            for k in ss.sizes
+        }
+
+    def de_gap(mu):
+        xs = de_efforts(mu)
+        return mu - sum(ss.degrees[k] * xs[k] for k in ss.sizes)
+
+    xs = de_efforts(brent_increasing(de_gap, 0.0, cfg))
+    de_total = sum(ss.degrees[k] * xs[k] for k in ss.sizes)
+
+    D = ss.total_degree
+
+    def inverse_aggregate(x):
+        return 1.0 / sum(
+            ss.degrees[k] * targets[k] / ss.productions[k].h(x) for k in ss.sizes
+        )
+
+    def ue_effort(mu):
+        return brent_increasing(inverse_aggregate, 1.0 / (D * ss.cost.c_prime(mu)), cfg)
+
+    ue_total = D * ue_effort(brent_increasing(lambda mu: mu - D * ue_effort(mu), 0.0, cfg))
+    return de_total, ue_total
+
+
+@pytest.mark.parametrize("example", ["triangle", "simplex"])
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+@pytest.mark.parametrize("v", [1e-22, 1.0, 72.0, 1e22])
+def test_one_root_solves_match_nested_root_finds(example, name, v):
+    network = generate_example(example, production=BENCHMARK_PRODUCTIONS[name])
+    ss = check_semi_symmetry(network)
+    ss = ss.with_prizes({k: v * (k - 1) for k in ss.sizes})
+    de_total, ue_total = nested_brent_totals(ss)
+    assert solve_de(ss).total == pytest.approx(de_total, rel=1e-9)
+    assert solve_ue(ss).total == pytest.approx(ue_total, rel=1e-9)
+
+
+def test_ue_reads_an_underflowing_h_as_an_infinite_marginal_benefit():
+    # The root lies below the smallest float, so the bracket search reaches
+    # x = 5e-324, where cara's h = expm1(x / 2) * 2 underflows to 0.
+    ss = SemiSymmetricStructure(
+        sizes=(2,),
+        degrees={2: 1},
+        prizes={2: 1e-300},
+        productions={2: CaraProduction(0.5)},
+        cost=PowerCost(1e30, 1.0),
+    )
+    assert CaraProduction(0.5).h(5e-324) == 0.0
+    ue = solve_ue(ss)
+    assert 0.0 < ue.effort <= 1e-323

@@ -150,6 +150,9 @@ class _BrokenProduction(ProductionFunction):
     def h(self, x):
         return x
 
+    def h_inv(self, y):
+        return y
+
     def to_spec(self):
         return {"family": "broken", "params": {}}
 
@@ -221,3 +224,66 @@ def test_spec_parsing_rejects_unknown_families_and_params():
         production_from_spec({"family": "ratio", "params": {"c": 1, "z": 2}})
     with pytest.raises(ValueError, match="unknown cost family"):
         cost_from_spec({"family": "exp", "params": {}})
+
+
+# ---------------------------------------------------------------------------
+# Closed-form inverse of h
+# ---------------------------------------------------------------------------
+
+# Beside the benchmark four: extreme shifts and rates whose intermediate
+# products (y / c, alpha * y) leave the float range somewhere in 1e-300..1e300.
+H_INV_PRODUCTIONS = {
+    **BENCHMARK_PRODUCTIONS,
+    "power-r-0.01": PowerProduction(A=1.0, r=0.01),
+    "ratio-c-1e200": RatioProduction(c=1e200),
+    "ratio-c-1e-200": RatioProduction(c=1e-200),
+    "cara-alpha-1e10": CaraProduction(alpha=1e10),
+    "cara-alpha-1e-10": CaraProduction(alpha=1e-10),
+    "piecewise-r-0.01": PiecewisePowerAffineProduction(A=1.0, r=0.01, s=1e-3),
+}
+
+H_TARGETS = [m * 10.0**e for e in range(-300, 301, 5) for m in (1.0, 3.7)]
+
+
+def _h_round_trip_error(pf, y):
+    x = pf.h_inv(y)
+    assert 0.0 < x < math.inf, (y, x)
+    error = abs(pf.h(x) - y) / y
+    if isinstance(pf, CaraProduction):
+        # h's relative condition number is about alpha x (up to ~700 here):
+        # no float x reproduces y closer than that many ulps.
+        error /= max(1.0, pf.alpha * x)
+    return error
+
+
+@pytest.mark.parametrize("name", sorted(H_INV_PRODUCTIONS))
+def test_h_inv_round_trips_from_1e_minus_300_to_1e300(name):
+    pf = H_INV_PRODUCTIONS[name]
+    for y in H_TARGETS:
+        assert _h_round_trip_error(pf, y) <= 1e-14, y
+
+
+def test_piecewise_h_inv_at_and_around_the_breakpoint():
+    pf = BENCHMARK_PRODUCTIONS["piecewise"]
+    corner = pf.s / pf.r
+    below, above = math.nextafter(corner, 0.0), math.nextafter(corner, math.inf)
+    for y in (corner * (1 - 1e-3), below, corner, above, corner * (1 + 1e-3)):
+        assert pf.h(pf.h_inv(y)) == pytest.approx(y, rel=1e-14)
+    assert pf.h_inv(corner) == pytest.approx(pf.s, rel=1e-15)
+    assert pf.h_inv(below) <= pf.h_inv(corner) <= pf.h_inv(above)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+def test_h_inv_undoes_h(name):
+    pf = BENCHMARK_PRODUCTIONS[name]
+    for x in H_TARGETS:
+        y = pf.h(x)
+        if y < math.inf:
+            assert pf.h_inv(y) == pytest.approx(x, rel=1e-14), x
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+@pytest.mark.parametrize("y", [0.0, -1.0, math.nan])
+def test_h_inv_rejects_targets_that_are_not_positive(name, y):
+    with pytest.raises(ValueError):
+        BENCHMARK_PRODUCTIONS[name].h_inv(y)

@@ -26,6 +26,8 @@ from conflictnet import (
     solve_ue,
 )
 
+from conflictnet.general_solver import _battle_effort
+
 from conftest import BENCHMARK_PRODUCTIONS
 
 
@@ -348,3 +350,36 @@ def test_random_asymmetric_networks_reach_certified_profiles():
             out = solver(net, IterationConfig(tolerance=1e-9))
             assert out.converged
             assert out.deviation_gain <= 1e-6 * net.max_prize
+
+
+# ---------------------------------------------------------------------------
+# Corner efforts below the float range
+# ---------------------------------------------------------------------------
+
+def test_battle_effort_below_the_smallest_float_is_the_corner():
+    # G(x) = (x**0.999 + 1)**2 / (0.999 x**-0.001) exceeds the target
+    # 10 * 1 / 100 even at x = 5e-324: the root is below every positive float.
+    battle = Battle("b", (1, 2), 10.0, PowerProduction(1.0, 0.999))
+    assert _battle_effort(battle, 1.0, 100.0, None) == 0.0
+
+
+def _near_linear_power_network(rng, n_players, n_battles):
+    """All-power network with r in [0.95, 0.999] and prizes in [10, 100]."""
+    players = tuple(range(1, n_players + 1))
+    battles = []
+    for i in range(n_battles):
+        k = int(rng.integers(2, 5))
+        members = tuple(int(p) for p in rng.choice(players, size=k, replace=False))
+        prize = float(np.exp(rng.uniform(np.log(10.0), np.log(100.0))))
+        pf = PowerProduction(1.0, float(rng.uniform(0.95, 0.999)))
+        battles.append(Battle(f"b{i}", members, prize, pf))
+    cost = PowerCost(1.0, float(rng.choice([2.0, 3.0])))
+    return ConflictNetwork(players, tuple(battles), cost)
+
+
+def test_near_linear_power_network_reaches_a_certified_profile():
+    # Some best responses along the way have their root below 5e-324.
+    net = _near_linear_power_network(np.random.default_rng(3), 4, 6)
+    out = solve_nash_iterative(net, IterationConfig(max_iterations=1000))
+    assert out.converged
+    assert out.deviation_gain <= 1e-6 * net.max_prize

@@ -17,7 +17,6 @@ from conflictnet import (
     PowerProduction,
     RatioProduction,
     brent_increasing,
-    invert_h,
 )
 
 from conflictnet import rootfind
@@ -53,26 +52,26 @@ def test_cara_h_inversion_hits_log_two():
     # h(x) = exp(x) - 1 for unit rate, so h(x) = 1 at x = ln 2.
     pf = CaraProduction(alpha=1.0)
     assert brent_increasing(pf.h, 1.0) == pytest.approx(math.log(2.0), rel=1e-9)
-    assert invert_h(pf, 1.0) == pytest.approx(math.log(2.0), rel=1e-9)
+    assert pf.h_inv(1.0) == pytest.approx(math.log(2.0), rel=1e-9)
 
 
 def test_invert_h_power_family():
     pf = PowerProduction(A=2.0, r=0.5)
-    assert invert_h(pf, 6.0825) == pytest.approx(3.04125, rel=1e-9)
+    assert pf.h_inv(6.0825) == pytest.approx(3.04125, rel=1e-9)
 
 
 def test_invert_h_ratio_family():
-    assert invert_h(RatioProduction(1.0), 2.0) == pytest.approx(1.0, rel=1e-9)
+    assert RatioProduction(1.0).h_inv(2.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_invert_h_piecewise_above_breakpoint():
     pf = PiecewisePowerAffineProduction(A=2.0, r=0.5, s=1.0)
-    assert invert_h(pf, 2.5) == pytest.approx(1.5, rel=1e-9)
+    assert pf.h_inv(2.5) == pytest.approx(1.5, rel=1e-9)
 
 
 def test_invert_h_requires_positive_target():
     with pytest.raises(ValueError):
-        invert_h(PowerProduction(1.0, 1.0), 0.0)
+        PowerProduction(1.0, 1.0).h_inv(0.0)
 
 
 def test_bracket_failure_on_bounded_function():
@@ -162,7 +161,7 @@ def test_invert_h_round_trip_over_twelve_decades(name, exponent):
     y = pf.h(x)
     if not math.isfinite(y):
         return
-    assert invert_h(pf, y) == pytest.approx(x, rel=1e-8)
+    assert pf.h_inv(y) == pytest.approx(x, rel=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,7 +175,7 @@ def test_invert_h_is_monotone_in_target(name, y1, y2):
         return
     lo, hi = sorted((y1, y2))
     pf = BENCHMARK_PRODUCTIONS[name]
-    assert invert_h(pf, lo) < invert_h(pf, hi)
+    assert pf.h_inv(lo) < pf.h_inv(hi)
 
 
 @settings(max_examples=60, deadline=None)
