@@ -109,13 +109,16 @@ def classify_h(
 ) -> CurvatureVerdict:
     """Classify the curvature of h on a positive interval.
 
-    Midpoint-convexity defects ``h((a+b)/2) - (h(a)+h(b))/2`` are sampled
-    over all pairs of a log-spaced grid and combined with the family's
-    analytic verdict and the analytic third-derivative criterion.  The
-    sampled defects act as a cross-check: they can only veto the analytic
-    verdict (yielding ``indeterminate``), never overrule it, and a defect-free
-    sample from a family that is not analytically linear is also
-    indeterminate rather than linear.
+    Midpoint-convexity defects ``h((a+b)/2) - (h(a)+h(b))/2`` are sampled on
+    a log-spaced grid, over adjacent grid points (local curvature) and over
+    chords from each point to the one half the grid away (curvature at
+    scale), which is about ``2.5 * samples`` evaluations of h.  A pair is
+    dropped when h is not finite at either end or at its midpoint.  The
+    defects are combined with the family's analytic verdict and the analytic
+    third-derivative criterion.  The sampled defects act as a cross-check:
+    they can only veto the analytic verdict (yielding ``indeterminate``),
+    never overrule it, and a defect-free sample from a family that is not
+    analytically linear is also indeterminate rather than linear.
 
     Args:
         pf: production function (validated).
@@ -131,14 +134,18 @@ def classify_h(
 
     xs = np.geomspace(lo, hi, samples)
     h_vals = np.array([pf.h(float(x)) for x in xs])
-    a = xs[:, None]
-    b = xs[None, :]
-    mids = (a + b) / 2.0
-    upper = np.triu_indices(samples, k=1)
-    mid_vals = np.array([pf.h(float(m)) for m in mids[upper]])
-    defects = mid_vals - (h_vals[:, None] + h_vals[None, :])[upper] / 2.0
-    scales = np.maximum(np.abs(h_vals[:, None] + h_vals[None, :])[upper] / 2.0, 1e-300)
-    rel = defects / scales
+    half = samples // 2
+    left = np.concatenate([np.arange(samples - 1), np.arange(samples - half)])
+    right = np.concatenate([np.arange(1, samples), np.arange(half, samples)])
+    keep = np.isfinite(h_vals[left]) & np.isfinite(h_vals[right])
+    left, right = left[keep], right[keep]
+    # Halving each term first cannot overflow and rounds like (a + b) / 2.
+    mids = 0.5 * xs[left] + 0.5 * xs[right]
+    chords = 0.5 * h_vals[left] + 0.5 * h_vals[right]
+    mid_vals = np.array([pf.h(float(m)) for m in mids])
+    keep = np.isfinite(mid_vals)
+    defects = mid_vals[keep] - chords[keep]
+    rel = defects / np.maximum(np.abs(chords[keep]), 1e-300)
 
     max_signed = float(defects[np.argmax(np.abs(rel))]) if rel.size else 0.0
     has_pos = bool(np.any(rel > tol))
@@ -265,7 +272,8 @@ def compare_regimes(
     curvature = None
     predicted: set[str] | None = None
     if common is not None:
-        span = [de.efforts[k] for k in ss.sizes] + [ue.effort]
+        # A corner effort of 0 has no curvature to sample around.
+        span = [x for x in [*de.efforts.values(), ue.effort] if x > 0]
         lo = min(span) / 2.0
         hi = max(span) * 2.0
         if hi / lo < 1e2:

@@ -462,8 +462,13 @@ def _cmd_validate(args) -> int:
         _write_report(dumps_sorted(report), args.output)
         return EXIT_INPUT
 
+    # Battles often share one production; productions are frozen, so each
+    # distinct one is checked once.
+    outcomes: dict = {}
     for b in network.battles:
-        outcome = validate_production(b.production)
+        outcome = outcomes.get(b.production)
+        if outcome is None:
+            outcome = outcomes[b.production] = validate_production(b.production)
         if not outcome.passed:
             report["valid"] = False
             report["errors"].append(

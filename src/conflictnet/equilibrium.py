@@ -86,8 +86,12 @@ def solve_de(
     # identity total = sum_k d_k x_k holds to float precision.
     total = sum(ss.degrees[k] * efforts[k] for k in ss.sizes)
     lam = ss.cost.c_prime(total)
+    # An effort of 0 is the corner left by a target below float range; its
+    # first-order condition holds as an inequality, and f'(0)/f(0) is 1/0.
     residuals = {
-        k: abs(
+        k: 0.0
+        if efforts[k] == 0.0
+        else abs(
             targets[k]
             * ss.productions[k].f_prime(efforts[k])
             / ss.productions[k].f(efforts[k])

@@ -71,7 +71,10 @@ class ProductionFunction(ABC):
 
     @abstractmethod
     def h_inv(self, y: float) -> float:
-        """Unique ``x > 0`` with ``h(x) = y`` for ``y > 0``, in closed form."""
+        """Unique ``x > 0`` with ``h(x) = y`` for ``y > 0``, in closed form.
+
+        ``y = 0`` gives the corner ``x = 0``; a negative ``y`` raises.
+        """
 
     def kinks(self) -> tuple[float, ...]:
         """Points where the second derivative does not exist."""
@@ -87,8 +90,8 @@ class ProductionFunction(ABC):
 
 
 def _check_h_target(y: float) -> None:
-    if not y > 0:
-        raise ValueError(f"h target must be positive, got {y!r}")
+    if not y >= 0:
+        raise ValueError(f"h target must be non-negative, got {y!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Curvature classification, regime comparison, neutrality, closed form."""
 
+import json
 import math
 
 import numpy as np
@@ -17,11 +18,15 @@ from conflictnet import (
     classify_h,
     compare_regimes,
     generate_simplex,
+    generate_triangle,
     neutrality_check,
     solve_de,
     solve_ue,
     tullock_closed_form_total,
 )
+from conflictnet import analysis
+from conflictnet.analysis import CurvatureVerdict
+from conflictnet.cli import main
 
 from conftest import BENCHMARK_PRODUCTIONS, random_structure, triangle_structure
 
@@ -66,6 +71,145 @@ def test_classify_h_preconditions():
         classify_h(pf, samples=32)
     with pytest.raises(ValueError, match="positive interval"):
         classify_h(pf, domain=(-1.0, 1.0))
+
+
+def all_pairs_classify_h(pf, domain=(1e-2, 1e1), samples=128, tol=1e-9):
+    """Reference sampler: midpoint defects over every pair of the grid.
+
+    This is the O(samples^2) sampling ``classify_h`` used before it kept
+    only adjacent pairs and half-span chords; the verdict rule is the same.
+    """
+    lo, hi = domain
+    xs = np.geomspace(lo, hi, samples)
+    h_vals = np.array([pf.h(float(x)) for x in xs])
+    upper = np.triu_indices(samples, k=1)
+    mids = ((xs[:, None] + xs[None, :]) / 2.0)[upper]
+    mid_vals = np.array([pf.h(float(m)) for m in mids])
+    # An h that overflows to inf gives inf - inf; NaN defects fail every
+    # comparison below, so they drop out as they did in the old sampler.
+    with np.errstate(invalid="ignore", over="ignore"):
+        chords = (h_vals[:, None] + h_vals[None, :])[upper] / 2.0
+        defects = mid_vals - chords
+        rel = defects / np.maximum(np.abs(chords), 1e-300)
+    has_pos = bool(np.any(rel > tol))
+    has_neg = bool(np.any(rel < -tol))
+    if has_pos and has_neg:
+        sampled = "mixed"
+    elif has_pos:
+        sampled = "concave"
+    elif has_neg:
+        sampled = "convex"
+    else:
+        sampled = "flat"
+    analytic = pf.h_curvature()
+    compatible = {
+        "linear": {"flat"},
+        "convex": {"convex", "flat"},
+        "concave": {"concave", "flat"},
+    }[analytic]
+    return CurvatureVerdict(
+        verdict=analytic if sampled in compatible else "indeterminate",
+        max_signed_defect=float(defects[np.argmax(np.abs(rel))]),
+        third_derivative_sign=analysis._third_derivative_pattern(pf, xs, tol=1e-9),
+    )
+
+
+class _RatioLabelledConcave(RatioProduction):
+    def h_curvature(self):
+        return "concave"
+
+
+class _CaraLabelledLinear(CaraProduction):
+    def h_curvature(self):
+        return "linear"
+
+
+class _PiecewiseLabelledLinear(PiecewisePowerAffineProduction):
+    def h_curvature(self):
+        return "linear"
+
+
+# Shifts, exponents and kinks at the edges of the families' useful ranges;
+# the piecewise kink at 1 lies inside the default domain, the one at 1e3
+# outside it.  The mislabelled productions give the sampled defects a wrong
+# analytic verdict to veto.
+CURVATURE_PRODUCTIONS = {
+    "ratio-c1": RatioProduction(1.0),
+    "ratio-c1e-3": RatioProduction(1e-3),
+    "ratio-c1e3": RatioProduction(1e3),
+    "cara-a1": CaraProduction(1.0),
+    "cara-a0.01": CaraProduction(0.01),
+    "cara-a30": CaraProduction(30.0),
+    "power-r0.5": PowerProduction(2.0, 0.5),
+    "power-r0.05": PowerProduction(1.0, 0.05),
+    "piecewise-s1": PiecewisePowerAffineProduction(2.0, 0.5, 1.0),
+    "piecewise-r0.05": PiecewisePowerAffineProduction(1.0, 0.05, 1.0),
+    "piecewise-s1e3": PiecewisePowerAffineProduction(2.0, 0.5, 1e3),
+    "piecewise-r1": PiecewisePowerAffineProduction(2.0, 1.0, 1.0),
+    "mislabelled-ratio-c1": _RatioLabelledConcave(1.0),
+    "mislabelled-cara-a0.01": _CaraLabelledLinear(0.01),
+    # On (1e-6, 1e-3) only chords longer than adjacent pairs see this
+    # curvature above the 1e-9 tolerance.
+    "mislabelled-cara-a0.001": _CaraLabelledLinear(0.001),
+    "mislabelled-piecewise-s1": _PiecewiseLabelledLinear(2.0, 0.5, 1.0),
+}
+CURVATURE_DOMAINS = [(1e-2, 1e1), (1e-6, 1e-3), (0.5, 2.0), (1e2, 1e4), (1e-6, 1e6)]
+
+
+@pytest.mark.parametrize("domain", CURVATURE_DOMAINS, ids=str)
+@pytest.mark.parametrize("name", sorted(CURVATURE_PRODUCTIONS))
+def test_classify_h_matches_all_pairs_reference(name, domain):
+    pf = CURVATURE_PRODUCTIONS[name]
+    got = classify_h(pf, domain=domain)
+    want = all_pairs_classify_h(pf, domain=domain)
+    assert got.verdict == want.verdict
+    assert got.third_derivative_sign == want.third_derivative_sign
+    assert math.isfinite(got.max_signed_defect)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+def test_classify_h_makes_at_most_319_h_calls(monkeypatch, name):
+    pf = BENCHMARK_PRODUCTIONS[name]
+    calls = []
+    h = type(pf).h
+
+    def counting_h(self, x):
+        calls.append(x)
+        return h(self, x)
+
+    monkeypatch.setattr(type(pf), "h", counting_h)
+    classify_h(pf, samples=128)
+    assert 0 < len(calls) <= 319
+
+
+def test_classify_h_drops_non_finite_h_samples():
+    # h = expm1(5x)/5 overflows to inf above x of about 142.
+    verdict = classify_h(CaraProduction(5.0), domain=(1.0, 300.0))
+    assert verdict.verdict == "convex"
+    assert math.isfinite(verdict.max_signed_defect)
+    assert verdict.max_signed_defect < 0
+
+
+def test_compare_with_overflowing_h_is_convex_without_warnings(capsys):
+    argv = ["compare", "--example", "triangle", "--f", "cara:5", "--v", "1e300,3e300"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "convex"
+    network = generate_triangle(1e300, 3e300, production=CaraProduction(5.0))
+    report = compare_regimes(check_semi_symmetry(network))
+    assert report.curvature.verdict == "convex"
+    assert math.isfinite(report.curvature.max_signed_defect)
+
+
+@pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+@pytest.mark.parametrize("family", ["ratio:1", "power:2,0.5", "cara:1", "piecewise:2,0.5,1"])
+@pytest.mark.parametrize("example", ["triangle", "simplex"])
+def test_compare_reports_match_all_pairs_reference(monkeypatch, capsys, example, family, fmt):
+    argv = ["compare", "--example", example, "--f", family, "--format", fmt]
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    monkeypatch.setattr(analysis, "classify_h", all_pairs_classify_h)
+    assert main(argv) == 0
+    assert got == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from conflictnet import (
     network_to_dict,
 )
 from conflictnet.cli import main
+from conflictnet.functions import ValidityReport
 from conflictnet.io import dumps_sorted
 from conflictnet.sweep import SweepAxis
 
@@ -70,6 +71,38 @@ def test_solve_tullock_triangle_at_prizes_near_the_float_floor(capsys):
     de, ue = report["de"]["total"], report["ue"]["total"]
     assert de == pytest.approx(ue, rel=1e-9)
     assert de == pytest.approx(8.49837e-151, rel=1e-5)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-finite JSON number {token}")
+
+
+@pytest.mark.parametrize("family", ["ratio:1", "power:1,1", "cara:1", "piecewise:2,0.5,1"])
+def test_solve_with_underflowing_size2_target_reports_the_corner(capsys, family):
+    # The size-2 target is 1e-300 / (4 C'(mu)) at the root mu.
+    code, out, err = run_cli(
+        capsys, "solve", "--example", "triangle", "--f", family, "--v", "1e-300,1e300"
+    )
+    assert code == 0, err
+    de = json.loads(out, parse_constant=_reject_constant)["de"]
+    assert de["efforts"]["3"] > 0
+    assert de["efforts"]["2"] >= 0
+    if not family.startswith("cara"):
+        # Here mu is 1e99 or more, so the target underflows to 0.  Under
+        # cara, h grows exponentially, mu stays near 683 and the target is
+        # still a float.
+        assert de["efforts"]["2"] == 0.0
+        assert de["residuals"]["2"] == 0.0
+
+
+@pytest.mark.parametrize("family", ["power:1,1", "piecewise:2,0.5,1"])
+def test_compare_samples_curvature_away_from_a_corner_effort(capsys, family):
+    code, out, err = run_cli(
+        capsys, "compare", "--example", "triangle", "--f", family, "--v", "1e-300,1e300"
+    )
+    assert code == 0, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["ordering"] == "=" and report["consistent"] is True
 
 
 def test_solve_rejects_empty_battle_list(tmp_path, capsys):
@@ -437,6 +470,46 @@ def test_validate_accepts_builtin_example(tmp_path, capsys):
     assert report["valid"] is True
     assert report["semi_symmetric"] is True
     assert report["degrees"] == {"2": 2, "3": 1}
+
+
+def _counting_validator(monkeypatch, fails=()):
+    """Replace the CLI's production check with one that records its inputs."""
+    seen = []
+    check = conflictnet.cli.validate_production
+
+    def counting(pf):
+        seen.append(pf)
+        if pf.family in fails:
+            return ValidityReport(checks={"stub": False}, details={})
+        return check(pf)
+
+    monkeypatch.setattr(conflictnet.cli, "validate_production", counting)
+    return seen
+
+
+def test_validate_checks_a_shared_production_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(network_to_dict(generate_simplex())))
+    seen = _counting_validator(monkeypatch)
+    report = run_json(capsys, "validate", str(path))
+    assert report["valid"] is True
+    assert len(seen) == 1
+
+
+def test_validate_reports_each_failing_battle(tmp_path, capsys, monkeypatch):
+    doc = network_to_dict(generate_triangle())
+    cara = {"family": "cara", "params": {"alpha": 1.0}}
+    for battle in doc["battles"][:2]:
+        battle["production"] = cara
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    seen = _counting_validator(monkeypatch, fails=("cara",))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert sorted(pf.family for pf in seen) == ["cara", "power"]
+    errors = json.loads(out)["errors"]
+    assert len(errors) == 2
+    assert errors[0].startswith("battle 'a' ") and errors[1].startswith("battle 'b' ")
 
 
 def test_validate_reports_schema_pointer(tmp_path, capsys):

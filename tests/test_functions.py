@@ -283,7 +283,17 @@ def test_h_inv_undoes_h(name):
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
-@pytest.mark.parametrize("y", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("y", [-1.0, math.nan])
 def test_h_inv_rejects_targets_that_are_not_positive(name, y):
     with pytest.raises(ValueError):
         BENCHMARK_PRODUCTIONS[name].h_inv(y)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+def test_h_inv_of_zero_is_the_corner(name):
+    # A first-order target that underflowed to 0 means an effort below float
+    # range: the corner 0, not an error.
+    x = BENCHMARK_PRODUCTIONS[name].h_inv(0.0)
+    assert x == 0.0 and math.copysign(1.0, x) == 1.0
+    with pytest.raises(ValueError, match="non-negative"):
+        BENCHMARK_PRODUCTIONS[name].h_inv(-5e-324)

@@ -69,9 +69,9 @@ def test_invert_h_piecewise_above_breakpoint():
     assert pf.h_inv(2.5) == pytest.approx(1.5, rel=1e-9)
 
 
-def test_invert_h_requires_positive_target():
+def test_invert_h_rejects_negative_target():
     with pytest.raises(ValueError):
-        PowerProduction(1.0, 1.0).h_inv(0.0)
+        PowerProduction(1.0, 1.0).h_inv(-1.0)
 
 
 def test_bracket_failure_on_bounded_function():
