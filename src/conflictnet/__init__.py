@@ -21,7 +21,6 @@ from .equilibrium import DEResult, UEResult, reverse_valuations, solve_de, solve
 from .errors import (
     BracketFailure,
     ConflictNetError,
-    DegenerateBattle,
     DimensionTooLarge,
     NoConvergence,
     NonFiniteEvaluation,
@@ -83,7 +82,6 @@ __all__ = [
     "CostFunction",
     "CurvatureVerdict",
     "DEResult",
-    "DegenerateBattle",
     "DimensionTooLarge",
     "EffortProfile",
     "IterationConfig",

@@ -119,6 +119,9 @@ def classify_h(
     they can only veto the analytic verdict (yielding ``indeterminate``),
     never overrule it, and a defect-free sample from a family that is not
     analytically linear is also indeterminate rather than linear.
+    ``third_derivative_sign`` reads ``zero`` where every term of the
+    criterion underflows, as for ratio production with ``c = 1`` at efforts
+    of 1e60 and beyond.
 
     Args:
         pf: production function (validated).

@@ -21,11 +21,6 @@ class UnknownPlayer(ConflictNetError):
     """A player id is not part of the network."""
 
 
-class DegenerateBattle(ConflictNetError):
-    """All rivals exert zero effort in a battle, so the marginal benefit of an
-    infinitesimal effort is unbounded."""
-
-
 class DimensionTooLarge(ConflictNetError):
     """Brute-force grid search was asked for more dimensions or points than it
     can enumerate."""

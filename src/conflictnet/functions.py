@@ -165,14 +165,25 @@ class RatioProduction(ProductionFunction):
     def f(self, x):
         return x / (x + self.c)
 
+    # Past x of about 1e154 (f') or 1e103 (f'' and f''') the power of x + c
+    # overflows; dividing by x + c once per power underflows to 0 instead.
     def f_prime(self, x):
-        return self.c / (x + self.c) ** 2
+        try:
+            return self.c / (x + self.c) ** 2
+        except OverflowError:
+            return self.c / (x + self.c) / (x + self.c)
 
     def f_double_prime(self, x):
-        return -2.0 * self.c / (x + self.c) ** 3
+        try:
+            return -2.0 * self.c / (x + self.c) ** 3
+        except OverflowError:
+            return -2.0 * self.c / (x + self.c) / (x + self.c) / (x + self.c)
 
     def f_triple_prime(self, x):
-        return 6.0 * self.c / (x + self.c) ** 4
+        try:
+            return 6.0 * self.c / (x + self.c) ** 4
+        except OverflowError:
+            return 6.0 * self.c / (x + self.c) / (x + self.c) / (x + self.c) / (x + self.c)
 
     def h(self, x):
         # x * (x + c) / c would overflow in the product for c > 1.

@@ -5,14 +5,15 @@ semi-symmetry; this module makes no structural assumption.  Payoffs are
 concave in own efforts, so a player's best response is a nested monotone
 search: for a candidate marginal cost each battle's effort solves its own
 first-order condition, and the player's total is closed by a scalar root
-find.  Equilibria are then computed by damped simultaneous best-response
-iteration, with a deviation-gain certificate at the final profile.  A
-brute-force grid oracle provides an independent desk-scale cross-check.
+find, on the contest share and marginal of :mod:`conflictnet.network`.
+Equilibria are then computed by simultaneous best-response iteration, with
+a deviation-gain certificate at the final profile.  A brute-force grid
+oracle with its own shares provides an independent desk-scale cross-check.
 
 When every rival in a battle exerts zero effort the payoff is discontinuous
 at zero (an infinitesimal effort wins outright), so the marginal benefit is
-effectively unbounded; such battles receive a tiny floor effort and are
-reported, rather than dividing by zero.
+effectively unbounded; such battles receive the floor effort
+``DEGENERATE_FLOOR`` and are reported, rather than dividing by zero.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, DegenerateBattle, DimensionTooLarge
-from .network import Battle, ConflictNetwork, EffortProfile, PlayerId, payoff
+from .errors import BracketFailure, DimensionTooLarge
+from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
+from .network import marginal_benefit, payoff, rival_score
 from .rootfind import BracketingConfig, brent_increasing
 
 __all__ = [
@@ -51,21 +53,22 @@ _SMALLEST_FLOAT = math.ulp(0.0)
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Controls for the damped simultaneous best-response iteration."""
+    """Controls for the simultaneous best-response iteration: stop once no
+    effort moves by ``tolerance`` or after ``max_iterations`` sweeps; start
+    from every effort at 1 (``"constant"``), from efforts log-uniform on
+    [0.05, 5] drawn with ``seed`` (``"random"``), or from ``initial_profile``
+    (``"explicit"``).  The step weight starts at 1 and halves while the
+    profile change stalls."""
 
     max_iterations: int = 10_000
     tolerance: float = 1e-10
-    damping: float = 1.0
-    initial: str = "constant"  # "constant" | "random" | "explicit"
-    initial_value: float = 1.0
+    initial: str = "constant"
     seed: int | None = None
     initial_profile: EffortProfile | None = None
 
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
         if self.initial not in ("constant", "random", "explicit"):
             raise ValueError(f"unknown initial profile spec {self.initial!r}")
         if self.initial == "explicit" and self.initial_profile is None:
@@ -88,44 +91,41 @@ class SolveOutcome:
     deviation_gain: float
     degenerate_battles: tuple[str, ...] = field(default=())
 
-    def totals(self, network: ConflictNetwork) -> dict[PlayerId, float]:
-        return {p: self.profile.total(p) for p in network.players}
-
 
 # ---------------------------------------------------------------------------
 # Best responses
 # ---------------------------------------------------------------------------
 
-def _rival_score(battle: Battle, profile: EffortProfile, player: PlayerId) -> float:
-    return sum(
-        battle.production.f(profile.effort(p, battle.id))
-        for p in battle.participants
-        if p != player
-    )
+def _contested(
+    network: ConflictNetwork, player: PlayerId, others: EffortProfile
+) -> tuple[list[tuple[Battle, float]], tuple[str, ...]]:
+    """``(battle, S)`` for each battle with rival score S > 0; ids where S = 0."""
+    active: list[tuple[Battle, float]] = []
+    degenerate: list[str] = []
+    for b in network.battles_of(player):
+        s = rival_score(b, others.efforts, player)
+        if s == 0.0:
+            degenerate.append(b.id)
+        else:
+            active.append((b, s))
+    return active, tuple(degenerate)
 
 
-def _marginal_benefit_at_zero(battle: Battle, rival_score: float) -> float:
-    fp0 = battle.production.f_prime(0.0)
-    if math.isinf(fp0):
-        return math.inf
-    return battle.prize * fp0 / rival_score
-
-
-def _battle_effort(battle: Battle, rival_score: float, lam: float, seed) -> float:
+def _battle_effort(battle: Battle, rivals: float, lam: float, seed) -> float:
     """Effort solving v f'(x) S / (f(x) + S)^2 = lam, or 0 at the corner.
 
     Solved through the strictly increasing transform
     G(x) = (f(x) + S)^2 / f'(x), whose target is v S / lam.
     """
     pf = battle.production
-    target = battle.prize * rival_score / lam
+    target = battle.prize * rivals / lam
     fp0 = pf.f_prime(0.0)
-    g0 = 0.0 if math.isinf(fp0) else rival_score**2 / fp0
+    g0 = 0.0 if math.isinf(fp0) else rivals**2 / fp0
     if target <= g0:
         return 0.0
 
     def transform(x):
-        return (pf.f(x) + rival_score) ** 2 / pf.f_prime(x)
+        return (pf.f(x) + rivals) ** 2 / pf.f_prime(x)
 
     try:
         return brent_increasing(transform, target, _INNER_CFG, seed=seed)
@@ -142,34 +142,19 @@ def _best_response_discriminatory(
     player: PlayerId,
     others: EffortProfile,
     seeds: dict[str, float] | None = None,
-    degenerate_floor: float | None = DEGENERATE_FLOOR,
 ) -> tuple[dict[str, float], tuple[str, ...]]:
-    battles = network.battles_of(player)
     seeds = seeds or {}
-
-    active: list[tuple[Battle, float]] = []
-    degenerate: list[str] = []
-    for b in battles:
-        s = _rival_score(b, others, player)
-        if s == 0.0:
-            if degenerate_floor is None:
-                raise DegenerateBattle(
-                    f"all rivals exert zero effort in battle {b.id!r}"
-                )
-            degenerate.append(b.id)
-        else:
-            active.append((b, s))
-
-    floor_total = (degenerate_floor or 0.0) * len(degenerate)
-    efforts = {bid: degenerate_floor for bid in degenerate}
+    active, degenerate = _contested(network, player, others)
+    floor_total = DEGENERATE_FLOOR * len(degenerate)
+    efforts = {bid: DEGENERATE_FLOOR for bid in degenerate}
     if not active:
-        return efforts, tuple(degenerate)
+        return efforts, degenerate
 
     # All-corner check at zero total effort.
     lam0 = network.cost.c_prime(floor_total)
-    if all(_marginal_benefit_at_zero(b, s) <= lam0 for b, s in active):
+    if all(marginal_benefit(b, 0.0, s) <= lam0 for b, s in active):
         efforts.update({b.id: 0.0 for b, _ in active})
-        return efforts, tuple(degenerate)
+        return efforts, degenerate
 
     def consistency_gap(total: float) -> float:
         lam = network.cost.c_prime(total)
@@ -186,25 +171,19 @@ def _best_response_discriminatory(
     lam = network.cost.c_prime(total)
     for b, s in active:
         efforts[b.id] = _battle_effort(b, s, lam, seeds.get(b.id))
-    return efforts, tuple(degenerate)
+    return efforts, degenerate
 
 
 def best_response(
-    network: ConflictNetwork,
-    player: PlayerId,
-    others: EffortProfile,
-    degenerate_floor: float | None = DEGENERATE_FLOOR,
+    network: ConflictNetwork, player: PlayerId, others: EffortProfile
 ) -> dict[str, float]:
     """Payoff-maximizing per-battle efforts against fixed rival efforts.
 
     Rival efforts enter only through the per-battle score sums, so the result
-    is invariant to permuting rivals within a battle.  Pass
-    ``degenerate_floor=None`` to raise :class:`DegenerateBattle` instead of
-    flooring battles whose rivals all sit at zero.
+    is invariant to permuting rivals within a battle.  A battle whose rivals
+    all sit at zero gets the floor effort ``DEGENERATE_FLOOR``.
     """
-    efforts, _ = _best_response_discriminatory(
-        network, player, others, degenerate_floor=degenerate_floor
-    )
+    efforts, _ = _best_response_discriminatory(network, player, others)
     return efforts
 
 
@@ -213,41 +192,25 @@ def _best_response_uniform(
     player: PlayerId,
     others: EffortProfile,
     seed: float | None = None,
-    degenerate_floor: float | None = DEGENERATE_FLOOR,
 ) -> tuple[float, tuple[str, ...]]:
     """Best single effort level applied to all of the player's battles."""
-    battles = network.battles_of(player)
-    count = len(battles)
-
-    active: list[tuple[Battle, float]] = []
-    degenerate: list[str] = []
-    for b in battles:
-        s = _rival_score(b, others, player)
-        if s == 0.0:
-            if degenerate_floor is None:
-                raise DegenerateBattle(
-                    f"all rivals exert zero effort in battle {b.id!r}"
-                )
-            degenerate.append(b.id)
-        else:
-            active.append((b, s))
-
+    count = len(network.battles_of(player))
+    active, degenerate = _contested(network, player, others)
     if not active:
-        return (degenerate_floor or 0.0), tuple(degenerate)
+        return DEGENERATE_FLOOR, degenerate
 
-    mb0 = sum(_marginal_benefit_at_zero(b, s) for b, s in active)
+    mb0 = sum(marginal_benefit(b, 0.0, s) for b, s in active)
     if mb0 <= count * network.cost.c_prime(0.0):
-        return 0.0, tuple(degenerate)
+        return 0.0, degenerate
 
     def gap(x: float) -> float:
         benefit = 0.0
         for b, s in active:
-            fx = b.production.f(x)
-            benefit += b.prize * b.production.f_prime(x) * s / (fx + s) ** 2
+            benefit += marginal_benefit(b, x, s)
         return count * network.cost.c_prime(count * x) - benefit
 
     effort = brent_increasing(gap, 0.0, _INNER_CFG, seed=seed)
-    return effort, tuple(degenerate)
+    return effort, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +219,7 @@ def _best_response_uniform(
 
 def _initial_profile(network: ConflictNetwork, cfg: IterationConfig) -> EffortProfile:
     if cfg.initial == "constant":
-        return EffortProfile.constant(network, cfg.initial_value)
+        return EffortProfile.constant(network, 1.0)
     if cfg.initial == "explicit":
         profile = cfg.initial_profile
         profile.validate_for(network)
@@ -289,11 +252,12 @@ def _iterate(network, cfg, respond):
     """Shared damped simultaneous-response loop.
 
     ``respond(profile, player) -> dict[battle_id, effort]`` must be a pure
-    function of the frozen profile.  Damping halves automatically when the
-    profile change fails to decrease for ten consecutive iterations.
+    function of the frozen profile.  Each step moves the profile the full
+    way to the responses (weight 1); the weight halves, down to 1/64, when
+    the profile change fails to decrease for ten consecutive iterations.
     """
     profile = _initial_profile(network, cfg)
-    weight = cfg.damping
+    weight = 1.0
     prev_delta = math.inf
     streak = 0
     converged = False

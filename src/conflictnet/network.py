@@ -4,8 +4,9 @@ A network is a set of players, a set of multi-participant battles with prizes
 and per-battle production functions, and one shared cost function on each
 player's total effort.  Winning probabilities follow the logit form
 ``p_i = f(x_i) / sum_j f(x_j)`` with the uniform convention ``1/n`` when every
-participant exerts zero effort.  All types are immutable after construction
-and every operation is a pure function, so concurrent use needs no locking.
+participant exerts zero effort; every caller shares the one definition
+below.  All types are immutable after construction and every operation is
+a pure function, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ __all__ = [
     "SemiSymmetricStructure",
     "SemiSymmetryViolation",
     "SemiSymmetryViolations",
+    "rival_score",
+    "contest_share",
+    "marginal_benefit",
     "winning_probabilities",
     "payoff",
     "check_semi_symmetry",
@@ -180,6 +184,32 @@ class EffortProfile:
         )
 
 
+def rival_score(battle: Battle, efforts: Mapping, player: PlayerId) -> float:
+    """Sum ``S`` of the scores ``f(x_j)`` of ``player``'s rivals in one battle;
+    ``efforts`` is keyed by ``(player, battle_id)`` like ``EffortProfile``'s."""
+    f = battle.production.f
+    return sum(f(efforts[(p, battle.id)]) for p in battle.participants if p != player)
+
+
+def contest_share(own: float, rivals: float, size: int) -> float:
+    """Winning probability ``f(x) / (f(x) + S)`` of the score ``own = f(x)``
+    against the rivals' score sum ``S``; ``1/size`` when every score is 0."""
+    total = own + rivals
+    if total == 0.0:
+        return 1.0 / size
+    return own / total
+
+
+def marginal_benefit(battle: Battle, x: float, rivals: float) -> float:
+    """Slope ``v f'(x) S / (f(x) + S)^2`` of ``v * contest_share`` in own
+    effort, for ``S > 0``.  At ``x = 0``, where ``f(0) = 0``, it is
+    ``v f'(0) / S``: ``inf`` when ``f'(0)`` is, with no ``S^2`` to overflow."""
+    fp = battle.production.f_prime(x)
+    if x == 0.0:
+        return battle.prize * fp / rivals
+    return battle.prize * fp * rivals / (battle.production.f(x) + rivals) ** 2
+
+
 def winning_probabilities(battle: Battle, efforts: Iterable[float]) -> np.ndarray:
     """Per-participant winning probabilities of one battle.
 
@@ -194,11 +224,11 @@ def winning_probabilities(battle: Battle, efforts: Iterable[float]) -> np.ndarra
         )
     if np.any(efforts < 0):
         raise ValueError("efforts must be nonnegative")
-    scores = np.array([battle.production.f(float(x)) for x in efforts])
-    total = scores.sum()
-    if total == 0.0:
-        return np.full(battle.size, 1.0 / battle.size)
-    return scores / total
+    slots = {(p, battle.id): float(x) for p, x in zip(battle.participants, efforts)}
+    return np.array([
+        contest_share(battle.production.f(x), rival_score(battle, slots, p), battle.size)
+        for (p, _), x in slots.items()
+    ])
 
 
 def payoff(network: ConflictNetwork, profile: EffortProfile, player: PlayerId) -> float:
@@ -210,15 +240,8 @@ def payoff(network: ConflictNetwork, profile: EffortProfile, player: PlayerId) -
     for battle in network.battles_of(player):
         own = profile.effort(player, battle.id)
         total_effort += own
-        own_score = battle.production.f(own)
-        score_sum = sum(
-            battle.production.f(profile.effort(p, battle.id))
-            for p in battle.participants
-        )
-        if score_sum == 0.0:
-            value += battle.prize / battle.size
-        else:
-            value += battle.prize * own_score / score_sum
+        rivals = rival_score(battle, profile.efforts, player)
+        value += battle.prize * contest_share(battle.production.f(own), rivals, battle.size)
     return value - network.cost.c(total_effort)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from .network import SemiSymmetricStructure
 __all__ = ["SweepAxis", "SweepSpec", "run_sweep", "DEFAULT_MAX_GRID"]
 
 DEFAULT_MAX_GRID = 1_000_000
-MAX_GRID_ENV = "CONFLICTNET_MAX_GRID"
 
 _RESULT_COLUMNS = ("X_de", "X_ue", "payoff_de", "payoff_ue", "gap")
 
@@ -69,9 +67,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one axis")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        cap = int(os.environ.get(MAX_GRID_ENV, DEFAULT_MAX_GRID))
-        if self.grid_size > cap:
-            raise ValueError(f"sweep grid has {self.grid_size} points, cap is {cap}")
+        if self.grid_size > DEFAULT_MAX_GRID:
+            raise ValueError(f"sweep grid has {self.grid_size} points, cap is {DEFAULT_MAX_GRID}")
 
     @property
     def grid_size(self) -> int:

@@ -129,6 +129,18 @@ class _PiecewiseLabelledLinear(PiecewisePowerAffineProduction):
         return "linear"
 
 
+class _RatioWithConcaveKink(RatioProduction):
+    """Labelled convex, but h = x (x + 1) - 0.3 max(0, x - 1) bends down at 1.
+
+    Over one grid step around 1 the kink's midpoint defect beats the
+    convexity of x (x + 1); over a half-span chord, at least 0.5 long, it
+    does not.  So only adjacent pairs see the kink.
+    """
+
+    def h(self, x):
+        return super().h(x) - 0.3 * max(0.0, x - 1.0)
+
+
 # Shifts, exponents and kinks at the edges of the families' useful ranges;
 # the piecewise kink at 1 lies inside the default domain, the one at 1e3
 # outside it.  The mislabelled productions give the sampled defects a wrong
@@ -152,6 +164,8 @@ CURVATURE_PRODUCTIONS = {
     # curvature above the 1e-9 tolerance.
     "mislabelled-cara-a0.001": _CaraLabelledLinear(0.001),
     "mislabelled-piecewise-s1": _PiecewiseLabelledLinear(2.0, 0.5, 1.0),
+    # Indeterminate on the three domains that hold the kink.
+    "kinked-ratio-c1": _RatioWithConcaveKink(1.0),
 }
 CURVATURE_DOMAINS = [(1e-2, 1e1), (1e-6, 1e-3), (0.5, 2.0), (1e2, 1e4), (1e-6, 1e6)]
 

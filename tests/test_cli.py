@@ -105,6 +105,18 @@ def test_compare_samples_curvature_away_from_a_corner_effort(capsys, family):
     assert report["ordering"] == "=" and report["consistent"] is True
 
 
+@pytest.mark.parametrize("prizes", ["1e300,3e300", "1e-300,1e300"])
+def test_compare_ratio_past_the_overflow_of_its_derivatives(capsys, prizes):
+    # Efforts near 1e100 put (x + c)^3 and (x + c)^4 beyond the float range
+    # on the classify_h grid.
+    code, out, err = run_cli(
+        capsys, "compare", "--example", "triangle", "--f", "ratio:1", "--v", prizes
+    )
+    assert code == 0, err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["verdict"] == "convex" and report["consistent"] is True
+
+
 def test_solve_rejects_empty_battle_list(tmp_path, capsys):
     doc = network_to_dict(generate_triangle())
     doc["battles"] = []
@@ -423,19 +435,23 @@ def test_sweep_resumes_from_partial_output(tmp_path, capsys):
     assert "0 rows written" in stdout
 
 
-def test_sweep_grid_cap_from_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CONFLICTNET_MAX_GRID", "4")
+def test_sweep_grid_cap(tmp_path, capsys):
+    # The grid size is a product of step counts, so nothing is enumerated.
     spec = write_spec(
         tmp_path,
         {
             "example": "triangle",
-            "axes": [{"param": "v2", "min": 1, "max": 5, "steps": 5}],
+            "axes": [
+                {"param": "v2", "min": 1, "max": 5, "steps": 1001},
+                {"param": "v3", "min": 1, "max": 5, "steps": 1000},
+            ],
             "output": str(tmp_path / "out.csv"),
         },
     )
     code, _, err = run_cli(capsys, "sweep", str(spec))
     assert code == 1
-    assert "cap is 4" in err
+    assert "1001000 points, cap is 1000000" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("bounds", [(1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])

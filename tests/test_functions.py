@@ -88,6 +88,21 @@ def test_ratio_family_h_is_x_times_one_plus_x():
         assert pf.h(x) == pytest.approx(x * (1.0 + x), rel=1e-12)
 
 
+def test_ratio_derivatives_past_the_overflow_of_the_power_of_x_plus_c():
+    pf = RatioProduction(c=1.0)
+    for derivative in (pf.f_prime, pf.f_double_prime, pf.f_triple_prime):
+        assert math.isfinite(derivative(1e300))
+    # At x = c the derivatives are 1/(4c), -1/(4c^2) and 3/(8c^3); each shift
+    # puts its power of 2c beyond the float range but not its value.
+    assert RatioProduction(c=1e160).f_prime(1e160) == pytest.approx(0.25e-160, rel=1e-15)
+    assert RatioProduction(c=1e110).f_double_prime(1e110) == pytest.approx(
+        -0.25e-220, rel=1e-15
+    )
+    assert RatioProduction(c=1e80).f_triple_prime(1e80) == pytest.approx(
+        0.375e-240, rel=1e-15
+    )
+
+
 def test_cara_h_matches_expm1():
     pf = CaraProduction(alpha=2.0)
     for x in (0.01, 0.5, 3.0):

@@ -8,7 +8,6 @@ import pytest
 from conflictnet import (
     Battle,
     ConflictNetwork,
-    DegenerateBattle,
     DimensionTooLarge,
     EffortProfile,
     IterationConfig,
@@ -116,13 +115,11 @@ def test_best_response_invariant_to_rival_permutation():
     assert best_response(net, 1, a) == best_response(net, 1, b)
 
 
-def test_degenerate_battles_floor_or_raise():
+def test_degenerate_battles_get_the_floor_effort():
     net = single_battle_network()
     zeros = EffortProfile.constant(net, 0.0)
     response = best_response(net, 1, zeros)
     assert response["t"] == pytest.approx(1e-12)
-    with pytest.raises(DegenerateBattle):
-        best_response(net, 1, zeros, degenerate_floor=None)
 
 
 def test_corner_best_response_under_linear_cost():
@@ -237,8 +234,6 @@ def test_iteration_config_validation():
         IterationConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         IterationConfig(tolerance=math.inf)
-    with pytest.raises(ValueError):
-        IterationConfig(damping=0.0)
     with pytest.raises(ValueError):
         IterationConfig(initial="explicit")
 

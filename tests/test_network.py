@@ -23,6 +23,7 @@ from conflictnet import (
     payoff,
     winning_probabilities,
 )
+from conflictnet.network import contest_share, marginal_benefit
 
 from conftest import BENCHMARK_PRODUCTIONS
 
@@ -171,6 +172,58 @@ def test_payoff_decreases_when_only_the_cost_argument_grows():
     for bump in (0.1, 0.5, 2.0):
         perturbed = value_part - net.cost.c(3.0 + bump)
         assert perturbed < base
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+@pytest.mark.parametrize("generate", [generate_triangle, generate_simplex])
+def test_payoff_is_prize_weighted_winning_probabilities_minus_cost(generate, name):
+    net = generate(production=BENCHMARK_PRODUCTIONS[name])
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        # A rotating third of the battles has every participant at zero.
+        idle = {b.id for i, b in enumerate(net.battles) if (i + trial) % 3 == 0}
+        profile = EffortProfile(
+            {
+                (p, b.id): 0.0 if b.id in idle else float(rng.uniform(0.0, 3.0))
+                for p in net.players
+                for b in net.battles_of(p)
+            }
+        )
+        for player in net.players:
+            expected = -net.cost.c(profile.total(player))
+            for b in net.battles_of(player):
+                probs = winning_probabilities(b, profile.battle_efforts(b))
+                expected += b.prize * probs[b.participants.index(player)]
+            assert payoff(net, profile, player) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+def test_marginal_benefit_is_the_slope_of_the_prize_weighted_share(name):
+    pf = BENCHMARK_PRODUCTIONS[name]
+    battle = Battle("t", (1, 2, 3), 7.0, pf)
+    for rivals in (0.3, 2.0):
+
+        def value(x):
+            return battle.prize * contest_share(pf.f(x), rivals, battle.size)
+
+        # 0.7 and 3.0 lie either side of the piecewise kink at 1.
+        for x in (0.05, 0.7, 3.0):
+            step = 1e-6 * x
+            slope = (value(x + step) - value(x - step)) / (2.0 * step)
+            assert marginal_benefit(battle, x, rivals) == pytest.approx(slope, rel=1e-6)
+        if math.isfinite(pf.f_prime(0.0)):
+            assert marginal_benefit(battle, 0.0, rivals) == pytest.approx(
+                marginal_benefit(battle, 1e-12, rivals), rel=1e-9
+            )
+
+
+def test_marginal_benefit_at_zero_is_infinite_where_f_prime_is():
+    battle = Battle("t", (1, 2), 5.0, PowerProduction(2.0, 0.5))
+    assert battle.production.f_prime(0.0) == math.inf
+    for rivals in (1e-300, 1.0, 1e300):
+        assert marginal_benefit(battle, 0.0, rivals) == math.inf
 
 
 # ---------------------------------------------------------------------------
