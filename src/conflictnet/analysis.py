@@ -4,13 +4,9 @@ The curvature of the inverse semi-elasticity ``h = f / f'`` decides how the
 two effort regimes compare: convex h means discriminatory effort (DE) yields
 at most the uniform-effort (UE) total and at least the UE payoff, concave h
 the reverse, and linear h (exactly the power families) makes the regimes
-equivalent.  Classification is analytic per family, cross-checked by sampled
-midpoint-convexity defects of h and the sign of
-
-    2 f f'' f'' - f' f' f'' - f f' f'''
-
-which is h'' times the positive quantity f'^3.  Numerical third derivatives
-are never used.
+equivalent.  Each production family labels the curvature of its h
+analytically; sampled midpoint-convexity defects of h can veto that label,
+turning the verdict ``indeterminate``, but never replace it.
 """
 
 from __future__ import annotations
@@ -42,104 +38,58 @@ __all__ = [
 # root-finding error.
 NEUTRALITY_TOL = 1e-6
 
+# Grid points of the curvature sample and the relative midpoint defect below
+# which h counts as flat.
+CURVATURE_SAMPLES = 128
+CURVATURE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CurvatureVerdict:
-    """Curvature of h with the evidence that produced it.
+    """Curvature of h with the sampled evidence against it.
 
     ``verdict`` is one of ``"convex"``, ``"concave"``, ``"linear"`` or
-    ``"indeterminate"``.  ``max_signed_defect`` is the extreme sampled
-    midpoint defect ``h(m) - (h(a) + h(b))/2`` (negative for convex h);
-    ``third_derivative_sign`` is the sign pattern of the analytic criterion
-    over the sample grid.
+    ``"indeterminate"``: the family's analytic label, or ``indeterminate``
+    where the sampled defects contradict it.  ``max_signed_defect`` is the
+    extreme sampled midpoint defect ``h(m) - (h(a) + h(b))/2`` (negative for
+    convex h).
     """
 
     verdict: str
     max_signed_defect: float
-    third_derivative_sign: str
-
-    @property
-    def is_convex(self) -> bool:
-        return self.verdict == "convex"
-
-    @property
-    def is_concave(self) -> bool:
-        return self.verdict == "concave"
-
-    @property
-    def is_linear(self) -> bool:
-        return self.verdict == "linear"
-
-
-def _third_derivative_pattern(pf: ProductionFunction, xs: np.ndarray, tol: float) -> str:
-    """Sign pattern of 2 f f''^2 - f'^2 f'' - f f' f''' away from kinks."""
-    kinks = pf.kinks()
-    signs = set()
-    for x in xs:
-        x = float(x)
-        if any(math.isclose(x, k, rel_tol=1e-9) for k in kinks):
-            continue
-        f = pf.f(x)
-        fp = pf.f_prime(x)
-        fpp = pf.f_double_prime(x)
-        fppp = pf.f_triple_prime(x)
-        terms = (2.0 * f * fpp * fpp, -fp * fp * fpp, -f * fp * fppp)
-        value = sum(terms)
-        scale = sum(abs(t) for t in terms)
-        if scale == 0.0 or abs(value) <= tol * scale:
-            signs.add("0")
-        elif value > 0:
-            signs.add("+")
-        else:
-            signs.add("-")
-    if signs <= {"0"}:
-        return "zero"
-    if signs <= {"+", "0"}:
-        return "nonnegative"
-    if signs <= {"-", "0"}:
-        return "nonpositive"
-    return "mixed"
 
 
 def classify_h(
-    pf: ProductionFunction,
-    domain: tuple[float, float] = (1e-2, 1e1),
-    samples: int = 128,
-    tol: float = 1e-9,
+    pf: ProductionFunction, domain: tuple[float, float] = (1e-2, 1e1)
 ) -> CurvatureVerdict:
     """Classify the curvature of h on a positive interval.
 
-    Midpoint-convexity defects ``h((a+b)/2) - (h(a)+h(b))/2`` are sampled on
-    a log-spaced grid, over adjacent grid points (local curvature) and over
-    chords from each point to the one half the grid away (curvature at
-    scale), which is about ``2.5 * samples`` evaluations of h.  A pair is
-    dropped when h is not finite at either end or at its midpoint.  The
-    defects are combined with the family's analytic verdict and the analytic
-    third-derivative criterion.  The sampled defects act as a cross-check:
-    they can only veto the analytic verdict (yielding ``indeterminate``),
-    never overrule it, and a defect-free sample from a family that is not
-    analytically linear is also indeterminate rather than linear.
-    ``third_derivative_sign`` reads ``zero`` where every term of the
-    criterion underflows, as for ratio production with ``c = 1`` at efforts
-    of 1e60 and beyond.
+    The verdict is the family's analytic label (``pf.h_curvature()``) unless
+    the sampled defects veto it.  Midpoint-convexity defects
+    ``h((a+b)/2) - (h(a)+h(b))/2`` are sampled on a log-spaced grid of
+    ``CURVATURE_SAMPLES`` points, over adjacent grid points (local curvature)
+    and over chords from each point to the one half the grid away (curvature
+    at scale): at most 319 evaluations of h and none of f or its
+    derivatives.  A pair
+    is dropped when h is not finite at either end or at its midpoint.  A
+    defect of either sign beyond ``CURVATURE_TOL`` relative to the chord
+    vetoes a linear label, and one of the wrong sign vetoes a convex or
+    concave label; a vetoed verdict is ``indeterminate``.  A defect-free
+    sample never turns a convex or concave label into linear.
 
     Args:
         pf: production function (validated).
         domain: positive interval to sample.
-        samples: number of grid points, at least 64.
-        tol: relative defect tolerance.
     """
     lo, hi = domain
     if not 0 < lo < hi:
         raise ValueError(f"domain must be a positive interval, got {domain}")
-    if samples < 64:
-        raise ValueError(f"need at least 64 samples, got {samples}")
 
-    xs = np.geomspace(lo, hi, samples)
+    xs = np.geomspace(lo, hi, CURVATURE_SAMPLES)
     h_vals = np.array([pf.h(float(x)) for x in xs])
-    half = samples // 2
-    left = np.concatenate([np.arange(samples - 1), np.arange(samples - half)])
-    right = np.concatenate([np.arange(1, samples), np.arange(half, samples)])
+    n, half = CURVATURE_SAMPLES, CURVATURE_SAMPLES // 2
+    left = np.concatenate([np.arange(n - 1), np.arange(n - half)])
+    right = np.concatenate([np.arange(1, n), np.arange(half, n)])
     keep = np.isfinite(h_vals[left]) & np.isfinite(h_vals[right])
     left, right = left[keep], right[keep]
     # Halving each term first cannot overflow and rounds like (a + b) / 2.
@@ -151,8 +101,8 @@ def classify_h(
     rel = defects / np.maximum(np.abs(chords[keep]), 1e-300)
 
     max_signed = float(defects[np.argmax(np.abs(rel))]) if rel.size else 0.0
-    has_pos = bool(np.any(rel > tol))
-    has_neg = bool(np.any(rel < -tol))
+    has_pos = bool(np.any(rel > CURVATURE_TOL))
+    has_neg = bool(np.any(rel < -CURVATURE_TOL))
     if has_pos and has_neg:
         sampled = "mixed"
     elif has_pos:
@@ -162,8 +112,6 @@ def classify_h(
     else:
         sampled = "flat"
 
-    pattern = _third_derivative_pattern(pf, xs, tol=1e-9)
-
     analytic = pf.h_curvature()
     compatible = {
         "linear": {"flat"},
@@ -171,11 +119,7 @@ def classify_h(
         "concave": {"concave", "flat"},
     }[analytic]
     verdict = analytic if sampled in compatible else "indeterminate"
-    return CurvatureVerdict(
-        verdict=verdict,
-        max_signed_defect=max_signed,
-        third_derivative_sign=pattern,
-    )
+    return CurvatureVerdict(verdict=verdict, max_signed_defect=max_signed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ prizes in ascending size order).  Reports are JSON with sorted keys and full
 float precision; markdown and CSV renderings round to 6 significant figures.
 
 Exit codes: 0 success, 1 input error, 2 solver failure (bracket failure,
-NaN evaluation, or non-convergence).
+NaN evaluation, non-convergence, or an arithmetic error such as an overflow
+inside a solve).
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOCONVERGE = 2
 
-# Solver failures on valid input; every other error main catches is an input error.
-_SOLVER_FAILURES = (BracketFailure, NonFiniteEvaluation, NoConvergence)
+# Solver failures on valid input; every other error main catches is an input
+# error.  Input parsing turns its own overflows into input errors, so an
+# ArithmeticError that reaches main comes from a solve.
+_SOLVER_FAILURES = (BracketFailure, NonFiniteEvaluation, NoConvergence, ArithmeticError)
 
 # Shorthand for the concave piecewise benchmark production (power branch
 # 2*sqrt(x) glued to x+1 at the breakpoint 1).
@@ -395,6 +398,32 @@ _SWEEP_FIELD_TYPES = {
 }
 
 
+_AXIS_FIELD_TYPES = {
+    "param": (str, "a string"),
+    "min": ((int, float), "a number"),
+    "max": ((int, float), "a number"),
+    "steps": (int, "an integer"),
+}
+
+
+def _sweep_axis(axis) -> SweepAxis:
+    if not isinstance(axis, dict):
+        raise ValueError(f"expected an object, got {axis!r}")
+    for key, (kind, noun) in _AXIS_FIELD_TYPES.items():
+        if key not in axis:
+            raise ValueError(f"missing field {key!r}")
+        value = axis[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"field {key!r} must be {noun}, got {value!r}")
+    # float() of a JSON integer past the float range raises OverflowError.
+    return SweepAxis(
+        param=axis["param"],
+        minimum=float(axis["min"]),
+        maximum=float(axis["max"]),
+        steps=axis["steps"],
+    )
+
+
 def _cmd_sweep(args) -> int:
     try:
         doc = json.loads(
@@ -422,15 +451,8 @@ def _cmd_sweep(args) -> int:
     axes = []
     for i, axis in enumerate(doc.get("axes", [])):
         try:
-            axes.append(
-                SweepAxis(
-                    param=axis["param"],
-                    minimum=float(axis["min"]),
-                    maximum=float(axis["max"]),
-                    steps=int(axis["steps"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            axes.append(_sweep_axis(axis))
+        except (ArithmeticError, ValueError) as exc:
             raise InputError(f"bad sweep axis #{i}: {exc}") from None
 
     output = args.output or doc.get("output")
@@ -587,7 +609,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, ConflictNetError, ValueError) as exc:
+    except (InputError, ConflictNetError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONVERGE if isinstance(exc, _SOLVER_FAILURES) else EXIT_INPUT
 

@@ -1,10 +1,12 @@
 """Contest production functions and effort cost functions.
 
-Every production family ships analytic first, second, and third derivatives;
+Every production family ships analytic first and second derivatives, and
 derived quantities such as the inverse semi-elasticity ``h = f / f'`` and
 its inverse ``h_inv`` are implemented in closed form per family rather than
 as generic quotients or root finds, since solver accuracy depends on an exact
-``h``.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'' <= 0`` on the
+``h``.  Each family also labels the curvature of its ``h`` analytically
+(:meth:`ProductionFunction.h_curvature`), the label the regime comparison
+starts from.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'' <= 0`` on the
 positive axis (away from a declared kink), which makes ``h`` strictly
 increasing with ``h(0+) = 0`` and ``h -> +inf``.
 """
@@ -60,10 +62,6 @@ class ProductionFunction(ABC):
     @abstractmethod
     def f_double_prime(self, x: float) -> float:
         """Second derivative (undefined at a kink; see :meth:`kinks`)."""
-
-    @abstractmethod
-    def f_triple_prime(self, x: float) -> float:
-        """Third derivative, used by the curvature criterion."""
 
     @abstractmethod
     def h(self, x: float) -> float:
@@ -127,13 +125,6 @@ class PowerProduction(ProductionFunction):
             return -math.inf
         return self.A * self.r * (self.r - 1.0) * x ** (self.r - 2.0)
 
-    def f_triple_prime(self, x):
-        if self.r == 1.0:
-            return 0.0
-        if x == 0.0:
-            return math.inf
-        return self.A * self.r * (self.r - 1.0) * (self.r - 2.0) * x ** (self.r - 3.0)
-
     def h(self, x):
         return x / self.r
 
@@ -165,7 +156,7 @@ class RatioProduction(ProductionFunction):
     def f(self, x):
         return x / (x + self.c)
 
-    # Past x of about 1e154 (f') or 1e103 (f'' and f''') the power of x + c
+    # Past x of about 1e154 (f') or 1e103 (f'') the power of x + c
     # overflows; dividing by x + c once per power underflows to 0 instead.
     def f_prime(self, x):
         try:
@@ -178,12 +169,6 @@ class RatioProduction(ProductionFunction):
             return -2.0 * self.c / (x + self.c) ** 3
         except OverflowError:
             return -2.0 * self.c / (x + self.c) / (x + self.c) / (x + self.c)
-
-    def f_triple_prime(self, x):
-        try:
-            return 6.0 * self.c / (x + self.c) ** 4
-        except OverflowError:
-            return 6.0 * self.c / (x + self.c) / (x + self.c) / (x + self.c) / (x + self.c)
 
     def h(self, x):
         # x * (x + c) / c would overflow in the product for c > 1.
@@ -229,9 +214,6 @@ class CaraProduction(ProductionFunction):
 
     def f_double_prime(self, x):
         return -self.alpha**2 * math.exp(-self.alpha * x)
-
-    def f_triple_prime(self, x):
-        return self.alpha**3 * math.exp(-self.alpha * x)
 
     def h(self, x):
         # expm1 keeps h accurate near zero.  Past exp's range h is still
@@ -316,13 +298,6 @@ class PiecewisePowerAffineProduction(ProductionFunction):
         if x == 0.0:
             return -math.inf
         return self.A * self.r * (self.r - 1.0) * x ** (self.r - 2.0)
-
-    def f_triple_prime(self, x):
-        if x > self.s or self.r == 1.0:
-            return 0.0
-        if x == 0.0:
-            return math.inf
-        return self.A * self.r * (self.r - 1.0) * (self.r - 2.0) * x ** (self.r - 3.0)
 
     def h(self, x):
         if x <= self.s:

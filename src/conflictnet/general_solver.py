@@ -355,16 +355,15 @@ _MAX_GRID_CELLS = 10_000_000
 def brute_force_nash(
     network: ConflictNetwork,
     grid,
-    epsilon: float | None = None,
     uniform: bool = False,
 ) -> list[EffortProfile]:
     """Exhaustive grid search for approximate equilibria.
 
-    Every profile on the grid is kept if no player can improve her payoff by
-    more than ``epsilon`` through grid deviations of her own coordinates.
-    One grid dimension per (player, battle) slot, or per player when
-    ``uniform`` is set.  ``epsilon`` defaults to twice the grid step times
-    the largest prize, a first-order bound on the discretization error.
+    Every profile on the grid is kept if no player can improve her payoff
+    through grid deviations of her own coordinates by more than twice the
+    largest grid step times the largest prize, a first-order bound on the
+    discretization error.  One grid dimension per (player, battle) slot, or
+    per player when ``uniform`` is set.
     Candidates are ordered by increasing worst deviation gain, so the first
     entry is the grid's best equilibrium estimate.
 
@@ -400,8 +399,7 @@ def brute_force_nash(
             f"{grid.size}^{ndim} grid cells exceed the enumeration budget"
         )
 
-    if epsilon is None:
-        epsilon = 2.0 * float(np.diff(grid).max()) * network.max_prize
+    epsilon = 2.0 * float(np.diff(grid).max()) * network.max_prize
 
     def axis(values: np.ndarray, d: int) -> np.ndarray:
         shape = [1] * ndim

@@ -14,7 +14,7 @@ Two canonical semi-symmetric layouts:
 from __future__ import annotations
 
 from .errors import UnknownExample
-from .functions import CostFunction, PowerCost, PowerProduction, ProductionFunction
+from .functions import PowerCost, PowerProduction, ProductionFunction
 from .network import Battle, ConflictNetwork
 
 __all__ = ["generate_triangle", "generate_simplex", "generate_example", "EXAMPLE_NAMES"]
@@ -22,39 +22,27 @@ __all__ = ["generate_triangle", "generate_simplex", "generate_example", "EXAMPLE
 EXAMPLE_NAMES = ("triangle", "simplex")
 
 _DEFAULT_PRODUCTION = PowerProduction(A=1.0, r=1.0)
-
-
-def _per_size(
-    sizes: tuple[int, ...],
-    production: ProductionFunction | None,
-    productions: dict[int, ProductionFunction] | None,
-) -> dict[int, ProductionFunction]:
-    if productions is not None:
-        missing = [k for k in sizes if k not in productions]
-        if missing:
-            raise ValueError(f"missing production functions for sizes {missing}")
-        return dict(productions)
-    common = production if production is not None else _DEFAULT_PRODUCTION
-    return {k: common for k in sizes}
+_COST = PowerCost(1.0, 2.0)
 
 
 def generate_triangle(
     v2: float = 5.0,
     v3: float = 72.0,
     production: ProductionFunction | None = None,
-    productions: dict[int, ProductionFunction] | None = None,
-    cost: CostFunction | None = None,
 ) -> ConflictNetwork:
-    """Three players, battles a=(1,2), b=(2,3), c=(3,1), d=(1,2,3)."""
-    per_size = _per_size((2, 3), production, productions)
-    cost = cost if cost is not None else PowerCost(1.0, 2.0)
+    """Three players, battles a=(1,2), b=(2,3), c=(3,1), d=(1,2,3).
+
+    Every battle uses ``production`` (``f(x) = x`` by default) and the cost
+    is ``X**2 / 2``.
+    """
+    pf = production if production is not None else _DEFAULT_PRODUCTION
     battles = [
-        Battle("a", (1, 2), v2, per_size[2]),
-        Battle("b", (2, 3), v2, per_size[2]),
-        Battle("c", (3, 1), v2, per_size[2]),
-        Battle("d", (1, 2, 3), v3, per_size[3]),
+        Battle("a", (1, 2), v2, pf),
+        Battle("b", (2, 3), v2, pf),
+        Battle("c", (3, 1), v2, pf),
+        Battle("d", (1, 2, 3), v3, pf),
     ]
-    return ConflictNetwork(players=(1, 2, 3), battles=tuple(battles), cost=cost)
+    return ConflictNetwork(players=(1, 2, 3), battles=tuple(battles), cost=_COST)
 
 
 def generate_simplex(
@@ -62,24 +50,24 @@ def generate_simplex(
     v3: float = 72.0,
     v4: float = 100.0,
     production: ProductionFunction | None = None,
-    productions: dict[int, ProductionFunction] | None = None,
-    cost: CostFunction | None = None,
 ) -> ConflictNetwork:
-    """Four players, nine battles: 4 edges, 4 faces, 1 all-player battle."""
-    per_size = _per_size((2, 3, 4), production, productions)
-    cost = cost if cost is not None else PowerCost(1.0, 2.0)
+    """Four players, nine battles: 4 edges, 4 faces, 1 all-player battle.
+
+    Production and cost default as in :func:`generate_triangle`.
+    """
+    pf = production if production is not None else _DEFAULT_PRODUCTION
     battles = [
-        Battle("a1", (1, 2), v2, per_size[2]),
-        Battle("a2", (2, 3), v2, per_size[2]),
-        Battle("a3", (3, 4), v2, per_size[2]),
-        Battle("a4", (4, 1), v2, per_size[2]),
-        Battle("b1", (2, 3, 4), v3, per_size[3]),
-        Battle("b2", (1, 3, 4), v3, per_size[3]),
-        Battle("b3", (1, 2, 4), v3, per_size[3]),
-        Battle("b4", (1, 2, 3), v3, per_size[3]),
-        Battle("g", (1, 2, 3, 4), v4, per_size[4]),
+        Battle("a1", (1, 2), v2, pf),
+        Battle("a2", (2, 3), v2, pf),
+        Battle("a3", (3, 4), v2, pf),
+        Battle("a4", (4, 1), v2, pf),
+        Battle("b1", (2, 3, 4), v3, pf),
+        Battle("b2", (1, 3, 4), v3, pf),
+        Battle("b3", (1, 2, 4), v3, pf),
+        Battle("b4", (1, 2, 3), v3, pf),
+        Battle("g", (1, 2, 3, 4), v4, pf),
     ]
-    return ConflictNetwork(players=(1, 2, 3, 4), battles=tuple(battles), cost=cost)
+    return ConflictNetwork(players=(1, 2, 3, 4), battles=tuple(battles), cost=_COST)
 
 
 def generate_example(name: str, **overrides) -> ConflictNetwork:

@@ -65,6 +65,13 @@ class SweepSpec:
     def __post_init__(self):
         if not self.axes:
             raise ValueError("sweep needs at least one axis")
+        params = [axis.param for axis in self.axes]
+        for i, param in enumerate(params):
+            if param in params[:i]:
+                raise ValueError(
+                    f"bad sweep axis #{i}: parameter {param!r} is already "
+                    f"axis #{params.index(param)}"
+                )
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.grid_size > DEFAULT_MAX_GRID:

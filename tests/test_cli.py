@@ -708,6 +708,44 @@ def test_sweep_spec_fields_of_the_wrong_type_are_input_errors(tmp_path, capsys, 
     assert err.startswith("error:") and repr(field) in err
 
 
+_V2_AXIS = {"param": "v2", "min": 1, "max": 5, "steps": 3}
+
+
+@pytest.mark.parametrize("axes,index", [
+    ([{**_V2_AXIS, "param": 3}], 0),
+    ([{**_V2_AXIS, "steps": 2.7}], 0),
+    ([{**_V2_AXIS, "steps": True}], 0),
+    ([{**_V2_AXIS, "min": "1"}], 0),
+    ([{**_V2_AXIS, "min": 0.5, "max": True}], 0),
+    ([{**_V2_AXIS, "min": 10**400}], 0),
+    ([_V2_AXIS, {"param": "v3", "min": 1, "max": 5}], 1),
+    ([_V2_AXIS, "v3"], 1),
+    ([{"param": "v3", "min": 10, "max": 20, "steps": 2}, _V2_AXIS,
+      {"param": "v3", "min": 30, "max": 40, "steps": 2}], 2),
+], ids=["param-int", "steps-float", "steps-bool", "min-string", "max-bool",
+        "min-past-float-range", "steps-missing", "axis-string", "param-twice"])
+def test_bad_sweep_axes_are_input_errors_and_write_no_rows(tmp_path, capsys, axes, index):
+    output = tmp_path / "out.csv"
+    spec = {"example": "triangle", "axes": axes, "output": str(output)}
+    code, _, err = run_cli(capsys, "sweep", str(write_spec(tmp_path, spec)))
+    assert code == 1
+    assert err.startswith(f"error: bad sweep axis #{index}: ")
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("family", ["power:1,1", "piecewise-f3", "cara:1"])
+def test_arithmetic_error_in_an_iterative_solve_is_a_solver_failure(capsys, family):
+    # G = (f + S)^2 / f' overflows (power, piecewise) or f' underflows to 0
+    # (cara) at these prizes.
+    code, out, err = run_cli(
+        capsys, "solve", "--example", "triangle", "--method", "iterative",
+        "--v", "1e300,3e300", "--f", family,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_import_does_not_load_jsonschema():
     src = Path(conflictnet.__file__).resolve().parents[1]
     probe = "import sys, conflictnet.cli; print('jsonschema' in sys.modules)"

@@ -49,16 +49,6 @@ def test_analytic_second_derivative_matches_finite_difference(name):
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
-def test_analytic_third_derivative_matches_finite_difference(name):
-    pf = BENCHMARK_PRODUCTIONS[name]
-    for x in (0.3, 0.8, 2.0):
-        if any(abs(x - k) < 1e-1 for k in pf.kinks()):
-            continue
-        approx = finite_difference(pf.f_double_prime, x, step=1e-5)
-        assert pf.f_triple_prime(x) == pytest.approx(approx, rel=1e-3, abs=1e-8)
-
-
-@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
 def test_h_equals_f_over_f_prime(name):
     pf = BENCHMARK_PRODUCTIONS[name]
     for x in GRID:
@@ -90,16 +80,13 @@ def test_ratio_family_h_is_x_times_one_plus_x():
 
 def test_ratio_derivatives_past_the_overflow_of_the_power_of_x_plus_c():
     pf = RatioProduction(c=1.0)
-    for derivative in (pf.f_prime, pf.f_double_prime, pf.f_triple_prime):
+    for derivative in (pf.f_prime, pf.f_double_prime):
         assert math.isfinite(derivative(1e300))
-    # At x = c the derivatives are 1/(4c), -1/(4c^2) and 3/(8c^3); each shift
-    # puts its power of 2c beyond the float range but not its value.
+    # At x = c the derivatives are 1/(4c) and -1/(4c^2); each shift puts its
+    # power of 2c beyond the float range but not its value.
     assert RatioProduction(c=1e160).f_prime(1e160) == pytest.approx(0.25e-160, rel=1e-15)
     assert RatioProduction(c=1e110).f_double_prime(1e110) == pytest.approx(
         -0.25e-220, rel=1e-15
-    )
-    assert RatioProduction(c=1e80).f_triple_prime(1e80) == pytest.approx(
-        0.375e-240, rel=1e-15
     )
 
 
@@ -159,9 +146,6 @@ class _BrokenProduction(ProductionFunction):
     def f_double_prime(self, x):
         return 0.0
 
-    def f_triple_prime(self, x):
-        return 0.0
-
     def h(self, x):
         return x
 
@@ -175,6 +159,12 @@ class _BrokenProduction(ProductionFunction):
 def test_validation_raises_on_non_finite_values():
     with pytest.raises(NonFiniteEvaluation):
         validate_production(_BrokenProduction(), GRID)
+
+
+def test_production_interface_is_two_derivatives_h_and_its_inverse():
+    assert ProductionFunction.__abstractmethods__ == {
+        "f", "f_prime", "f_double_prime", "h", "h_inv", "to_spec",
+    }
 
 
 @pytest.mark.parametrize(
