@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -549,7 +550,10 @@ def _add_network_flags(sub) -> None:
     sub.add_argument("--output", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then reused: parsing leaves
+    it unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="conflictnet",
         description="Equilibria of multi-battle conflict networks under "

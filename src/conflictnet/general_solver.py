@@ -2,13 +2,16 @@
 
 The structured solvers in :mod:`conflictnet.equilibrium` exploit
 semi-symmetry; this module makes no structural assumption.  Payoffs are
-concave in own efforts, so a player's best response is a nested monotone
-search: for a candidate marginal cost each battle's effort solves its own
-first-order condition, and the player's total is closed by a scalar root
-find, on the contest share and marginal of :mod:`conflictnet.network`.
-Equilibria are then computed by simultaneous best-response iteration, with
-a deviation-gain certificate at the final profile.  A brute-force grid
-oracle with its own shares provides an independent desk-scale cross-check.
+concave in own efforts, so a player's best response is a monotone search on
+the player's total: for a candidate marginal cost each battle's effort solves
+its own first-order condition, and a scalar root find closes the total, on
+the contest share and marginal of :mod:`conflictnet.network`.  The battle
+condition is inverted in closed form for the ratio and cara families and for
+power with r = 1 (:meth:`ProductionFunction.g_inv`); only power with r < 1
+and the piecewise family need an inner root find.  Equilibria are then
+computed by simultaneous best-response iteration, with a deviation-gain
+certificate at the final profile.  A brute-force grid oracle with its own
+shares provides an independent desk-scale cross-check.
 
 When every rival in a battle exerts zero effort the payoff is discontinuous
 at zero (an infinitesimal effort wins outright), so the marginal benefit is
@@ -114,15 +117,21 @@ def _contested(
 def _battle_effort(battle: Battle, rivals: float, lam: float, seed) -> float:
     """Effort solving v f'(x) S / (f(x) + S)^2 = lam, or 0 at the corner.
 
-    Solved through the strictly increasing transform
-    G(x) = (f(x) + S)^2 / f'(x), whose target is v S / lam.
+    The condition reads G(x) = (f(x) + S)^2 / f'(x) = v S / lam for the
+    strictly increasing G.  A target at or below G(0) = S^2 / f'(0) is the
+    corner 0.  Above it the family's closed-form ``g_inv`` gives the effort
+    (ratio, cara, power with r = 1); for the others Brent's method searches
+    G from ``seed``.
     """
     pf = battle.production
     target = battle.prize * rivals / lam
     fp0 = pf.f_prime(0.0)
-    g0 = 0.0 if math.isinf(fp0) else rivals**2 / fp0
+    g0 = 0.0 if math.isinf(fp0) else rivals * rivals / fp0
     if target <= g0:
         return 0.0
+    effort = pf.g_inv(rivals, target)
+    if effort is not None:
+        return effort
 
     def transform(x):
         return (pf.f(x) + rivals) ** 2 / pf.f_prime(x)

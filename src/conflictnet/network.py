@@ -203,11 +203,13 @@ def contest_share(own: float, rivals: float, size: int) -> float:
 def marginal_benefit(battle: Battle, x: float, rivals: float) -> float:
     """Slope ``v f'(x) S / (f(x) + S)^2`` of ``v * contest_share`` in own
     effort, for ``S > 0``.  At ``x = 0``, where ``f(0) = 0``, it is
-    ``v f'(0) / S``: ``inf`` when ``f'(0)`` is, with no ``S^2`` to overflow."""
+    ``v f'(0) / S``: ``inf`` when ``f'(0)`` is.  The square of ``f(x) + S``
+    is never formed, so scores past 1e154 do not overflow."""
     fp = battle.production.f_prime(x)
     if x == 0.0:
         return battle.prize * fp / rivals
-    return battle.prize * fp * rivals / (battle.production.f(x) + rivals) ** 2
+    score = battle.production.f(x) + rivals
+    return battle.prize * fp * (rivals / score) / score
 
 
 def winning_probabilities(battle: Battle, efforts: Iterable[float]) -> np.ndarray:

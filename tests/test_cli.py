@@ -733,10 +733,10 @@ def test_bad_sweep_axes_are_input_errors_and_write_no_rows(tmp_path, capsys, axe
     assert not output.exists()
 
 
-@pytest.mark.parametrize("family", ["power:1,1", "piecewise-f3", "cara:1"])
+@pytest.mark.parametrize("family", ["power:1,1", "piecewise-f3"])
 def test_arithmetic_error_in_an_iterative_solve_is_a_solver_failure(capsys, family):
-    # G = (f + S)^2 / f' overflows (power, piecewise) or f' underflows to 0
-    # (cara) at these prizes.
+    # The battle target v S / lam overflows (power), or G = (f + S)^2 / f'
+    # does (piecewise, whose root is still searched on G), at these prizes.
     code, out, err = run_cli(
         capsys, "solve", "--example", "triangle", "--method", "iterative",
         "--v", "1e300,3e300", "--f", family,
@@ -744,6 +744,60 @@ def test_arithmetic_error_in_an_iterative_solve_is_a_solver_failure(capsys, fami
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", ["cara:1", "ratio:1"])
+def test_iterative_solve_at_prizes_1e300_matches_the_structured_engine(capsys, family):
+    # The closed-form battle efforts never form (f + S)^2 or f' = alpha
+    # e^{-alpha x}, which underflows to 0 at these prizes.
+    network = ["solve", "--example", "triangle", "--v", "1e300,3e300", "--f", family]
+    iterative = run_json(capsys, *network, "--method", "iterative")
+    structured = run_json(capsys, *network, "--method", "semisymmetric")
+    for regime in ("de", "ue"):
+        assert iterative[regime]["converged"] is True
+        for total in iterative[regime]["totals"].values():
+            assert total == pytest.approx(structured[regime]["total"], rel=1e-9)
+    if family == "cara:1":
+        assert structured["de"]["total"] == pytest.approx(2046.2771976, rel=1e-10)
+        assert structured["ue"]["total"] == pytest.approx(2046.6213621, rel=1e-10)
+
+
+def _fresh_process_run(argv):
+    src = Path(conflictnet.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "conflictnet.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
+        capture_output=True, text=True,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    # main builds its parser once; no default or namespace of one call may
+    # show in the next.  Help text wraps at COLUMNS, so both sides fix it.
+    monkeypatch.setenv("COLUMNS", "80")
+    network = tmp_path / "triangle.json"
+    assert main(["examples", "--name", "triangle", "--output", str(network)]) == 0
+    calls = [
+        ["solve", "--example", "triangle", "--f", "cara:1", "--regime", "de"],
+        ["compare", "--example", "simplex", "--f", "ratio:1", "--format", "md"],
+        ["neutrality", "--example", "triangle", "--grid", "random:3:seed=5"],
+        ["validate", str(network)],
+        ["solve", "--example", "triangle", "--bogus"],
+        ["--help"],
+        # The defaults of the flags the calls above set.
+        ["solve", "--example", "triangle", "--f", "cara:1"],
+        ["compare", "--example", "simplex", "--f", "ratio:1"],
+    ]
+    sequence = calls + calls[::-1] + [["solve", "--help"], calls[0]]
+    expected = {}
+    for argv in sequence:
+        key = tuple(argv)
+        if key not in expected:
+            expected[key] = _fresh_process_run(argv)
+        assert run_cli(capsys, *argv) == expected[key], argv
+    assert [expected[tuple(argv)][0] for argv in calls] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert conflictnet.cli.build_parser() is conflictnet.cli.build_parser()
 
 
 def test_cli_import_does_not_load_jsonschema():

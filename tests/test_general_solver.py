@@ -1,16 +1,19 @@
 """Best responses, iterative equilibria, and the brute-force oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conflictnet import (
     Battle,
+    CaraProduction,
     ConflictNetwork,
     DimensionTooLarge,
     EffortProfile,
     IterationConfig,
+    PiecewisePowerAffineProduction,
     PowerCost,
     PowerProduction,
     RatioProduction,
@@ -25,7 +28,10 @@ from conflictnet import (
     solve_ue,
 )
 
+from conflictnet import general_solver
 from conflictnet.general_solver import _battle_effort
+from conflictnet.network import marginal_benefit
+from conflictnet.rootfind import BracketingConfig, brent_increasing
 
 from conftest import BENCHMARK_PRODUCTIONS
 
@@ -356,6 +362,114 @@ def test_battle_effort_below_the_smallest_float_is_the_corner():
     # 10 * 1 / 100 even at x = 5e-324: the root is below every positive float.
     battle = Battle("b", (1, 2), 10.0, PowerProduction(1.0, 0.999))
     assert _battle_effort(battle, 1.0, 100.0, None) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Closed-form battle efforts
+# ---------------------------------------------------------------------------
+
+# Each family with a closed-form inverse of G(x) = (f(x) + S)^2 / f'(x),
+# beside the analytic log f' and its slope, for the log-space reference.
+G_INV_FAMILIES = {
+    **{
+        f"ratio:{c}": (RatioProduction(c),
+                       lambda x, c=c: math.log(c) - 2.0 * math.log(x + c),
+                       lambda x, c=c: -2.0 / (x + c))
+        for c in (0.1, 1.0, 10.0)
+    },
+    **{
+        f"cara:{a}": (CaraProduction(a),
+                      lambda x, a=a: math.log(a) - a * x,
+                      lambda x, a=a: -a)
+        for a in (0.5, 1.0, 5.0)
+    },
+    **{
+        f"power:{A},1": (PowerProduction(A, 1.0),
+                         lambda x, A=A: math.log(A),
+                         lambda x: 0.0)
+        for A in (0.5, 2.0)
+    },
+}
+
+_REFERENCE_CFG = BracketingConfig(rel_tol=1e-14)
+
+
+def _g_root_reference(pf, log_f_prime, rivals, target):
+    """Brent on G, or on log G where G leaves the float range."""
+    try:
+        return brent_increasing(
+            lambda x: (pf.f(x) + rivals) ** 2 / pf.f_prime(x), target, _REFERENCE_CFG
+        )
+    except ArithmeticError:
+        return brent_increasing(
+            lambda x: 2.0 * math.log(pf.f(x) + rivals) - log_f_prime(x),
+            math.log(target), _REFERENCE_CFG,
+        )
+
+
+@pytest.mark.parametrize("name", sorted(G_INV_FAMILIES))
+def test_closed_form_battle_effort_matches_a_root_search_on_g(name):
+    pf, log_f_prime, log_f_prime_slope = G_INV_FAMILIES[name]
+    for rivals in np.geomspace(1e-12, 1e12, 13):
+        rivals = float(rivals)
+        g0 = rivals * rivals / pf.f_prime(0.0)
+        targets = [g0 * (1.0 + d) for d in (1e-9, 1e-6, 1e-3, 1.0)]
+        targets += [float(t) for t in np.geomspace(4.0 * g0, 1e250, 24)]
+        for target in targets:
+            x = pf.g_inv(rivals, target)
+            assert math.isfinite(x) and x > 0.0, (rivals, target, x)
+            reference = _g_root_reference(pf, log_f_prime, rivals, target)
+            # A target known to float precision fixes the root only to
+            # eps * kappa, kappa = t / (x G'(x)) its condition number: about
+            # t / (t - G(0)) next to the corner, below 1 away from it.
+            log_slope = 2.0 * pf.f_prime(x) / (pf.f(x) + rivals) - log_f_prime_slope(x)
+            kappa = 1.0 / (x * log_slope)
+            tol = 1e-12 + 16.0 * sys.float_info.epsilon * kappa
+            assert x == pytest.approx(reference, rel=tol), (rivals, target / g0)
+
+
+@pytest.mark.parametrize("alpha,target", [(1e300, 1e300), (1e308, 1e308), (1e308, 1.7e308)])
+def test_cara_battle_effort_where_exp_of_alpha_x_passes_the_float_range(alpha, target):
+    # Past alpha t of about 1e616 the root formula's sum overflows, and the
+    # root is taken in logs.
+    pf = CaraProduction(alpha)
+    x = pf.g_inv(1.0, target)
+    reference = _g_root_reference(pf, lambda x: math.log(alpha) - alpha * x, 1.0, target)
+    assert x == pytest.approx(reference, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(G_INV_FAMILIES))
+def test_battle_effort_at_or_below_the_corner_is_zero(name):
+    pf, _, _ = G_INV_FAMILIES[name]
+    battle = Battle("b", (1, 2), 3.0, pf)
+    for rivals in (1e-12, 1e-3, 1.0, 1e3, 1e12):
+        g0 = rivals * rivals / pf.f_prime(0.0)
+        for target in (g0 * (1.0 - 1e-9), g0 / 2.0, g0 * 1e-100):
+            # Solve the target for the marginal cost, then read it back.
+            lam = battle.prize * rivals / target
+            assert battle.prize * rivals / lam <= g0
+            assert _battle_effort(battle, rivals, lam, None) == 0.0
+        # At G(0) itself the effort is 0 up to the rounding of f'(0).
+        assert 0.0 <= pf.g_inv(rivals, g0) <= 1e-15 * max(rivals, 1.0)
+
+
+def test_battle_effort_searches_only_families_without_a_closed_form(monkeypatch):
+    calls = []
+
+    def counting(g, target, cfg, seed=None):
+        calls.append(target)
+        return brent_increasing(g, target, cfg, seed=seed)
+
+    monkeypatch.setattr(general_solver, "brent_increasing", counting)
+    for pf, searched in [
+        (RatioProduction(1.0), 0), (CaraProduction(1.0), 0), (PowerProduction(2.0, 1.0), 0),
+        (PowerProduction(1.0, 0.5), 1), (PiecewisePowerAffineProduction(2.0, 0.5, 1.0), 1),
+    ]:
+        calls.clear()
+        battle = Battle("b", (1, 2), 5.0, pf)
+        x = _battle_effort(battle, 0.5, 1.0, None)
+        assert x > 0.0 and len(calls) == searched, pf
+        assert marginal_benefit(battle, x, 0.5) == pytest.approx(1.0, rel=1e-12)
 
 
 def _near_linear_power_network(rng, n_players, n_battles):

@@ -1,6 +1,7 @@
 """Network types, winning probabilities, payoffs, and semi-symmetry."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +218,18 @@ def test_marginal_benefit_is_the_slope_of_the_prize_weighted_share(name):
             assert marginal_benefit(battle, 0.0, rivals) == pytest.approx(
                 marginal_benefit(battle, 1e-12, rivals), rel=1e-9
             )
+
+
+@pytest.mark.parametrize("x,rivals", [(1e250, 1e200), (1.0, 1e250), (1e250, 1e250)])
+def test_marginal_benefit_stays_finite_past_the_overflow_of_the_squared_score(x, rivals):
+    # (f + S)^2 passes the float range once f + S does 1.3e154.
+    battle = Battle("t", (1, 2), 3.0, PowerProduction(2.0, 1.0))
+    pf = battle.production
+    score = Fraction(pf.f(x)) + Fraction(rivals)
+    exact = Fraction(battle.prize) * Fraction(pf.f_prime(x)) * Fraction(rivals) / score**2
+    got = marginal_benefit(battle, x, rivals)
+    assert math.isfinite(got) and got > 0.0
+    assert got == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_marginal_benefit_at_zero_is_infinite_where_f_prime_is():
