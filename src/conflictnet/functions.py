@@ -5,8 +5,8 @@ derived quantities such as the inverse semi-elasticity ``h = f / f'`` and
 its inverse ``h_inv`` are implemented in closed form per family rather than
 as generic quotients or root finds, since solver accuracy depends on an exact
 ``h``.  Where a battle's first-order condition has a closed-form root
-(ratio, cara, power with ``r = 1``), ``g_inv`` gives it too.  Each family
-also labels the curvature of its ``h`` analytically
+(ratio, cara), ``g_inv`` gives it too.
+Each family also labels the curvature of its ``h`` analytically
 (:meth:`ProductionFunction.h_curvature`), the label the regime comparison
 starts from.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'' <= 0`` on the
 positive axis (away from a declared kink), which makes ``h`` strictly
@@ -76,14 +76,16 @@ class ProductionFunction(ABC):
         ``y = 0`` gives the corner ``x = 0``; a negative ``y`` raises.
         """
 
-    def g_inv(self, rivals: float, target: float) -> float | None:
+    def g_inv(self, rivals: float, target: float, excess: float) -> float | None:
         """Effort ``x`` with ``G(x) = (f(x) + S)^2 / f'(x) = target`` against
         a rivals' score sum ``S = rivals > 0``, in closed form.
 
         ``G`` is the increasing form of a battle's first-order condition
         ``v f'(x) S / (f(x) + S)^2 = lam`` (target ``v S / lam``).  Callers
-        pass only targets above the corner ``G(0) = S^2 / f'(0)``.  ``None``
-        means the family has no closed form and the root must be searched.
+        pass only targets above the corner ``G(0) = S^2 / f'(0)``, with
+        ``excess = target - G(0) > 0``, so that the corner is computed in one
+        place.  ``None`` means the family has no closed form and the root must
+        be searched.
         """
         return None
 
@@ -145,15 +147,6 @@ class PowerProduction(ProductionFunction):
         _check_h_target(y)
         return self.r * y
 
-    def g_inv(self, rivals, target):
-        # Only r = 1 has one: (A x + S)^2 / A = t, so x = (sqrt(A t) - S) / A,
-        # rationalised so that the one difference is the target's excess over
-        # the corner S^2 / A.
-        if self.r != 1.0:
-            return None
-        excess = target - rivals * rivals / self.A
-        return excess / (math.sqrt(self.A) * math.sqrt(target) + rivals)
-
     def h_curvature(self):
         return "linear"
 
@@ -207,14 +200,13 @@ class RatioProduction(ProductionFunction):
         # float precision.
         return math.sqrt(y) * math.sqrt(self.c)
 
-    def g_inv(self, rivals, target):
+    def g_inv(self, rivals, target, excess):
         # G(x) = ((1 + S) x + S c)^2 / c is a perfect square, so
         # x = (sqrt(c t) - S c) / (1 + S), rationalised against the corner
-        # S^2 c.  The caller's corner S^2 / f'(0) rounds f'(0) = c / c^2, so a
-        # target it passes can sit an ulp under S^2 c: that is the corner too.
-        excess = target - rivals * rivals * self.c
+        # S^2 c.  The two divisions stay apart: past S of 1e154 their
+        # product overflows.
         root = math.sqrt(target) / math.sqrt(self.c) + rivals
-        return max(excess / ((1.0 + rivals) * root), 0.0)
+        return excess / (1.0 + rivals) / root
 
     def h_curvature(self):
         return "convex"
@@ -270,20 +262,19 @@ class CaraProduction(ProductionFunction):
             return math.log1p(z) / self.alpha
         return (math.log(self.alpha) + math.log(y)) / self.alpha
 
-    def g_inv(self, rivals, target):
+    def g_inv(self, rivals, target, excess):
         # With u = exp(alpha x), G = t reads ((1 + S) u - 1)^2 = alpha t u,
         # and the effort is its larger root.  Put w = sqrt(u) = 1 + d,
         # p = sqrt(alpha t) and B = 1 + S: then B d^2 + (2B - p) d = p - S,
         # whose discriminant (2B - p)^2 + 4B (p - S) = p^2 + 4B hypot takes
         # without overflow.  Each side of p = 2B uses the root formula that
-        # adds terms of one sign, and p - S is rationalised against the
-        # corner S^2 / alpha.
+        # adds terms of one sign, and p - S = alpha (t - S^2 / alpha) / (p + S)
+        # is rationalised against the corner.
         b = 1.0 + rivals
         p = math.sqrt(self.alpha) * math.sqrt(target)
         disc = math.hypot(p, 2.0 * math.sqrt(b))
         if p <= 2.0 * b:
-            excess = self.alpha * (target - rivals * rivals / self.alpha) / (p + rivals)
-            d = 2.0 * excess / (2.0 * b - p + disc)
+            d = 2.0 * self.alpha * (excess / (p + rivals)) / (2.0 * b - p + disc)
         else:
             d = (p - 2.0 * b + disc) / (2.0 * b)
             if d == math.inf:

@@ -6,12 +6,12 @@ concave in own efforts, so a player's best response is a monotone search on
 the player's total: for a candidate marginal cost each battle's effort solves
 its own first-order condition, and a scalar root find closes the total, on
 the contest share and marginal of :mod:`conflictnet.network`.  The battle
-condition is inverted in closed form for the ratio and cara families and for
-power with r = 1 (:meth:`ProductionFunction.g_inv`); only power with r < 1
-and the piecewise family need an inner root find.  Equilibria are then
-computed by simultaneous best-response iteration, with a deviation-gain
-certificate at the final profile.  A brute-force grid oracle with its own
-shares provides an independent desk-scale cross-check.
+condition is inverted in closed form for the ratio and cara families
+(:meth:`ProductionFunction.g_inv`); only the power and piecewise families
+need an inner root find.  Equilibria are then computed by simultaneous
+best-response iteration, with a deviation-gain certificate at the final
+profile.  A brute-force grid oracle with its own shares provides an
+independent desk-scale cross-check.
 
 When every rival in a battle exerts zero effort the payoff is discontinuous
 at zero (an infinitesimal effort wins outright), so the marginal benefit is
@@ -119,17 +119,17 @@ def _battle_effort(battle: Battle, rivals: float, lam: float, seed) -> float:
 
     The condition reads G(x) = (f(x) + S)^2 / f'(x) = v S / lam for the
     strictly increasing G.  A target at or below G(0) = S^2 / f'(0) is the
-    corner 0.  Above it the family's closed-form ``g_inv`` gives the effort
-    (ratio, cara, power with r = 1); for the others Brent's method searches
-    G from ``seed``.
+    corner 0; G(0) is 0 where f'(0) is infinite, and overflows to inf only
+    where it exceeds every float target.  Above it the family's closed-form
+    ``g_inv`` gives the effort (ratio, cara); for the others Brent's method
+    searches G from ``seed``.
     """
     pf = battle.production
     target = battle.prize * rivals / lam
-    fp0 = pf.f_prime(0.0)
-    g0 = 0.0 if math.isinf(fp0) else rivals * rivals / fp0
+    g0 = rivals * (rivals / pf.f_prime(0.0))
     if target <= g0:
         return 0.0
-    effort = pf.g_inv(rivals, target)
+    effort = pf.g_inv(rivals, target, target - g0)
     if effort is not None:
         return effort
 

@@ -735,8 +735,8 @@ def test_bad_sweep_axes_are_input_errors_and_write_no_rows(tmp_path, capsys, axe
 
 @pytest.mark.parametrize("family", ["power:1,1", "piecewise-f3"])
 def test_arithmetic_error_in_an_iterative_solve_is_a_solver_failure(capsys, family):
-    # The battle target v S / lam overflows (power), or G = (f + S)^2 / f'
-    # does (piecewise, whose root is still searched on G), at these prizes.
+    # Both families still search G = (f + S)^2 / f', which overflows at
+    # these prizes.
     code, out, err = run_cli(
         capsys, "solve", "--example", "triangle", "--method", "iterative",
         "--v", "1e300,3e300", "--f", family,

@@ -383,15 +383,14 @@ G_INV_FAMILIES = {
                       lambda x, a=a: -a)
         for a in (0.5, 1.0, 5.0)
     },
-    **{
-        f"power:{A},1": (PowerProduction(A, 1.0),
-                         lambda x, A=A: math.log(A),
-                         lambda x: 0.0)
-        for A in (0.5, 2.0)
-    },
 }
 
 _REFERENCE_CFG = BracketingConfig(rel_tol=1e-14)
+
+
+def _corner(pf, rivals):
+    """G(0) = S^2 / f'(0), rounded as ``_battle_effort`` rounds it."""
+    return rivals * (rivals / pf.f_prime(0.0))
 
 
 def _g_root_reference(pf, log_f_prime, rivals, target):
@@ -412,11 +411,11 @@ def test_closed_form_battle_effort_matches_a_root_search_on_g(name):
     pf, log_f_prime, log_f_prime_slope = G_INV_FAMILIES[name]
     for rivals in np.geomspace(1e-12, 1e12, 13):
         rivals = float(rivals)
-        g0 = rivals * rivals / pf.f_prime(0.0)
+        g0 = _corner(pf, rivals)
         targets = [g0 * (1.0 + d) for d in (1e-9, 1e-6, 1e-3, 1.0)]
         targets += [float(t) for t in np.geomspace(4.0 * g0, 1e250, 24)]
         for target in targets:
-            x = pf.g_inv(rivals, target)
+            x = pf.g_inv(rivals, target, target - g0)
             assert math.isfinite(x) and x > 0.0, (rivals, target, x)
             reference = _g_root_reference(pf, log_f_prime, rivals, target)
             # A target known to float precision fixes the root only to
@@ -433,7 +432,7 @@ def test_cara_battle_effort_where_exp_of_alpha_x_passes_the_float_range(alpha, t
     # Past alpha t of about 1e616 the root formula's sum overflows, and the
     # root is taken in logs.
     pf = CaraProduction(alpha)
-    x = pf.g_inv(1.0, target)
+    x = pf.g_inv(1.0, target, target - _corner(pf, 1.0))
     reference = _g_root_reference(pf, lambda x: math.log(alpha) - alpha * x, 1.0, target)
     assert x == pytest.approx(reference, rel=1e-14)
 
@@ -443,14 +442,40 @@ def test_battle_effort_at_or_below_the_corner_is_zero(name):
     pf, _, _ = G_INV_FAMILIES[name]
     battle = Battle("b", (1, 2), 3.0, pf)
     for rivals in (1e-12, 1e-3, 1.0, 1e3, 1e12):
-        g0 = rivals * rivals / pf.f_prime(0.0)
+        g0 = _corner(pf, rivals)
         for target in (g0 * (1.0 - 1e-9), g0 / 2.0, g0 * 1e-100):
             # Solve the target for the marginal cost, then read it back.
             lam = battle.prize * rivals / target
             assert battle.prize * rivals / lam <= g0
             assert _battle_effort(battle, rivals, lam, None) == 0.0
-        # At G(0) itself the effort is 0 up to the rounding of f'(0).
-        assert 0.0 <= pf.g_inv(rivals, g0) <= 1e-15 * max(rivals, 1.0)
+
+
+@pytest.mark.parametrize("pf,log_f_prime,rivals,target", [
+    # G(0) = S^2 c = 4e306
+    (RatioProduction(0.01), lambda x: math.log(0.01) - 2.0 * math.log(x + 0.01),
+     2e154, 1e308),
+    # G(0) = S^2 / alpha = 1.125e308
+    (CaraProduction(2.0), lambda x: math.log(2.0) - 2.0 * x, 1.5e154, 1.5e308),
+], ids=["ratio:0.01", "cara:2"])
+def test_battle_effort_where_the_square_of_the_rival_score_overflows(
+    pf, log_f_prime, rivals, target
+):
+    # S * S is inf, while the corner G(0) = S^2 / f'(0) is a float under the
+    # target: the effort is interior, not the corner.
+    battle = Battle("b", (1, 2), 1.0, pf)
+    lam = rivals / target
+    x = _battle_effort(battle, rivals, lam, None)
+    reference = _g_root_reference(pf, log_f_prime, rivals, rivals / lam)
+    assert x > 0.0 and x == pytest.approx(reference, rel=1e-12)
+
+
+def test_searched_battle_effort_past_the_overflow_of_the_squared_score_fails_loudly():
+    # G(0) = S^2 / A = 1.125e308 is under the target 1.5e308, so the effort
+    # (about 1.2e153) is interior.  The Brent search on G forms (f + S)^2,
+    # which overflows here: the error surfaces instead of the corner 0.
+    battle = Battle("b", (1, 2), 1.0, PowerProduction(2.0, 1.0))
+    with pytest.raises(OverflowError):
+        _battle_effort(battle, 1.5e154, 1e-154, None)
 
 
 def test_battle_effort_searches_only_families_without_a_closed_form(monkeypatch):
@@ -462,7 +487,7 @@ def test_battle_effort_searches_only_families_without_a_closed_form(monkeypatch)
 
     monkeypatch.setattr(general_solver, "brent_increasing", counting)
     for pf, searched in [
-        (RatioProduction(1.0), 0), (CaraProduction(1.0), 0), (PowerProduction(2.0, 1.0), 0),
+        (RatioProduction(1.0), 0), (CaraProduction(1.0), 0), (PowerProduction(2.0, 1.0), 1),
         (PowerProduction(1.0, 0.5), 1), (PiecewisePowerAffineProduction(2.0, 0.5, 1.0), 1),
     ]:
         calls.clear()
