@@ -543,8 +543,8 @@ def _add_network_flags(sub) -> None:
     sub.add_argument(
         "--tol", type=float,
         help="solver tolerance (default 1e-10): the root finder's relative "
-        "stopping width for semi-symmetric solves; the largest absolute effort "
-        "change between iterations for iterative solves",
+        "stopping width for semi-symmetric solves; the largest effort change "
+        "between iterations, relative to the largest effort, for iterative solves",
     )
     sub.add_argument("--seed", type=int, help="seed for randomized starting points")
     sub.add_argument("--output", help="write the report here instead of stdout")

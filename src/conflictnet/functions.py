@@ -4,8 +4,10 @@ Every production family ships analytic first and second derivatives, and
 derived quantities such as the inverse semi-elasticity ``h = f / f'`` and
 its inverse ``h_inv`` are implemented in closed form per family rather than
 as generic quotients or root finds, since solver accuracy depends on an exact
-``h``.  Where a battle's first-order condition has a closed-form root
-(ratio, cara), ``g_inv`` gives it too.
+``h``.  ``g_inv`` inverts a battle's first-order condition without a
+bracketed search: in closed form for ratio, cara, linear power and the affine
+piecewise branch, and for power with ``r < 1`` by a monotone Newton
+iteration on the log of the own-to-rival score ratio; none squares a score.
 Each family also labels the curvature of its ``h`` analytically
 (:meth:`ProductionFunction.h_curvature`), the label the regime comparison
 starts from.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'' <= 0`` on the
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteEvaluation
+from .errors import NoConvergence, NonFiniteEvaluation
 
 __all__ = [
     "ProductionFunction",
@@ -76,18 +78,17 @@ class ProductionFunction(ABC):
         ``y = 0`` gives the corner ``x = 0``; a negative ``y`` raises.
         """
 
-    def g_inv(self, rivals: float, target: float, excess: float) -> float | None:
+    @abstractmethod
+    def g_inv(self, rivals: float, target: float, excess: float) -> float:
         """Effort ``x`` with ``G(x) = (f(x) + S)^2 / f'(x) = target`` against
-        a rivals' score sum ``S = rivals > 0``, in closed form.
+        a rivals' score sum ``S = rivals > 0``.
 
         ``G`` is the increasing form of a battle's first-order condition
         ``v f'(x) S / (f(x) + S)^2 = lam`` (target ``v S / lam``).  Callers
         pass only targets above the corner ``G(0) = S^2 / f'(0)``, with
         ``excess = target - G(0) > 0``, so that the corner is computed in one
-        place.  ``None`` means the family has no closed form and the root must
-        be searched.
+        place.  A root below the smallest float is the corner 0.
         """
-        return None
 
     def kinks(self) -> tuple[float, ...]:
         """Points where the second derivative does not exist."""
@@ -105,6 +106,57 @@ class ProductionFunction(ABC):
 def _check_h_target(y: float) -> None:
     if not y >= 0:
         raise ValueError(f"h target must be non-negative, got {y!r}")
+
+
+# Newton steps allowed in the power family's ``g_inv``; reaching it raises.
+_G_NEWTON_STEPS = 100
+
+# Newton on the log share stops once a step is this small relative to
+# |y| + |C|, the scale of the rounding in F.
+_G_NEWTON_TOL = 4.0 * sys.float_info.epsilon
+
+
+def _power_g_inv(A: float, r: float, rivals: float, target: float, excess: float) -> float:
+    """``g_inv`` of ``f(x) = A x**r``, shared by the power and piecewise families."""
+    if r == 1.0:
+        # (A x + S)^2 = A t, rationalised against the corner S^2 / A.
+        return excess / (math.sqrt(A) * math.sqrt(target) + rivals)
+    # In the log share y = log(A x^r / S), G = t reads
+    # F(y) = 2 softplus(y) + k y - C = 0 with k = (1 - r) / r and
+    # C = log(t A r / S^2) + k log(A / S).  F is increasing and convex, and
+    # F(C / (k + 2)) = 2 log1p(exp(-C / (k + 2))) > 0, so Newton's method
+    # from there falls monotonically to the root; a step that is not
+    # clearly positive is rounding.  Nothing is squared or exponentiated
+    # upwards, and a root below the smallest float underflows to 0.
+    k = (1.0 - r) / r
+    log_s = math.log(rivals)
+    log_a = math.log(A)
+    # Where F' is near k (r near 1, a small share) the root moves by 1/k
+    # times any error in C, so its large first term is one log, not a sum of
+    # logs that cancel.  t A r / S^2 = (1 + u)^2 x^(1 - r) leaves the normal
+    # floats only where u is huge or r is below 0.05; F' is then far from 0
+    # and the sum of logs will do.
+    q = target / rivals / rivals * (A * r)
+    if sys.float_info.min <= q < math.inf:
+        c = math.log(q)
+    else:
+        c = math.log(target) - 2.0 * log_s + log_a + math.log(r)
+    c += k * (log_a - log_s)
+    y = c / (k + 2.0)
+    for _ in range(_G_NEWTON_STEPS):
+        e = math.exp(-abs(y))
+        if y >= 0.0:
+            softplus, sigma = y + math.log1p(e), 1.0 / (1.0 + e)
+        else:
+            softplus, sigma = math.log1p(e), e / (1.0 + e)
+        step = (2.0 * softplus + k * y - c) / (2.0 * sigma + k)
+        y -= step
+        if step <= _G_NEWTON_TOL * (abs(y) + abs(c)):
+            return math.exp((log_s + y - log_a) / r)
+    raise NoConvergence(
+        f"power g_inv: {_G_NEWTON_STEPS} Newton steps left target {target!r} "
+        f"against rivals {rivals!r} unsolved"
+    )
 
 
 @dataclass(frozen=True)
@@ -146,6 +198,9 @@ class PowerProduction(ProductionFunction):
     def h_inv(self, y):
         _check_h_target(y)
         return self.r * y
+
+    def g_inv(self, rivals, target, excess):
+        return _power_g_inv(self.A, self.r, rivals, target, excess)
 
     def h_curvature(self):
         return "linear"
@@ -352,6 +407,16 @@ class PiecewisePowerAffineProduction(ProductionFunction):
         if y <= self.s / self.r:
             return self.r * y
         return y - self.intercept / self.slope
+
+    def g_inv(self, rivals, target, excess):
+        # Past G(s) the affine branch solves (a x + b + S)^2 = a t, written
+        # as s plus its excess over the kink.
+        score = self.A * self.s**self.r + rivals
+        a = self.slope
+        kink = score * (score / a)
+        if target <= kink:
+            return _power_g_inv(self.A, self.r, rivals, target, excess)
+        return self.s + (target - kink) / (math.sqrt(a) * math.sqrt(target) + score)
 
     def kinks(self):
         return () if self.r == 1.0 else (self.s,)

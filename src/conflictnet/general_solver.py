@@ -6,12 +6,12 @@ concave in own efforts, so a player's best response is a monotone search on
 the player's total: for a candidate marginal cost each battle's effort solves
 its own first-order condition, and a scalar root find closes the total, on
 the contest share and marginal of :mod:`conflictnet.network`.  The battle
-condition is inverted in closed form for the ratio and cara families
-(:meth:`ProductionFunction.g_inv`); only the power and piecewise families
-need an inner root find.  Equilibria are then computed by simultaneous
-best-response iteration, with a deviation-gain certificate at the final
-profile.  A brute-force grid oracle with its own shares provides an
-independent desk-scale cross-check.
+condition is inverted by each family's :meth:`ProductionFunction.g_inv`
+without a bracketed search, so the root on the total is the only inner root
+find.
+Equilibria are then computed by simultaneous best-response iteration, with a
+deviation-gain certificate at the final profile.  A brute-force grid oracle
+with its own shares provides an independent desk-scale cross-check.
 
 When every rival in a battle exerts zero effort the payoff is discontinuous
 at zero (an infinitesimal effort wins outright), so the marginal benefit is
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, DimensionTooLarge
+from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
 from .rootfind import BracketingConfig, brent_increasing
@@ -51,17 +51,16 @@ _INNER_CFG = BracketingConfig(rel_tol=1e-13)
 # Relative deviation-gain bound certifying an equilibrium.
 _GAIN_TOL = 1e-6
 
-_SMALLEST_FLOAT = math.ulp(0.0)
-
 
 @dataclass(frozen=True)
 class IterationConfig:
     """Controls for the simultaneous best-response iteration: stop once no
-    effort moves by ``tolerance`` or after ``max_iterations`` sweeps; start
-    from every effort at 1 (``"constant"``), from efforts log-uniform on
-    [0.05, 5] drawn with ``seed`` (``"random"``), or from ``initial_profile``
-    (``"explicit"``).  The step weight starts at 1 and halves while the
-    profile change stalls."""
+    effort moves by more than ``tolerance`` times the largest effort, or
+    after ``max_iterations`` sweeps; start from every effort at 1
+    (``"constant"``), from efforts log-uniform on [0.05, 5] drawn with
+    ``seed`` (``"random"``), or from ``initial_profile`` (``"explicit"``).
+    The step weight starts at 1 and halves while the profile change
+    stalls."""
 
     max_iterations: int = 10_000
     tolerance: float = 1e-10
@@ -114,36 +113,22 @@ def _contested(
     return active, tuple(degenerate)
 
 
-def _battle_effort(battle: Battle, rivals: float, lam: float, seed) -> float:
+def _battle_effort(battle: Battle, rivals: float, lam: float) -> float:
     """Effort solving v f'(x) S / (f(x) + S)^2 = lam, or 0 at the corner.
 
     The condition reads G(x) = (f(x) + S)^2 / f'(x) = v S / lam for the
     strictly increasing G.  A target at or below G(0) = S^2 / f'(0) is the
     corner 0; G(0) is 0 where f'(0) is infinite, and overflows to inf only
-    where it exceeds every float target.  Above it the family's closed-form
-    ``g_inv`` gives the effort (ratio, cara); for the others Brent's method
-    searches G from ``seed``.
+    where it exceeds every float target.  Above it the family's ``g_inv``
+    gives the effort.  The target divides before it multiplies, since v S
+    can overflow where v S / lam does not.
     """
     pf = battle.production
-    target = battle.prize * rivals / lam
+    target = battle.prize * (rivals / lam)
     g0 = rivals * (rivals / pf.f_prime(0.0))
     if target <= g0:
         return 0.0
-    effort = pf.g_inv(rivals, target, target - g0)
-    if effort is not None:
-        return effort
-
-    def transform(x):
-        return (pf.f(x) + rivals) ** 2 / pf.f_prime(x)
-
-    try:
-        return brent_increasing(transform, target, _INNER_CFG, seed=seed)
-    except BracketFailure:
-        # With f'(0) = inf, G rises from 0 so slowly (power r near 1) that
-        # the root can lie below the smallest float: the effort is 0.
-        if transform(_SMALLEST_FLOAT) >= target:
-            return 0.0
-        raise
+    return pf.g_inv(rivals, target, target - g0)
 
 
 def _best_response_discriminatory(
@@ -169,7 +154,7 @@ def _best_response_discriminatory(
         lam = network.cost.c_prime(total)
         acc = floor_total
         for b, s in active:
-            acc += _battle_effort(b, s, lam, seeds.get(b.id))
+            acc += _battle_effort(b, s, lam)
         return total - acc
 
     seed_total = sum(seeds.get(b.id, 0.0) for b, _ in active)
@@ -179,7 +164,7 @@ def _best_response_discriminatory(
     )
     lam = network.cost.c_prime(total)
     for b, s in active:
-        efforts[b.id] = _battle_effort(b, s, lam, seeds.get(b.id))
+        efforts[b.id] = _battle_effort(b, s, lam)
     return efforts, degenerate
 
 
@@ -260,8 +245,8 @@ def _deviation_gain(
 def _iterate(network, cfg, respond):
     """Shared damped simultaneous-response loop.
 
-    ``respond(profile, player) -> dict[battle_id, effort]`` must be a pure
-    function of the frozen profile.  Each step moves the profile the full
+    ``respond(profile, player) -> (dict[battle_id, effort], degenerate ids)``
+    must be a pure function of the frozen profile.  Each step moves the profile the full
     way to the responses (weight 1); the weight halves, down to 1/64, when
     the profile change fails to decrease for ten consecutive iterations.
     """
@@ -274,20 +259,28 @@ def _iterate(network, cfg, respond):
 
     for iterations in range(1, cfg.max_iterations + 1):
         responses = {}
+        degenerate = False
         for p in network.players:
-            efforts, _ = respond(profile, p)
+            efforts, degen = respond(profile, p)
             responses[p] = efforts
+            degenerate = degenerate or bool(degen)
 
         new_efforts = {}
         delta = 0.0
+        largest = 0.0
         for (p, bid), old in profile.efforts.items():
             target = responses[p][bid]
             new = old + weight * (target - old)
             new_efforts[(p, bid)] = new
             delta = max(delta, abs(new - old))
+            largest = max(largest, new)
         profile = EffortProfile(new_efforts)
 
-        if delta < cfg.tolerance:
+        # Relative to the largest effort, so the rule reads the same at
+        # every prize scale.  A sweep that gave some battle the floor effort
+        # has not converged: the floor only stands in for the response to
+        # rivals who all sat at 0.
+        if delta <= cfg.tolerance * largest and not degenerate:
             converged = True
             break
         if delta >= prev_delta:
@@ -324,9 +317,9 @@ def solve_nash_iterative(
     """Nash equilibrium under per-battle (discriminatory) strategies.
 
     Damped simultaneous best-response iteration until the max-norm profile
-    change drops below the tolerance or the iteration cap is hit.  Always
-    returns the last profile; non-convergence is reported through the
-    ``converged`` flag, never silently.
+    change is at most the tolerance times the largest effort, or the
+    iteration cap is hit.  Always returns the last profile; non-convergence
+    is reported through the ``converged`` flag, never silently.
     """
     def respond(profile, player):
         seeds = {

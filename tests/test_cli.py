@@ -733,33 +733,60 @@ def test_bad_sweep_axes_are_input_errors_and_write_no_rows(tmp_path, capsys, axe
     assert not output.exists()
 
 
-@pytest.mark.parametrize("family", ["power:1,1", "piecewise-f3"])
-def test_arithmetic_error_in_an_iterative_solve_is_a_solver_failure(capsys, family):
-    # Both families still search G = (f + S)^2 / f', which overflows at
-    # these prizes.
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+def test_arithmetic_error_in_an_iterative_solve_is_a_solver_failure(capsys, monkeypatch, error):
+    def fail(*args):
+        raise error("forced")
+
+    monkeypatch.setattr(conflictnet.general_solver, "_battle_effort", fail)
     code, out, err = run_cli(
         capsys, "solve", "--example", "triangle", "--method", "iterative",
-        "--v", "1e300,3e300", "--f", family,
+        "--f", "power:1,0.5",
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: forced\n"
 
 
-@pytest.mark.parametrize("family", ["cara:1", "ratio:1"])
-def test_iterative_solve_at_prizes_1e300_matches_the_structured_engine(capsys, family):
-    # The closed-form battle efforts never form (f + S)^2 or f' = alpha
-    # e^{-alpha x}, which underflows to 0 at these prizes.
-    network = ["solve", "--example", "triangle", "--v", "1e300,3e300", "--f", family]
+def _assert_iterative_matches_structured(capsys, network):
     iterative = run_json(capsys, *network, "--method", "iterative")
     structured = run_json(capsys, *network, "--method", "semisymmetric")
     for regime in ("de", "ue"):
         assert iterative[regime]["converged"] is True
         for total in iterative[regime]["totals"].values():
             assert total == pytest.approx(structured[regime]["total"], rel=1e-9)
+    return structured
+
+
+@pytest.mark.parametrize("family", ["cara:1", "ratio:1", "power:1,1", "piecewise-f3"])
+def test_iterative_solve_at_prizes_1e300_matches_the_structured_engine(capsys, family):
+    # No battle effort forms (f + S)^2, or f' = alpha e^{-alpha x}, which
+    # underflows to 0 at these prizes, and the target v S / lam divides
+    # before it multiplies.
+    network = ["solve", "--example", "triangle", "--v", "1e300,3e300", "--f", family]
+    structured = _assert_iterative_matches_structured(capsys, network)
     if family == "cara:1":
         assert structured["de"]["total"] == pytest.approx(2046.2771976, rel=1e-10)
         assert structured["ue"]["total"] == pytest.approx(2046.6213621, rel=1e-10)
+
+
+@pytest.mark.parametrize("family", ["cara:1", "ratio:1", "power:1,1", "piecewise-f3"])
+def test_iterative_solve_at_prizes_1e_minus_22_matches_the_structured_engine(capsys, family):
+    # Efforts near 1e-11 move by less than an absolute 1e-10 from the
+    # first step; the stopping rule is relative to the largest effort.
+    network = ["solve", "--example", "triangle", "--v", "1e-22,3e-22", "--f", family]
+    structured = _assert_iterative_matches_structured(capsys, network)
+    if family == "power:1,1":
+        assert structured["de"]["total"] == pytest.approx(1.0801234497e-11, rel=1e-10)
+
+
+def test_iterative_solve_does_not_stop_on_a_sweep_that_used_the_floor_effort(capsys):
+    # The first sweep puts every effort in the size-3 battle at the corner 0,
+    # so the second gives each the floor effort 1e-12 and moves the profile
+    # by only 1e-12; stopping there left the battle at the floor, with
+    # converged false.
+    network = ["solve", "--example", "triangle", "--f", "cara:1.9454", "--v", "24.662,1.162"]
+    _assert_iterative_matches_structured(capsys, network)
 
 
 def _fresh_process_run(argv):

@@ -28,7 +28,8 @@ from conflictnet import (
     solve_ue,
 )
 
-from conflictnet import general_solver
+from conflictnet import functions, general_solver
+from conflictnet.errors import NoConvergence
 from conflictnet.general_solver import _battle_effort
 from conflictnet.network import marginal_benefit
 from conflictnet.rootfind import BracketingConfig, brent_increasing
@@ -361,15 +362,24 @@ def test_battle_effort_below_the_smallest_float_is_the_corner():
     # G(x) = (x**0.999 + 1)**2 / (0.999 x**-0.001) exceeds the target
     # 10 * 1 / 100 even at x = 5e-324: the root is below every positive float.
     battle = Battle("b", (1, 2), 10.0, PowerProduction(1.0, 0.999))
-    assert _battle_effort(battle, 1.0, 100.0, None) == 0.0
+    assert _battle_effort(battle, 1.0, 100.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# Closed-form battle efforts
+# Battle efforts
 # ---------------------------------------------------------------------------
 
-# Each family with a closed-form inverse of G(x) = (f(x) + S)^2 / f'(x),
-# beside the analytic log f' and its slope, for the log-space reference.
+def _power_log_f_prime(A, r, s=math.inf):
+    """log f' of A x^r (up to s, then affine), and its slope in x."""
+    slope = A * r * s ** (r - 1.0)
+    return (
+        lambda x: math.log(A * r) + (r - 1.0) * math.log(x) if x <= s else math.log(slope),
+        lambda x: (r - 1.0) / x if x <= s else 0.0,
+    )
+
+
+# Each family's inverse of G(x) = (f(x) + S)^2 / f'(x), beside the analytic
+# log f' and its slope, for the log-space reference.
 G_INV_FAMILIES = {
     **{
         f"ratio:{c}": (RatioProduction(c),
@@ -383,6 +393,15 @@ G_INV_FAMILIES = {
                       lambda x, a=a: -a)
         for a in (0.5, 1.0, 5.0)
     },
+    **{
+        f"power:{r}": (PowerProduction(1.0, r), *_power_log_f_prime(1.0, r))
+        for r in (0.3, 0.5, 0.9, 0.999, 1.0)
+    },
+    **{
+        f"piecewise:{A},{r},{s}": (PiecewisePowerAffineProduction(A, r, s),
+                                   *_power_log_f_prime(A, r, s))
+        for A, r, s in ((2.0, 0.5, 1.0), (1.0, 0.3, 5.0))
+    },
 }
 
 _REFERENCE_CFG = BracketingConfig(rel_tol=1e-14)
@@ -393,12 +412,14 @@ def _corner(pf, rivals):
     return rivals * (rivals / pf.f_prime(0.0))
 
 
+def _g(pf, rivals, x):
+    return (pf.f(x) + rivals) ** 2 / pf.f_prime(x)
+
+
 def _g_root_reference(pf, log_f_prime, rivals, target):
     """Brent on G, or on log G where G leaves the float range."""
     try:
-        return brent_increasing(
-            lambda x: (pf.f(x) + rivals) ** 2 / pf.f_prime(x), target, _REFERENCE_CFG
-        )
+        return brent_increasing(lambda x: _g(pf, rivals, x), target, _REFERENCE_CFG)
     except ArithmeticError:
         return brent_increasing(
             lambda x: 2.0 * math.log(pf.f(x) + rivals) - log_f_prime(x),
@@ -406,25 +427,44 @@ def _g_root_reference(pf, log_f_prime, rivals, target):
         )
 
 
+def _targets(pf, rivals):
+    """Targets from just above the corner to 1e250, and around each kink."""
+    g0 = _corner(pf, rivals)
+    targets = [g0 * (1.0 + d) for d in (1e-9, 1e-6, 1e-3, 1.0)] if g0 > 0.0 else []
+    if 4.0 * g0 < 1e250:
+        targets += [float(t) for t in np.geomspace(max(4.0 * g0, 1e-300), 1e250, 24)]
+    for kink in pf.kinks():
+        score = pf.f(kink) + rivals
+        g_kink = score * (score / pf.f_prime(kink))
+        targets += [g_kink * (1.0 + d) for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)]
+    return [t for t in targets if g0 < t < 1e251]
+
+
 @pytest.mark.parametrize("name", sorted(G_INV_FAMILIES))
 def test_closed_form_battle_effort_matches_a_root_search_on_g(name):
     pf, log_f_prime, log_f_prime_slope = G_INV_FAMILIES[name]
-    for rivals in np.geomspace(1e-12, 1e12, 13):
+    for rivals in [*np.geomspace(1e-12, 1e12, 13), 1e100, 1e154]:
         rivals = float(rivals)
         g0 = _corner(pf, rivals)
-        targets = [g0 * (1.0 + d) for d in (1e-9, 1e-6, 1e-3, 1.0)]
-        targets += [float(t) for t in np.geomspace(4.0 * g0, 1e250, 24)]
-        for target in targets:
+        for target in _targets(pf, rivals):
             x = pf.g_inv(rivals, target, target - g0)
+            if pf.f_prime(0.0) == math.inf and _g(pf, rivals, math.ulp(0.0)) >= target:
+                # G rises from 0 so slowly that the root is below 5e-324.
+                assert x == 0.0, (rivals, target, x)
+                continue
             assert math.isfinite(x) and x > 0.0, (rivals, target, x)
             reference = _g_root_reference(pf, log_f_prime, rivals, target)
             # A target known to float precision fixes the root only to
             # eps * kappa, kappa = t / (x G'(x)) its condition number: about
-            # t / (t - G(0)) next to the corner, below 1 away from it.
-            log_slope = 2.0 * pf.f_prime(x) / (pf.f(x) + rivals) - log_f_prime_slope(x)
-            kappa = 1.0 / (x * log_slope)
+            # t / (t - G(0)) next to the corner, below 1 away from it, and
+            # up to 1 / (1 - r) for power where f is small against S.  At a
+            # kink it is the larger of its two one-sided values.
+            kappa = max(
+                1.0 / (z * (2.0 * pf.f_prime(z) / (pf.f(z) + rivals) - log_f_prime_slope(z)))
+                for z in (x, reference)
+            )
             tol = 1e-12 + 16.0 * sys.float_info.epsilon * kappa
-            assert x == pytest.approx(reference, rel=tol), (rivals, target / g0)
+            assert x == pytest.approx(reference, rel=tol), (rivals, target / g0 if g0 else target)
 
 
 @pytest.mark.parametrize("alpha,target", [(1e300, 1e300), (1e308, 1e308), (1e308, 1.7e308)])
@@ -437,7 +477,32 @@ def test_cara_battle_effort_where_exp_of_alpha_x_passes_the_float_range(alpha, t
     assert x == pytest.approx(reference, rel=1e-14)
 
 
-@pytest.mark.parametrize("name", sorted(G_INV_FAMILIES))
+@pytest.mark.parametrize("pf,rivals,target", [
+    (PowerProduction(1.0, 0.5), 1.0, 1e-200),
+    (PowerProduction(3.0, 0.9), 1e-3, 1e-150),
+    (PiecewisePowerAffineProduction(2.0, 0.5, 1.0), 1.0, 1e-200),
+], ids=["power:1,0.5", "power:3,0.9", "piecewise:2,0.5,1"])
+def test_battle_effort_whose_root_underflows_is_the_corner(pf, rivals, target):
+    # G(5e-324) is above the target, so the root lies below every positive
+    # float; the log-share Newton step underflows to 0 instead of raising.
+    assert _g(pf, rivals, math.ulp(0.0)) > target
+    assert pf.g_inv(rivals, target, target) == 0.0
+
+
+def test_power_battle_effort_raises_when_newton_runs_out_of_steps(monkeypatch):
+    pf = PowerProduction(1.0, 0.5)
+    x = pf.g_inv(1.0, 10.0, 10.0)
+    assert _g(pf, 1.0, x) == pytest.approx(10.0, rel=1e-14)
+    monkeypatch.setattr(functions, "_G_NEWTON_STEPS", 1)
+    with pytest.raises(NoConvergence):
+        pf.g_inv(1.0, 10.0, 10.0)
+    with pytest.raises(NoConvergence):
+        PiecewisePowerAffineProduction(1.0, 0.5, 10.0).g_inv(1.0, 10.0, 10.0)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, (pf, _, _) in G_INV_FAMILIES.items() if pf.f_prime(0.0) < math.inf)
+)
 def test_battle_effort_at_or_below_the_corner_is_zero(name):
     pf, _, _ = G_INV_FAMILIES[name]
     battle = Battle("b", (1, 2), 3.0, pf)
@@ -446,8 +511,8 @@ def test_battle_effort_at_or_below_the_corner_is_zero(name):
         for target in (g0 * (1.0 - 1e-9), g0 / 2.0, g0 * 1e-100):
             # Solve the target for the marginal cost, then read it back.
             lam = battle.prize * rivals / target
-            assert battle.prize * rivals / lam <= g0
-            assert _battle_effort(battle, rivals, lam, None) == 0.0
+            assert battle.prize * (rivals / lam) <= g0
+            assert _battle_effort(battle, rivals, lam) == 0.0
 
 
 @pytest.mark.parametrize("pf,log_f_prime,rivals,target", [
@@ -456,7 +521,9 @@ def test_battle_effort_at_or_below_the_corner_is_zero(name):
      2e154, 1e308),
     # G(0) = S^2 / alpha = 1.125e308
     (CaraProduction(2.0), lambda x: math.log(2.0) - 2.0 * x, 1.5e154, 1.5e308),
-], ids=["ratio:0.01", "cara:2"])
+    # G(0) = S^2 / A = 1.125e308; the effort is about 1.2e153
+    (PowerProduction(2.0, 1.0), lambda x: math.log(2.0), 1.5e154, 1.5e308),
+], ids=["ratio:0.01", "cara:2", "power:2,1"])
 def test_battle_effort_where_the_square_of_the_rival_score_overflows(
     pf, log_f_prime, rivals, target
 ):
@@ -464,21 +531,20 @@ def test_battle_effort_where_the_square_of_the_rival_score_overflows(
     # target: the effort is interior, not the corner.
     battle = Battle("b", (1, 2), 1.0, pf)
     lam = rivals / target
-    x = _battle_effort(battle, rivals, lam, None)
+    x = _battle_effort(battle, rivals, lam)
     reference = _g_root_reference(pf, log_f_prime, rivals, rivals / lam)
     assert x > 0.0 and x == pytest.approx(reference, rel=1e-12)
 
 
-def test_searched_battle_effort_past_the_overflow_of_the_squared_score_fails_loudly():
-    # G(0) = S^2 / A = 1.125e308 is under the target 1.5e308, so the effort
-    # (about 1.2e153) is interior.  The Brent search on G forms (f + S)^2,
-    # which overflows here: the error surfaces instead of the corner 0.
-    battle = Battle("b", (1, 2), 1.0, PowerProduction(2.0, 1.0))
-    with pytest.raises(OverflowError):
-        _battle_effort(battle, 1.5e154, 1e-154, None)
+def test_battle_effort_target_divides_before_it_multiplies():
+    # v S = 1e300 * 1e10 overflows, while v S / lam = 1e300 does not.
+    pf = PowerProduction(1.0, 0.5)
+    battle = Battle("b", (1, 2), 1e300, pf)
+    x = _battle_effort(battle, 1e10, 1e10)
+    assert x > 0.0 and _g(pf, 1e10, x) == pytest.approx(1e300, rel=1e-13)
 
 
-def test_battle_effort_searches_only_families_without_a_closed_form(monkeypatch):
+def test_no_battle_effort_searches_a_root(monkeypatch):
     calls = []
 
     def counting(g, target, cfg, seed=None):
@@ -486,15 +552,16 @@ def test_battle_effort_searches_only_families_without_a_closed_form(monkeypatch)
         return brent_increasing(g, target, cfg, seed=seed)
 
     monkeypatch.setattr(general_solver, "brent_increasing", counting)
-    for pf, searched in [
-        (RatioProduction(1.0), 0), (CaraProduction(1.0), 0), (PowerProduction(2.0, 1.0), 1),
-        (PowerProduction(1.0, 0.5), 1), (PiecewisePowerAffineProduction(2.0, 0.5, 1.0), 1),
+    for pf in [
+        RatioProduction(1.0), CaraProduction(1.0), PowerProduction(2.0, 1.0),
+        PowerProduction(1.0, 0.5), PiecewisePowerAffineProduction(2.0, 0.5, 1.0),
+        PiecewisePowerAffineProduction(2.0, 0.5, 0.01),
     ]:
-        calls.clear()
         battle = Battle("b", (1, 2), 5.0, pf)
-        x = _battle_effort(battle, 0.5, 1.0, None)
-        assert x > 0.0 and len(calls) == searched, pf
+        x = _battle_effort(battle, 0.5, 1.0)
+        assert x > 0.0, pf
         assert marginal_benefit(battle, x, 0.5) == pytest.approx(1.0, rel=1e-12)
+    assert calls == []
 
 
 def _near_linear_power_network(rng, n_players, n_battles):
