@@ -2,7 +2,7 @@
 
 A two-player battle with prize 1, linear production, and quadratic cost has
 the closed-form equilibrium (1/2, 1/2).  We recover it with the structured
-semi-symmetric solver, the damped best-response iteration, and an exhaustive
+semi-symmetric solver, simultaneous best-response iteration, and an exhaustive
 grid search, then repeat the cross-check on the four-player simplex where no
 closed form is available.
 """

@@ -313,10 +313,11 @@ def _cmd_solve(args) -> int:
         if "ue" in regimes:
             report["ue"] = _ue_dict(solve_ue(structure, cfg))
     else:
+        tolerance = {} if args.tol is None else {"tolerance": args.tol}
         iter_cfg = IterationConfig(
-            tolerance=args.tol if args.tol else 1e-10,
             initial="random" if args.seed is not None else "constant",
             seed=args.seed,
+            **tolerance,
         )
         if "de" in regimes:
             outcome = solve_nash_iterative(network, iter_cfg)

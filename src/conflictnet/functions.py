@@ -449,10 +449,6 @@ class CostFunction(ABC):
         """Marginal cost."""
 
     @abstractmethod
-    def c_double_prime(self, total: float) -> float:
-        """Second derivative."""
-
-    @abstractmethod
     def to_spec(self) -> dict:
         """JSON-serializable ``{"family", "params"}`` description."""
 
@@ -483,15 +479,6 @@ class PowerCost(CostFunction):
         if self.p == 2.0:
             return self.kappa * total
         return self.kappa * total ** (self.p - 1.0)
-
-    def c_double_prime(self, total):
-        if self.p == 1.0:
-            return 0.0
-        if self.p == 2.0:
-            return self.kappa
-        if total == 0.0 and self.p < 2.0:
-            return math.inf
-        return self.kappa * (self.p - 1.0) * total ** (self.p - 2.0)
 
     @property
     def is_unit_quadratic(self) -> bool:

@@ -9,9 +9,10 @@ the contest share and marginal of :mod:`conflictnet.network`.  The battle
 condition is inverted by each family's :meth:`ProductionFunction.g_inv`
 without a bracketed search, so the root on the total is the only inner root
 find.
-Equilibria are then computed by simultaneous best-response iteration, with a
-deviation-gain certificate at the final profile.  A brute-force grid oracle
-with its own shares provides an independent desk-scale cross-check.
+Equilibria are then computed by simultaneous best-response iteration; the
+sweep that ends it also certifies the profile it answered, by the largest
+payoff gain a switch to its responses would bring.  A brute-force grid
+oracle with its own shares provides an independent desk-scale cross-check.
 
 When every rival in a battle exerts zero effort the payoff is discontinuous
 at zero (an infinitesimal effort wins outright), so the marginal benefit is
@@ -59,8 +60,8 @@ class IterationConfig:
     after ``max_iterations`` sweeps; start from every effort at 1
     (``"constant"``), from efforts log-uniform on [0.05, 5] drawn with
     ``seed`` (``"random"``), or from ``initial_profile`` (``"explicit"``).
-    The step weight starts at 1 and halves while the profile change
-    stalls."""
+    Every sweep moves each effort to its best response; at least one sweep
+    is needed to certify a profile."""
 
     max_iterations: int = 10_000
     tolerance: float = 1e-10
@@ -69,6 +70,8 @@ class IterationConfig:
     initial_profile: EffortProfile | None = None
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
         if self.initial not in ("constant", "random", "explicit"):
@@ -81,10 +84,12 @@ class IterationConfig:
 class SolveOutcome:
     """Final profile of an iterative solve plus its convergence certificate.
 
-    ``deviation_gain`` is the largest payoff improvement any player could
-    still achieve by best responding to the final profile; ``converged``
-    requires both the profile-change criterion and a deviation gain at most
-    1e-6 times the largest prize.
+    ``profile`` is the profile the last sweep answered, and the last sweep
+    certifies it: ``deviation_gain`` is the largest payoff improvement any
+    player gets by switching to that sweep's best response, and
+    ``degenerate_battles`` are the battles it gave the floor effort.
+    ``converged`` requires both the profile-change criterion and a deviation
+    gain at most 1e-6 times the largest prize.
     """
 
     profile: EffortProfile
@@ -132,13 +137,11 @@ def _battle_effort(battle: Battle, rivals: float, lam: float) -> float:
 
 
 def _best_response_discriminatory(
-    network: ConflictNetwork,
-    player: PlayerId,
-    others: EffortProfile,
-    seeds: dict[str, float] | None = None,
+    network: ConflictNetwork, player: PlayerId, profile: EffortProfile
 ) -> tuple[dict[str, float], tuple[str, ...]]:
-    seeds = seeds or {}
-    active, degenerate = _contested(network, player, others)
+    """Per-battle best response to ``profile`` and the battles given the
+    floor; the root on the total is seeded from the player's own efforts."""
+    active, degenerate = _contested(network, player, profile)
     floor_total = DEGENERATE_FLOOR * len(degenerate)
     efforts = {bid: DEGENERATE_FLOOR for bid in degenerate}
     if not active:
@@ -157,7 +160,7 @@ def _best_response_discriminatory(
             acc += _battle_effort(b, s, lam)
         return total - acc
 
-    seed_total = sum(seeds.get(b.id, 0.0) for b, _ in active)
+    seed_total = sum(profile.efforts.get((player, b.id), 0.0) for b, _ in active)
     total = brent_increasing(
         consistency_gap, 0.0, _INNER_CFG,
         seed=seed_total if seed_total > 0 else None,
@@ -175,27 +178,27 @@ def best_response(
 
     Rival efforts enter only through the per-battle score sums, so the result
     is invariant to permuting rivals within a battle.  A battle whose rivals
-    all sit at zero gets the floor effort ``DEGENERATE_FLOOR``.
+    all sit at zero gets the floor effort ``DEGENERATE_FLOOR``.  The
+    player's own efforts in ``others``, where present, only seed the search.
     """
     efforts, _ = _best_response_discriminatory(network, player, others)
     return efforts
 
 
 def _best_response_uniform(
-    network: ConflictNetwork,
-    player: PlayerId,
-    others: EffortProfile,
-    seed: float | None = None,
-) -> tuple[float, tuple[str, ...]]:
-    """Best single effort level applied to all of the player's battles."""
-    count = len(network.battles_of(player))
-    active, degenerate = _contested(network, player, others)
+    network: ConflictNetwork, player: PlayerId, profile: EffortProfile
+) -> tuple[dict[str, float], tuple[str, ...]]:
+    """Best single effort level applied to all of the player's battles; the
+    root is seeded from the player's current effort."""
+    own = network.battles_of(player)
+    count = len(own)
+    active, degenerate = _contested(network, player, profile)
     if not active:
-        return DEGENERATE_FLOOR, degenerate
+        return {b.id: DEGENERATE_FLOOR for b in own}, degenerate
 
     mb0 = sum(marginal_benefit(b, 0.0, s) for b, s in active)
     if mb0 <= count * network.cost.c_prime(0.0):
-        return 0.0, degenerate
+        return {b.id: 0.0 for b in own}, degenerate
 
     def gap(x: float) -> float:
         benefit = 0.0
@@ -203,8 +206,11 @@ def _best_response_uniform(
             benefit += marginal_benefit(b, x, s)
         return count * network.cost.c_prime(count * x) - benefit
 
-    effort = brent_increasing(gap, 0.0, _INNER_CFG, seed=seed)
-    return effort, degenerate
+    seed = profile.effort(player, own[0].id)
+    effort = brent_increasing(
+        gap, 0.0, _INNER_CFG, seed=seed if seed > 0 else None
+    )
+    return {b.id: effort for b in own}, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -243,68 +249,45 @@ def _deviation_gain(
 
 
 def _iterate(network, cfg, respond):
-    """Shared damped simultaneous-response loop.
+    """Shared simultaneous best-response loop.
 
-    ``respond(profile, player) -> (dict[battle_id, effort], degenerate ids)``
-    must be a pure function of the frozen profile.  Each step moves the profile the full
-    way to the responses (weight 1); the weight halves, down to 1/64, when
-    the profile change fails to decrease for ten consecutive iterations.
+    ``respond(network, player, profile)`` returns the player's efforts by
+    battle id and the ids of battles given the floor effort; it must be a
+    pure function of the frozen profile.  Every sweep answers the current
+    profile for all players at once.  The sweep that meets the stop rule, or
+    the last one allowed, certifies the profile it answered, which is the
+    one returned.
     """
     profile = _initial_profile(network, cfg)
-    weight = 1.0
-    prev_delta = math.inf
-    streak = 0
-    converged = False
-    iterations = 0
-
     for iterations in range(1, cfg.max_iterations + 1):
         responses = {}
-        degenerate = False
+        degenerate: set[str] = set()
         for p in network.players:
-            efforts, degen = respond(profile, p)
-            responses[p] = efforts
-            degenerate = degenerate or bool(degen)
+            responses[p], degen = respond(network, p, profile)
+            degenerate.update(degen)
 
-        new_efforts = {}
         delta = 0.0
         largest = 0.0
         for (p, bid), old in profile.efforts.items():
-            target = responses[p][bid]
-            new = old + weight * (target - old)
-            new_efforts[(p, bid)] = new
+            new = responses[p][bid]
             delta = max(delta, abs(new - old))
             largest = max(largest, new)
-        profile = EffortProfile(new_efforts)
 
         # Relative to the largest effort, so the rule reads the same at
         # every prize scale.  A sweep that gave some battle the floor effort
         # has not converged: the floor only stands in for the response to
         # rivals who all sat at 0.
-        if delta <= cfg.tolerance * largest and not degenerate:
-            converged = True
+        converged = delta <= cfg.tolerance * largest and not degenerate
+        if converged or iterations == cfg.max_iterations:
             break
-        if delta >= prev_delta:
-            streak += 1
-            if streak >= 10:
-                weight = max(weight / 2.0, 1.0 / 64.0)
-                streak = 0
-                prev_delta = math.inf
-                continue
-        else:
-            streak = 0
-        prev_delta = delta
+        profile = EffortProfile(
+            {(p, bid): responses[p][bid] for p, bid in profile.efforts}
+        )
 
-    final_responses = {}
-    degenerate: set[str] = set()
-    for p in network.players:
-        efforts, degen = respond(profile, p)
-        final_responses[p] = efforts
-        degenerate.update(degen)
-    gain = _deviation_gain(network, profile, final_responses)
-    converged = converged and gain <= _GAIN_TOL * network.max_prize
+    gain = _deviation_gain(network, profile, responses)
     return SolveOutcome(
         profile=profile,
-        converged=converged,
+        converged=converged and gain <= _GAIN_TOL * network.max_prize,
         iterations=iterations,
         deviation_gain=gain,
         degenerate_battles=tuple(sorted(degenerate)),
@@ -316,35 +299,19 @@ def solve_nash_iterative(
 ) -> SolveOutcome:
     """Nash equilibrium under per-battle (discriminatory) strategies.
 
-    Damped simultaneous best-response iteration until the max-norm profile
-    change is at most the tolerance times the largest effort, or the
-    iteration cap is hit.  Always returns the last profile; non-convergence
-    is reported through the ``converged`` flag, never silently.
+    Simultaneous best-response iteration until the max-norm profile change
+    is at most the tolerance times the largest effort, or the iteration cap
+    is hit.  Always returns the last profile answered; non-convergence is
+    reported through the ``converged`` flag, never silently.
     """
-    def respond(profile, player):
-        seeds = {
-            b.id: profile.effort(player, b.id)
-            for b in network.battles_of(player)
-            if profile.effort(player, b.id) > 0
-        }
-        return _best_response_discriminatory(network, player, profile, seeds=seeds)
-
-    return _iterate(network, cfg, respond)
+    return _iterate(network, cfg, _best_response_discriminatory)
 
 
 def solve_nash_ue_iterative(
     network: ConflictNetwork, cfg: IterationConfig = IterationConfig()
 ) -> SolveOutcome:
     """Nash equilibrium when each player must use one effort in all battles."""
-    def respond(profile, player):
-        own = network.battles_of(player)
-        seed = profile.effort(player, own[0].id)
-        effort, degen = _best_response_uniform(
-            network, player, profile, seed=seed if seed > 0 else None
-        )
-        return {b.id: effort for b in own}, degen
-
-    return _iterate(network, cfg, respond)
+    return _iterate(network, cfg, _best_response_uniform)
 
 
 # ---------------------------------------------------------------------------

@@ -237,12 +237,65 @@ def test_nonconvergence_is_reported_not_raised():
 
 
 def test_iteration_config_validation():
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            IterationConfig(max_iterations=cap)
     with pytest.raises(ValueError):
         IterationConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         IterationConfig(tolerance=math.inf)
     with pytest.raises(ValueError):
         IterationConfig(initial="explicit")
+
+
+@pytest.mark.parametrize(
+    "solver, name",
+    [
+        (solve_nash_iterative, "_best_response_discriminatory"),
+        (solve_nash_ue_iterative, "_best_response_uniform"),
+    ],
+)
+@pytest.mark.parametrize("cap", [1, 3, 10_000])
+def test_each_sweep_answers_every_player_once(monkeypatch, solver, name, cap):
+    respond = getattr(general_solver, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return respond(*args, **kwargs)
+
+    monkeypatch.setattr(general_solver, name, counting)
+    net = _random_asymmetric_network(np.random.default_rng(7))
+    out = solver(net, IterationConfig(max_iterations=cap))
+    if cap < 10_000:
+        assert (out.iterations, out.converged) == (cap, False)
+    else:
+        assert out.converged
+    assert len(calls) == len(net.players) * out.iterations
+
+
+@pytest.mark.parametrize("solver", [solve_nash_iterative, solve_nash_ue_iterative])
+def test_one_sweep_certifies_the_unmoved_start(solver):
+    net = generate_triangle(production=BENCHMARK_PRODUCTIONS["ratio"])
+    out = solver(net, IterationConfig(max_iterations=1))
+    assert out.iterations == 1
+    assert not out.converged
+    assert out.profile == EffortProfile.constant(net, 1.0)
+    assert out.deviation_gain > 0.0
+
+
+@pytest.mark.parametrize("cap", [1, 3, 10_000])
+def test_deviation_gain_is_the_gain_at_the_returned_profile(cap):
+    net = _random_asymmetric_network(np.random.default_rng(11))
+    out = solve_nash_iterative(net, IterationConfig(max_iterations=cap))
+    worst = 0.0
+    for p in net.players:
+        trial = dict(out.profile.efforts)
+        for bid, x in best_response(net, p, out.profile).items():
+            trial[(p, bid)] = x
+        gain = payoff(net, EffortProfile(trial), p) - payoff(net, out.profile, p)
+        worst = max(worst, gain)
+    assert out.deviation_gain == worst
 
 
 # ---------------------------------------------------------------------------
