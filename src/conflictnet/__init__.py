@@ -37,7 +37,6 @@ from .functions import (
     ProductionFunction,
     RatioProduction,
     ValidityReport,
-    default_validation_grid,
     validate_production,
 )
 from .general_solver import (
@@ -110,7 +109,6 @@ __all__ = [
     "check_semi_symmetry",
     "classify_h",
     "compare_regimes",
-    "default_validation_grid",
     "dump_network",
     "generate_example",
     "generate_simplex",

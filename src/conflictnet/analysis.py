@@ -82,8 +82,8 @@ def classify_h(
         domain: positive interval to sample.
     """
     lo, hi = domain
-    if not 0 < lo < hi:
-        raise ValueError(f"domain must be a positive interval, got {domain}")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"domain must be a finite positive interval, got {domain}")
 
     xs = np.geomspace(lo, hi, CURVATURE_SAMPLES)
     h_vals = np.array([pf.h(float(x)) for x in xs])
@@ -311,6 +311,10 @@ def neutrality_check(
     for entry in grid:
         if isinstance(entry, dict):
             prizes = {int(k): float(v) for k, v in entry.items()}
+            if sorted(prizes) != list(structure.sizes):
+                raise ValueError(
+                    f"prize sizes {sorted(prizes)} do not match sizes {structure.sizes}"
+                )
         else:
             values = list(entry)
             if len(values) != len(structure.sizes):

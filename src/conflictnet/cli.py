@@ -396,7 +396,7 @@ def _cmd_neutrality(args) -> int:
 
 _SWEEP_FIELD_TYPES = {
     "network": str, "example": str, "f": str, "tullock": str, "output": str,
-    "v": list, "axes": list, "parallelism": int,
+    "v": list, "axes": list,
 }
 
 
@@ -436,6 +436,11 @@ def _cmd_sweep(args) -> int:
         raise InputError(f"cannot read sweep spec {args.spec}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("sweep spec must be a JSON object")
+    unknown = [key for key in doc if key not in _SWEEP_FIELD_TYPES]
+    if unknown:
+        raise InputError(
+            f"sweep spec got unknown fields {unknown}; known: {sorted(_SWEEP_FIELD_TYPES)}"
+        )
     for key, kind in _SWEEP_FIELD_TYPES.items():
         value = doc.get(key)
         if key in doc and (isinstance(value, bool) or not isinstance(value, kind)):
@@ -461,9 +466,7 @@ def _cmd_sweep(args) -> int:
     if not output:
         raise InputError("sweep needs an output path (spec 'output' or --output)")
     try:
-        spec = SweepSpec(
-            base=base, axes=tuple(axes), parallelism=doc.get("parallelism", 1)
-        )
+        spec = SweepSpec(base=base, axes=tuple(axes))
     except ValueError as exc:
         raise InputError(str(exc)) from None
     written = run_sweep(spec, output)

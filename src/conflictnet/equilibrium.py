@@ -174,8 +174,10 @@ def reverse_valuations(
     if missing:
         raise ValueError(f"missing target efforts for sizes {missing}")
     for k, x in targets.items():
-        if not x > 0:
-            raise ValueError(f"target effort for size {k} must be positive, got {x}")
+        if not 0 < x < math.inf:
+            raise ValueError(
+                f"target effort for size {k} must be positive and finite, got {x}"
+            )
     total = sum(structure.degrees[k] * targets[k] for k in structure.sizes)
     lam = structure.cost.c_prime(total)
     return {

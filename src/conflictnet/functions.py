@@ -36,7 +36,6 @@ __all__ = [
     "PowerCost",
     "ValidityReport",
     "validate_production",
-    "default_validation_grid",
     "production_from_spec",
     "cost_from_spec",
 ]
@@ -492,9 +491,7 @@ class PowerCost(CostFunction):
 # Validation
 # ---------------------------------------------------------------------------
 
-def default_validation_grid(lo: float = 1e-3, hi: float = 1e2, n: int = 64) -> np.ndarray:
-    """Log-spaced positive grid spanning five decades by default."""
-    return np.geomspace(lo, hi, n)
+_VALIDATION_GRID = np.geomspace(1e-3, 1e2, 64)
 
 
 @dataclass(frozen=True)
@@ -516,31 +513,21 @@ class ValidityReport:
         return [name for name, ok in self.checks.items() if not ok]
 
 
-def validate_production(pf: ProductionFunction, grid=None) -> ValidityReport:
+def validate_production(pf: ProductionFunction) -> ValidityReport:
     """Check the maintained assumptions of a production function on a grid.
 
-    The grid must contain at least 32 strictly positive points spanning at
-    least four decades.  Checks: ``f(0) = 0``, ``f' > 0`` on the grid,
-    ``f'' <= 0`` away from declared kinks, strict monotonicity of ``h``, and
-    ``h`` at the smallest grid point being negligible relative to ``h`` at the
-    largest (a finite stand-in for ``h(0+) = 0``).
+    The grid is fixed: 64 log-spaced points on ``[1e-3, 1e2]``.  Checks:
+    ``f(0) = 0``, ``f' > 0`` on the grid, ``f'' <= 0`` away from declared
+    kinks, strict monotonicity of ``h``, and ``h`` at the smallest grid point
+    being negligible relative to ``h`` at the largest (a finite stand-in for
+    ``h(0+) = 0``).
 
     Raises:
         NonFiniteEvaluation: if ``f`` or ``f'`` is NaN or infinite at a grid
             point (an infinite ``h`` from float overflow at the top of the
             grid is tolerated and excluded from the monotonicity comparison).
     """
-    if grid is None:
-        grid = default_validation_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 32:
-        raise ValueError("validation grid needs at least 32 points")
-    if np.any(grid <= 0):
-        raise ValueError("validation grid must be strictly positive")
-    grid = np.sort(grid)
-    if grid[-1] / grid[0] < 1e4:
-        raise ValueError("validation grid must span at least four decades")
-
+    grid = _VALIDATION_GRID
     kinks = pf.kinks()
 
     f_vals = np.array([pf.f(float(x)) for x in grid])

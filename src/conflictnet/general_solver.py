@@ -343,8 +343,8 @@ def brute_force_nash(
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be one-dimensional with at least 2 points")
-    if np.any(grid < 0):
-        raise ValueError("grid efforts must be nonnegative")
+    if not np.all((grid >= 0) & (grid < math.inf)):
+        raise ValueError("grid efforts must be finite and nonnegative")
     if grid.size > 201:
         raise DimensionTooLarge(f"{grid.size} grid points per dimension (max 201)")
 

@@ -224,8 +224,8 @@ def winning_probabilities(battle: Battle, efforts: Iterable[float]) -> np.ndarra
             f"expected {battle.size} efforts for battle {battle.id!r}, "
             f"got {efforts.shape}"
         )
-    if np.any(efforts < 0):
-        raise ValueError("efforts must be nonnegative")
+    if not np.all((efforts >= 0) & (efforts < math.inf)):
+        raise ValueError(f"efforts must be finite and nonnegative, got {efforts}")
     slots = {(p, battle.id): float(x) for p, x in zip(battle.participants, efforts)}
     return np.array([
         contest_share(battle.production.f(x), rival_score(battle, slots, p), battle.size)

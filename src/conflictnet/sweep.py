@@ -3,11 +3,10 @@
 A sweep spec names a base semi-symmetric structure, one or more parameter
 axes (per-size prizes ``v<k>``, power exponents ``r`` or ``r<k>``, cost
 parameters ``cost_p`` / ``cost_kappa``), and per-axis ranges.  Grid points
-are enumerated lexicographically in axis order, solved independently under
-both regimes, and written in that deterministic order regardless of worker
-completion order.  Existing rows in the output file are skipped, so an
-interrupted sweep resumes where it stopped; rows are flushed as they are
-written so an interrupt preserves everything completed.
+are enumerated lexicographically in axis order, solved in-process under
+both regimes, and written in that order.  Existing rows in the output file
+are skipped, so an interrupted sweep resumes where it stopped; rows are
+flushed as they are written so an interrupt preserves everything completed.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class SweepSpec:
 
     base: SemiSymmetricStructure
     axes: tuple[SweepAxis, ...]
-    parallelism: int = 1
 
     def __post_init__(self):
         if not self.axes:
@@ -72,8 +70,6 @@ class SweepSpec:
                     f"bad sweep axis #{i}: parameter {param!r} is already "
                     f"axis #{params.index(param)}"
                 )
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         if self.grid_size > DEFAULT_MAX_GRID:
             raise ValueError(f"sweep grid has {self.grid_size} points, cap is {DEFAULT_MAX_GRID}")
 
@@ -119,8 +115,7 @@ def _apply_param(ss: SemiSymmetricStructure, param: str, value: float) -> SemiSy
     )
 
 
-def _solve_point(args) -> tuple:
-    ss, values = args
+def _solve_point(ss: SemiSymmetricStructure, values: tuple[float, ...]) -> tuple:
     de = solve_de(ss)
     ue = solve_ue(ss)
     gap = abs(de.total - ue.total) / abs(ue.total)
@@ -174,23 +169,10 @@ def run_sweep(spec: SweepSpec, output) -> int:
             writer.writerow(params + _RESULT_COLUMNS)
             fh.flush()
         try:
-            if spec.parallelism > 1:
-                # Imported here so that importing the package does not load
-                # multiprocessing.
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-                    rows = pool.map(_solve_point, pending, chunksize=8)
-                    for row in rows:
-                        writer.writerow([_format_cell(v) for v in row])
-                        fh.flush()
-                        written += 1
-            else:
-                for item in pending:
-                    row = _solve_point(item)
-                    writer.writerow([_format_cell(v) for v in row])
-                    fh.flush()
-                    written += 1
+            for ss, values in pending:
+                writer.writerow([_format_cell(v) for v in _solve_point(ss, values)])
+                fh.flush()
+                written += 1
         except KeyboardInterrupt:
             fh.flush()
             raise

@@ -68,6 +68,12 @@ def test_classify_h_preconditions():
         classify_h(pf, domain=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("domain", [(1e-2, math.inf), (math.nan, 1.0)])
+def test_classify_h_rejects_non_finite_domains(domain):
+    with pytest.raises(ValueError, match="finite positive interval"):
+        classify_h(PowerProduction(1.0, 0.5), domain=domain)
+
+
 def all_pairs_classify_h(pf, domain=(1e-2, 1e1), samples=128, tol=1e-9):
     """Reference sampler: midpoint defects over every pair of the grid.
 
@@ -363,6 +369,12 @@ def test_size_indexed_powers_are_neutral_on_the_simplex_structure():
     ]
     report = neutrality_check(structure, grid)
     assert report.neutral
+
+
+@pytest.mark.parametrize("entry", [{2: 1.0}, {2: 1.0, 3: 2.0, 4: 5.0}])
+def test_neutrality_entries_must_name_exactly_the_structure_sizes(entry):
+    with pytest.raises(ValueError, match="do not match sizes"):
+        neutrality_check(triangle_structure(PowerProduction(1.0, 1.0)), [entry])
 
 
 def test_neutrality_rejects_empty_grid():

@@ -377,25 +377,6 @@ def test_sweep_exponent_axis_matches_closed_form(tmp_path, capsys):
         assert float(row["X_de"]) == pytest.approx(math.sqrt(r / 4.0), rel=1e-8)
 
 
-def test_parallel_sweep_writes_the_serial_rows(tmp_path, capsys):
-    outputs = []
-    for parallelism in (1, 2):
-        out = tmp_path / f"out{parallelism}.csv"
-        spec = {
-            "example": "triangle",
-            "f": "ratio:1",
-            "axes": [{"param": "v3", "min": 10, "max": 100, "steps": 10}],
-            "output": str(out),
-            "parallelism": parallelism,
-        }
-        spec_path = tmp_path / f"sweep{parallelism}.json"
-        spec_path.write_text(json.dumps(spec))
-        code, _, err = run_cli(capsys, "sweep", str(spec_path))
-        assert code == 0, err
-        outputs.append(out.read_text())
-    assert outputs[0] == outputs[1]
-
-
 def test_sweep_zero_axes_is_an_input_error(tmp_path, capsys):
     spec = write_spec(
         tmp_path, {"example": "triangle", "axes": [], "output": "x.csv"}
@@ -706,6 +687,21 @@ def test_sweep_spec_fields_of_the_wrong_type_are_input_errors(tmp_path, capsys, 
     code, _, err = run_cli(capsys, "sweep", str(write_spec(tmp_path, spec)))
     assert code == 1
     assert err.startswith("error:") and repr(field) in err
+
+
+def test_misspelled_sweep_spec_fields_are_input_errors(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    spec = {
+        "example": "triangle",
+        "f": "ratio:1",
+        "tulock": "r2=0.5,r3=0.5",
+        "axes": [{"param": "v2", "min": 1, "max": 5, "steps": 5}],
+        "output": str(out),
+    }
+    code, _, err = run_cli(capsys, "sweep", str(write_spec(tmp_path, spec)))
+    assert code == 1
+    assert err.startswith("error:") and "'tulock'" in err
+    assert not out.exists()
 
 
 _V2_AXIS = {"param": "v2", "min": 1, "max": 5, "steps": 3}

@@ -195,6 +195,12 @@ def test_reverse_valuations_validates_targets():
         reverse_valuations(ss, {2: 0.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reverse_valuations_rejects_non_finite_targets(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        reverse_valuations(single_size2_structure(), {2: bad})
+
+
 @pytest.mark.parametrize("family", ["ratio", "cara", "power", "piecewise"])
 def test_round_trip_targets_to_prizes_to_equilibrium(family):
     rng = np.random.default_rng(42)

@@ -13,7 +13,6 @@ from conflictnet import (
     PowerProduction,
     ProductionFunction,
     RatioProduction,
-    default_validation_grid,
     validate_production,
 )
 from conflictnet.functions import cost_from_spec, production_from_spec
@@ -21,7 +20,7 @@ from conflictnet.functions import cost_from_spec, production_from_spec
 from conftest import BENCHMARK_PRODUCTIONS
 
 
-GRID = default_validation_grid()
+GRID = np.geomspace(1e-3, 1e2, 64)
 
 
 def finite_difference(fun, x, step=1e-6):
@@ -59,7 +58,7 @@ def test_h_equals_f_over_f_prime(name):
 
 def test_power_sqrt_family_h_is_twice_x():
     pf = PowerProduction(A=2.0, r=0.5)
-    report = validate_production(pf, GRID)
+    report = validate_production(pf)
     assert report.passed
     for x in GRID:
         assert pf.h(float(x)) == pytest.approx(2.0 * float(x), rel=1e-12)
@@ -71,7 +70,7 @@ def test_linear_power_h_at_one():
 
 def test_ratio_family_h_is_x_times_one_plus_x():
     pf = RatioProduction(c=1.0)
-    report = validate_production(pf, GRID)
+    report = validate_production(pf)
     assert report.passed
     for x in GRID:
         x = float(x)
@@ -112,7 +111,7 @@ def test_piecewise_branches_and_h():
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
 def test_validation_passes_for_benchmark_families(name):
-    report = validate_production(BENCHMARK_PRODUCTIONS[name], GRID)
+    report = validate_production(BENCHMARK_PRODUCTIONS[name])
     assert report.passed, report.failures()
 
 
@@ -122,16 +121,6 @@ def test_validation_h_monotone_for_random_powers():
         pf = PowerProduction(A=float(rng.uniform(0.2, 5)), r=float(rng.uniform(0.05, 1)))
         report = validate_production(pf)
         assert report.passed
-
-
-def test_validation_grid_preconditions():
-    pf = PowerProduction(1.0, 1.0)
-    with pytest.raises(ValueError, match="32 points"):
-        validate_production(pf, np.geomspace(1e-3, 1e2, 8))
-    with pytest.raises(ValueError, match="four decades"):
-        validate_production(pf, np.geomspace(0.5, 2.0, 64))
-    with pytest.raises(ValueError, match="positive"):
-        validate_production(pf, np.linspace(0.0, 1.0, 64))
 
 
 class _BrokenProduction(ProductionFunction):
@@ -161,7 +150,7 @@ class _BrokenProduction(ProductionFunction):
 
 def test_validation_raises_on_non_finite_values():
     with pytest.raises(NonFiniteEvaluation):
-        validate_production(_BrokenProduction(), GRID)
+        validate_production(_BrokenProduction())
 
 
 def test_production_interface_is_two_derivatives_h_and_its_inverse():

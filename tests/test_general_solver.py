@@ -354,6 +354,12 @@ def test_brute_force_dimension_guards():
         brute_force_nash(single_battle_network(), np.linspace(0, 1, 300))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_brute_force_rejects_non_finite_grid_points(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        brute_force_nash(single_battle_network(), [0.0, 0.5, bad])
+
+
 def test_brute_force_crosschecks_iterative_on_asymmetric_network():
     # Two players, two battles with unequal prizes and different production
     # functions: no structured solver applies, so the grid oracle is the

@@ -112,6 +112,13 @@ def test_probability_length_mismatch_rejected():
         winning_probabilities(battle, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_efforts_are_rejected(bad):
+    battle = Battle("t", (1, 2), 1.0, PowerProduction(1.0, 1.0))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        winning_probabilities(battle, [bad, 1.0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     efforts=st.lists(
