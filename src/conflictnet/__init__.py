@@ -30,7 +30,6 @@ from .errors import (
 )
 from .functions import (
     CaraProduction,
-    CostFunction,
     PiecewisePowerAffineProduction,
     PowerCost,
     PowerProduction,
@@ -78,7 +77,6 @@ __all__ = [
     "ComparisonReport",
     "ConflictNetError",
     "ConflictNetwork",
-    "CostFunction",
     "CurvatureVerdict",
     "DEResult",
     "DimensionTooLarge",

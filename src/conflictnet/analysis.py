@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionViolation
 from .equilibrium import DEResult, UEResult, solve_de, solve_ue
-from .functions import PowerCost, PowerProduction, ProductionFunction
+from .functions import PowerProduction, ProductionFunction
 from .network import SemiSymmetricStructure
 from .rootfind import BracketingConfig, DEFAULT_CONFIG
 
@@ -357,8 +357,7 @@ def tullock_closed_form_total(ss: SemiSymmetricStructure) -> float:
         PreconditionViolation: cost is not ``X^2/2`` or a production function
             is not a power function.
     """
-    cost = ss.cost
-    if not (isinstance(cost, PowerCost) and cost.is_unit_quadratic):
+    if not ss.cost.is_unit_quadratic:
         raise PreconditionViolation(
             "closed form requires the quadratic unit cost X^2/2"
         )

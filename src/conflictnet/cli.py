@@ -20,6 +20,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .functions import (
     _PRODUCTION_FAMILIES,
     PowerProduction,
     ProductionFunction,
+    production_from_spec,
     validate_production,
 )
 from .general_solver import IterationConfig, SolveOutcome, solve_nash_iterative, solve_nash_ue_iterative
@@ -77,7 +79,8 @@ class InputError(Exception):
 def parse_production_flag(text: str) -> ProductionFunction:
     """Parse ``family:params`` flags such as ``power:2,0.5`` or ``ratio:1``.
 
-    Parameters are positional, in the order ``_PRODUCTION_FAMILIES`` names them.
+    Parameters are positional, in the order of the family's constructor:
+    ``power:A,r``, ``ratio:c``, ``cara:alpha`` and ``piecewise:A,r,s``.
     """
     text = _NAMED_PRODUCTIONS.get(text, text)
     family, _, raw = text.partition(":")
@@ -85,18 +88,15 @@ def parse_production_flag(text: str) -> ProductionFunction:
     if family not in _PRODUCTION_FAMILIES:
         known = [*_PRODUCTION_FAMILIES, *_FAMILY_ALIASES, *_NAMED_PRODUCTIONS]
         raise InputError(f"unknown production family {family!r} ({', '.join(known)})")
-    cls, names = _PRODUCTION_FAMILIES[family]
-    try:
-        params = [float(p) for p in raw.split(",")] if raw else []
-    except ValueError:
-        raise InputError(f"bad production parameters in {text!r}") from None
-    if len(params) != len(names):
+    names = [f.name for f in fields(_PRODUCTION_FAMILIES[family])]
+    values = raw.split(",") if raw else []
+    if len(values) != len(names):
         raise InputError(
             f"bad production spec {text!r}: {family} takes parameters "
-            f"{','.join(names)}, got {len(params)} values"
+            f"{','.join(names)}, got {len(values)} values"
         )
     try:
-        return cls(*params)
+        return production_from_spec({"family": family, "params": dict(zip(names, values))})
     except ValueError as exc:
         raise InputError(f"bad production spec {text!r}: {exc}") from None
 

@@ -1,4 +1,4 @@
-"""Contest production functions and effort cost functions.
+"""Contest production functions and the effort cost.
 
 Every production family ships analytic first and second derivatives, and
 derived quantities such as the inverse semi-elasticity ``h = f / f'`` and
@@ -13,6 +13,10 @@ Each family also labels the curvature of its ``h`` analytically
 starts from.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'' <= 0`` on the
 positive axis (away from a declared kink), which makes ``h`` strictly
 increasing with ``h(0+) = 0`` and ``h -> +inf``.
+
+A family's name and parameters live only in its frozen dataclass: the
+``family`` class variable names it, and its fields, in order, are the
+``params`` of its spec and the positional values of a CLI ``--f`` flag.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,7 +37,6 @@ __all__ = [
     "RatioProduction",
     "CaraProduction",
     "PiecewisePowerAffineProduction",
-    "CostFunction",
     "PowerCost",
     "ValidityReport",
     "validate_production",
@@ -52,7 +56,7 @@ class ProductionFunction(ABC):
     solver, so implementations stick to ``math`` rather than numpy.
     """
 
-    family: str
+    family: ClassVar[str]
 
     @abstractmethod
     def f(self, x: float) -> float:
@@ -97,9 +101,14 @@ class ProductionFunction(ABC):
         """Analytic curvature of ``h``: 'convex', 'concave' or 'linear'."""
         raise NotImplementedError
 
-    @abstractmethod
     def to_spec(self) -> dict:
-        """JSON-serializable ``{"family", "params"}`` description."""
+        """JSON-serializable ``{"family", "params"}`` description.
+
+        Built from the dataclass fields; a family that is not a dataclass
+        overrides it.
+        """
+        params = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"family": self.family, "params": params}
 
 
 def _check_h_target(y: float) -> None:
@@ -168,7 +177,7 @@ class PowerProduction(ProductionFunction):
 
     A: float
     r: float
-    family: str = field(default="power", init=False, repr=False)
+    family: ClassVar[str] = "power"
 
     def __post_init__(self):
         if not 0 < self.A < math.inf:
@@ -204,9 +213,6 @@ class PowerProduction(ProductionFunction):
     def h_curvature(self):
         return "linear"
 
-    def to_spec(self):
-        return {"family": "power", "params": {"A": self.A, "r": self.r}}
-
 
 @dataclass(frozen=True)
 class RatioProduction(ProductionFunction):
@@ -216,7 +222,7 @@ class RatioProduction(ProductionFunction):
     """
 
     c: float
-    family: str = field(default="ratio", init=False, repr=False)
+    family: ClassVar[str] = "ratio"
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
@@ -265,9 +271,6 @@ class RatioProduction(ProductionFunction):
     def h_curvature(self):
         return "convex"
 
-    def to_spec(self):
-        return {"family": "ratio", "params": {"c": self.c}}
-
 
 @dataclass(frozen=True)
 class CaraProduction(ProductionFunction):
@@ -277,7 +280,7 @@ class CaraProduction(ProductionFunction):
     """
 
     alpha: float
-    family: str = field(default="cara", init=False, repr=False)
+    family: ClassVar[str] = "cara"
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
@@ -339,9 +342,6 @@ class CaraProduction(ProductionFunction):
     def h_curvature(self):
         return "convex"
 
-    def to_spec(self):
-        return {"family": "cara", "params": {"alpha": self.alpha}}
-
 
 @dataclass(frozen=True)
 class PiecewisePowerAffineProduction(ProductionFunction):
@@ -357,7 +357,7 @@ class PiecewisePowerAffineProduction(ProductionFunction):
     A: float
     r: float
     s: float
-    family: str = field(default="piecewise_power_affine", init=False, repr=False)
+    family: ClassVar[str] = "piecewise_power_affine"
 
     def __post_init__(self):
         if not 0 < self.A < math.inf:
@@ -423,45 +423,21 @@ class PiecewisePowerAffineProduction(ProductionFunction):
     def h_curvature(self):
         return "linear" if self.r == 1.0 else "concave"
 
-    def to_spec(self):
-        return {
-            "family": "piecewise_power_affine",
-            "params": {"A": self.A, "r": self.r, "s": self.s},
-        }
-
 
 # ---------------------------------------------------------------------------
-# Cost families
+# Cost
 # ---------------------------------------------------------------------------
-
-class CostFunction(ABC):
-    """Convex, strictly increasing effort cost on total effort."""
-
-    family: str
-
-    @abstractmethod
-    def c(self, total: float) -> float:
-        """Cost of a total effort level."""
-
-    @abstractmethod
-    def c_prime(self, total: float) -> float:
-        """Marginal cost."""
-
-    @abstractmethod
-    def to_spec(self) -> dict:
-        """JSON-serializable ``{"family", "params"}`` description."""
-
 
 @dataclass(frozen=True)
-class PowerCost(CostFunction):
-    """``C(X) = kappa * X**p / p`` with ``kappa > 0`` and ``p >= 1``.
+class PowerCost:
+    """Convex, strictly increasing effort cost on total effort,
+    ``C(X) = kappa * X**p / p`` with ``kappa > 0`` and ``p >= 1``.
 
     The default ``kappa = 1, p = 2`` is the quadratic cost ``X**2 / 2``.
     """
 
     kappa: float = 1.0
     p: float = 2.0
-    family: str = field(default="power", init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.kappa < math.inf:
@@ -469,10 +445,12 @@ class PowerCost(CostFunction):
         if not 1 <= self.p < math.inf:
             raise ValueError(f"exponent p must be >= 1 and finite, got {self.p}")
 
-    def c(self, total):
+    def c(self, total: float) -> float:
+        """Cost of a total effort level."""
         return self.kappa * total**self.p / self.p
 
-    def c_prime(self, total):
+    def c_prime(self, total: float) -> float:
+        """Marginal cost."""
         if self.p == 1.0:
             return self.kappa
         if self.p == 2.0:
@@ -483,7 +461,8 @@ class PowerCost(CostFunction):
     def is_unit_quadratic(self) -> bool:
         return self.kappa == 1.0 and self.p == 2.0
 
-    def to_spec(self):
+    def to_spec(self) -> dict:
+        """JSON-serializable ``{"family", "params"}`` description."""
         return {"family": "power", "params": {"kappa": self.kappa, "p": self.p}}
 
 
@@ -517,15 +496,18 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
     """Check the maintained assumptions of a production function on a grid.
 
     The grid is fixed: 64 log-spaced points on ``[1e-3, 1e2]``.  Checks:
-    ``f(0) = 0``, ``f' > 0`` on the grid, ``f'' <= 0`` away from declared
-    kinks, strict monotonicity of ``h``, and ``h`` at the smallest grid point
-    being negligible relative to ``h`` at the largest (a finite stand-in for
-    ``h(0+) = 0``).
+    ``f(0) = 0``, ``f' > 0`` wherever ``h`` is finite, ``f'' <= 0`` away from
+    declared kinks, strict monotonicity of ``h``, and ``h`` at the smallest
+    grid point being negligible relative to ``h`` at the largest finite one
+    (a finite stand-in for ``h(0+) = 0``, failed when no ``h`` is finite).
+
+    An infinite ``h`` from float overflow at the top of the grid is tolerated
+    and excluded from the ``f'`` and monotonicity checks: ``h = f / f'``
+    overflows before ``f'`` underflows to 0 in every family.
 
     Raises:
-        NonFiniteEvaluation: if ``f`` or ``f'`` is NaN or infinite at a grid
-            point (an infinite ``h`` from float overflow at the top of the
-            grid is tolerated and excluded from the monotonicity comparison).
+        NonFiniteEvaluation: if ``f`` or ``f'`` is NaN or infinite, or ``h``
+            is NaN, at a grid point.
     """
     grid = _VALIDATION_GRID
     kinks = pf.kinks()
@@ -538,6 +520,11 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
                 f"{pf.family}: non-finite f or f' at grid point {x!r}"
             )
 
+    h_vals = np.array([pf.h(float(x)) for x in grid])
+    if np.any(np.isnan(h_vals)):
+        raise NonFiniteEvaluation(f"{pf.family}: NaN h value on grid")
+    finite = np.isfinite(h_vals)
+
     checks: dict = {}
     details: dict = {}
 
@@ -545,8 +532,8 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
     checks["f0_zero"] = f0 == 0.0
     details["f0_zero"] = f0
 
-    checks["f_prime_positive"] = bool(np.all(fp_vals > 0))
-    details["f_prime_positive"] = float(fp_vals.min())
+    checks["f_prime_positive"] = bool(np.all(fp_vals[finite] > 0))
+    details["f_prime_positive"] = float(fp_vals[finite].min(initial=math.inf))
 
     away_from_kink = np.array(
         [all(not math.isclose(x, k, rel_tol=1e-9) for k in kinks) for x in grid]
@@ -557,15 +544,12 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
     checks["f_double_prime_nonpositive"] = bool(np.all(fpp_vals <= 0))
     details["f_double_prime_nonpositive"] = float(fpp_vals.max())
 
-    h_vals = np.array([pf.h(float(x)) for x in grid])
-    finite = np.isfinite(h_vals)
-    if np.any(np.isnan(h_vals)):
-        raise NonFiniteEvaluation(f"{pf.family}: NaN h value on grid")
     diffs = np.diff(h_vals[finite])
     checks["h_strictly_increasing"] = bool(np.all(diffs > 0))
     details["h_strictly_increasing"] = float(diffs.min()) if diffs.size else 0.0
 
-    h_lo, h_hi = h_vals[0], h_vals[finite][-1]
+    h_lo = h_vals[0]
+    h_hi = h_vals[finite][-1] if finite.any() else math.nan
     checks["h_vanishes_at_zero"] = bool(h_lo <= 1e-3 * h_hi)
     details["h_vanishes_at_zero"] = float(h_lo)
 
@@ -577,10 +561,8 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
 # ---------------------------------------------------------------------------
 
 _PRODUCTION_FAMILIES = {
-    "power": (PowerProduction, ("A", "r")),
-    "ratio": (RatioProduction, ("c",)),
-    "cara": (CaraProduction, ("alpha",)),
-    "piecewise_power_affine": (PiecewisePowerAffineProduction, ("A", "r", "s")),
+    cls.family: cls
+    for cls in (PowerProduction, RatioProduction, CaraProduction, PiecewisePowerAffineProduction)
 }
 
 
@@ -590,7 +572,8 @@ def production_from_spec(spec: dict) -> ProductionFunction:
     if family not in _PRODUCTION_FAMILIES:
         known = sorted(_PRODUCTION_FAMILIES)
         raise ValueError(f"unknown production family {family!r}; expected one of {known}")
-    cls, names = _PRODUCTION_FAMILIES[family]
+    cls = _PRODUCTION_FAMILIES[family]
+    names = [f.name for f in fields(cls)]
     params = spec.get("params", {})
     missing = [n for n in names if n not in params]
     if missing:
@@ -601,7 +584,7 @@ def production_from_spec(spec: dict) -> ProductionFunction:
     return cls(**{n: float(params[n]) for n in names})
 
 
-def cost_from_spec(spec: dict) -> CostFunction:
+def cost_from_spec(spec: dict) -> PowerCost:
     """Build a cost function from a ``{"family", "params"}`` mapping."""
     family = spec.get("family")
     if family != "power":

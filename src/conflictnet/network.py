@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from .errors import UnknownPlayer
-from .functions import CostFunction, ProductionFunction
+from .functions import PowerCost, ProductionFunction
 
 PlayerId = Hashable
 
@@ -87,7 +87,7 @@ class ConflictNetwork:
 
     players: tuple[PlayerId, ...]
     battles: tuple[Battle, ...]
-    cost: CostFunction
+    cost: PowerCost
     _battles_by_player: dict = field(init=False, repr=False, compare=False)
     _battle_index: dict = field(init=False, repr=False, compare=False)
 
@@ -265,7 +265,7 @@ class SemiSymmetricStructure:
     degrees: dict[int, int]
     prizes: dict[int, float]
     productions: dict[int, ProductionFunction]
-    cost: CostFunction
+    cost: PowerCost
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))

@@ -3,10 +3,11 @@
 A sweep spec names a base semi-symmetric structure, one or more parameter
 axes (per-size prizes ``v<k>``, power exponents ``r`` or ``r<k>``, cost
 parameters ``cost_p`` / ``cost_kappa``), and per-axis ranges.  Grid points
-are enumerated lexicographically in axis order, solved in-process under
-both regimes, and written in that order.  Existing rows in the output file
-are skipped, so an interrupted sweep resumes where it stopped; rows are
-flushed as they are written so an interrupt preserves everything completed.
+are enumerated lexicographically in axis order, each built as it is solved
+in-process under both regimes, and written in that order.  Existing rows in
+the output file are skipped, so an interrupted sweep resumes where it
+stopped; rows are flushed as they are written so an interrupt preserves
+everything completed.
 """
 
 from __future__ import annotations
@@ -81,34 +82,36 @@ class SweepSpec:
         return total
 
 
-def _apply_param(ss: SemiSymmetricStructure, param: str, value: float) -> SemiSymmetricStructure:
-    prizes = dict(ss.prizes)
-    productions = dict(ss.productions)
-    cost = ss.cost
-    if param.startswith("v") and param[1:].isdigit():
-        k = int(param[1:])
-        if k not in prizes:
-            raise ValueError(f"sweep parameter {param!r}: no size-{k} battles")
-        prizes[k] = float(value)
-    elif param == "r" or (param.startswith("r") and param[1:].isdigit()):
-        sizes = ss.sizes if param == "r" else (int(param[1:]),)
-        for k in sizes:
-            if k not in productions:
+def _point_structure(
+    base: SemiSymmetricStructure, params: tuple[str, ...], values: tuple[float, ...]
+) -> SemiSymmetricStructure:
+    """``base`` with every swept parameter set, in axis order."""
+    prizes = dict(base.prizes)
+    productions = dict(base.productions)
+    cost = base.cost
+    for param, value in zip(params, values):
+        if param.startswith("v") and param[1:].isdigit():
+            k = int(param[1:])
+            if k not in prizes:
                 raise ValueError(f"sweep parameter {param!r}: no size-{k} battles")
-            base = productions[k]
-            scale = base.A if isinstance(base, PowerProduction) else 1.0
-            productions[k] = PowerProduction(A=scale, r=float(value))
-    elif param == "cost_p":
-        kappa = cost.kappa if isinstance(cost, PowerCost) else 1.0
-        cost = PowerCost(kappa=kappa, p=float(value))
-    elif param == "cost_kappa":
-        p = cost.p if isinstance(cost, PowerCost) else 2.0
-        cost = PowerCost(kappa=float(value), p=p)
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
+            prizes[k] = value
+        elif param == "r" or (param.startswith("r") and param[1:].isdigit()):
+            sizes = base.sizes if param == "r" else (int(param[1:]),)
+            for k in sizes:
+                if k not in productions:
+                    raise ValueError(f"sweep parameter {param!r}: no size-{k} battles")
+                pf = base.productions[k]
+                scale = pf.A if isinstance(pf, PowerProduction) else 1.0
+                productions[k] = PowerProduction(A=scale, r=value)
+        elif param == "cost_p":
+            cost = PowerCost(kappa=cost.kappa, p=value)
+        elif param == "cost_kappa":
+            cost = PowerCost(kappa=value, p=cost.p)
+        else:
+            raise ValueError(f"unknown sweep parameter {param!r}")
     return SemiSymmetricStructure(
-        sizes=ss.sizes,
-        degrees=dict(ss.degrees),
+        sizes=base.sizes,
+        degrees=dict(base.degrees),
         prizes=prizes,
         productions=productions,
         cost=cost,
@@ -147,20 +150,15 @@ def run_sweep(spec: SweepSpec, output) -> int:
     lexicographic product of the axes in spec order.
     """
     params = tuple(axis.param for axis in spec.axes)
+    axis_values = [axis.values() for axis in spec.axes]
+    # Every parameter's constraint is an interval and every axis value lies
+    # between its ends, so building the first and the last point checks the
+    # names, sizes and values of the whole grid before the output is touched.
+    for end in (0, -1):
+        _point_structure(spec.base, params, tuple(float(v[end]) for v in axis_values))
     path = Path(output)
     done = _existing_keys(path, params)
     header_needed = not path.exists() or path.stat().st_size == 0
-
-    pending: list[tuple[SemiSymmetricStructure, tuple[float, ...]]] = []
-    for combo in itertools.product(*(axis.values() for axis in spec.axes)):
-        values = tuple(float(v) for v in combo)
-        key = tuple(_format_cell(v) for v in values)
-        if key in done:
-            continue
-        ss = spec.base
-        for param, value in zip(params, values):
-            ss = _apply_param(ss, param, value)
-        pending.append((ss, values))
 
     written = 0
     with open(path, "a", encoding="utf-8", newline="") as fh:
@@ -168,12 +166,12 @@ def run_sweep(spec: SweepSpec, output) -> int:
         if header_needed:
             writer.writerow(params + _RESULT_COLUMNS)
             fh.flush()
-        try:
-            for ss, values in pending:
-                writer.writerow([_format_cell(v) for v in _solve_point(ss, values)])
-                fh.flush()
-                written += 1
-        except KeyboardInterrupt:
+        for combo in itertools.product(*axis_values):
+            values = tuple(float(v) for v in combo)
+            if tuple(_format_cell(v) for v in values) in done:
+                continue
+            ss = _point_structure(spec.base, params, values)
+            writer.writerow([_format_cell(v) for v in _solve_point(ss, values)])
             fh.flush()
-            raise
+            written += 1
     return written

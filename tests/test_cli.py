@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import conflictnet.cli
+import conflictnet.sweep
 from conflictnet import (
     BracketFailure,
     NoConvergence,
     NonFiniteEvaluation,
     SchemaViolation,
+    check_semi_symmetry,
     generate_simplex,
     generate_triangle,
     network_from_dict,
@@ -24,7 +26,7 @@ from conflictnet import (
 from conflictnet.cli import main
 from conflictnet.functions import ValidityReport
 from conflictnet.io import dumps_sorted
-from conflictnet.sweep import SweepAxis
+from conflictnet.sweep import SweepAxis, SweepSpec, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -509,6 +511,35 @@ def test_validate_reports_each_failing_battle(tmp_path, capsys, monkeypatch):
     assert errors[0].startswith("battle 'a' ") and errors[1].startswith("battle 'b' ")
 
 
+def _triangle_with_production(tmp_path, production):
+    doc = network_to_dict(generate_triangle())
+    for battle in doc["battles"]:
+        battle["production"] = production
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("alpha", [8.0, 20.0])
+def test_validate_accepts_cara_whose_f_prime_underflows_where_h_overflows(
+    tmp_path, capsys, alpha
+):
+    # At x = 100, f' = alpha exp(-100 alpha) underflows to 0, but h = f / f'
+    # has already overflowed there.
+    path = _triangle_with_production(tmp_path, {"family": "cara", "params": {"alpha": alpha}})
+    report = run_json(capsys, "validate", str(path))
+    assert report["valid"] is True, report["errors"]
+
+
+def test_validate_reports_a_grid_without_finite_h_as_invalid(tmp_path, capsys):
+    path = _triangle_with_production(tmp_path, {"family": "ratio", "params": {"c": 1e-320}})
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    errors = json.loads(out)["errors"]
+    assert len(errors) == len(generate_triangle().battles)
+    assert all(e.endswith("fails checks: ['h_vanishes_at_zero']") for e in errors)
+
+
 def test_validate_reports_schema_pointer(tmp_path, capsys):
     doc = network_to_dict(generate_triangle())
     doc["battles"][0]["prize"] = -1
@@ -727,6 +758,40 @@ def test_bad_sweep_axes_are_input_errors_and_write_no_rows(tmp_path, capsys, axe
     assert code == 1
     assert err.startswith(f"error: bad sweep axis #{index}: ")
     assert not output.exists()
+
+
+@pytest.mark.parametrize("axis,message", [
+    ({**_V2_AXIS, "param": "v9"}, "no size-9 battles"),
+    ({**_V2_AXIS, "param": "bogus"}, "unknown sweep parameter 'bogus'"),
+    ({"param": "r", "min": 0.5, "max": 1.5, "steps": 3}, "exponent r must lie in (0, 1]"),
+], ids=["missing-size", "unknown-param", "last-value-invalid"])
+def test_sweep_parameters_the_base_rejects_write_no_file(tmp_path, capsys, axis, message):
+    output = tmp_path / "out.csv"
+    spec = {"example": "triangle", "axes": [_V2_AXIS, axis], "output": str(output)}
+    code, _, err = run_cli(capsys, "sweep", str(write_spec(tmp_path, spec)))
+    assert code == 1
+    assert message in err
+    assert not output.exists()
+
+
+def test_sweep_builds_each_point_when_it_solves_it(tmp_path, monkeypatch):
+    built = []
+    structure = conflictnet.sweep.SemiSymmetricStructure
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return structure(*args, **kwargs)
+
+    def stop(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(conflictnet.sweep, "SemiSymmetricStructure", counting)
+    monkeypatch.setattr(conflictnet.sweep, "solve_de", stop)
+    axes = (SweepAxis("v2", 1.0, 5.0, 20), SweepAxis("v3", 1.0, 5.0, 20))
+    spec = SweepSpec(base=check_semi_symmetry(generate_triangle()), axes=axes)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(spec, tmp_path / "out.csv")
+    assert len(built) < 10
 
 
 @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])

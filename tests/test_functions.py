@@ -155,7 +155,7 @@ def test_validation_raises_on_non_finite_values():
 
 def test_production_interface_is_two_derivatives_h_and_its_inverse():
     assert ProductionFunction.__abstractmethods__ == {
-        "f", "f_prime", "f_double_prime", "h", "h_inv", "g_inv", "to_spec",
+        "f", "f_prime", "f_double_prime", "h", "h_inv", "g_inv",
     }
 
 
