@@ -64,7 +64,7 @@ from .network import (
     payoff,
     winning_probabilities,
 )
-from .rootfind import BracketingConfig, brent_increasing
+from .rootfind import brent_increasing
 from .sweep import SweepAxis, SweepSpec, run_sweep
 
 __version__ = "0.1.0"
@@ -72,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Battle",
     "BracketFailure",
-    "BracketingConfig",
     "CaraProduction",
     "ComparisonReport",
     "ConflictNetError",

@@ -20,7 +20,7 @@ from .errors import PreconditionViolation
 from .equilibrium import DEResult, UEResult, solve_de, solve_ue
 from .functions import PowerProduction, ProductionFunction
 from .network import SemiSymmetricStructure
-from .rootfind import BracketingConfig, DEFAULT_CONFIG
+from .rootfind import REL_TOL
 
 __all__ = [
     "CurvatureVerdict",
@@ -185,9 +185,7 @@ class ComparisonReport:
         }
 
 
-def compare_regimes(
-    ss: SemiSymmetricStructure, cfg: BracketingConfig = DEFAULT_CONFIG
-) -> ComparisonReport:
+def compare_regimes(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> ComparisonReport:
     """Solve both regimes and check the ordering the curvature of h predicts.
 
     A curvature-based prediction needs one shared production function across
@@ -197,8 +195,8 @@ def compare_regimes(
     effort orderings (they are mirror images, the prize terms being equal at
     symmetric profiles).
     """
-    de = solve_de(ss, cfg)
-    ue = solve_ue(ss, cfg)
+    de = solve_de(ss, rel_tol)
+    ue = solve_ue(ss, rel_tol)
 
     effort_gap = abs(de.total - ue.total) / abs(ue.total)
     # Payoffs are prizes minus a cost that scales like effort squared, so
@@ -291,7 +289,7 @@ class NeutralityReport:
 def neutrality_check(
     structure: SemiSymmetricStructure,
     valuation_grid,
-    cfg: BracketingConfig = DEFAULT_CONFIG,
+    rel_tol: float = REL_TOL,
 ) -> NeutralityReport:
     """Test whether DE and UE totals coincide across a grid of prize vectors.
 
@@ -323,8 +321,8 @@ def neutrality_check(
                 )
             prizes = dict(zip(structure.sizes, map(float, values)))
         candidate = structure.with_prizes(prizes)
-        de = solve_de(candidate, cfg)
-        ue = solve_ue(candidate, cfg)
+        de = solve_de(candidate, rel_tol)
+        ue = solve_ue(candidate, rel_tol)
         gap = abs(de.total - ue.total) / abs(ue.total)
         if gap > max_gap:
             max_gap = gap

@@ -52,8 +52,7 @@ from .network import (
     SemiSymmetryViolations,
     check_semi_symmetry,
 )
-from .rootfind import BracketingConfig
-from .sweep import SweepAxis, SweepSpec, run_sweep
+from .sweep import DEFAULT_MAX_GRID, SweepAxis, SweepSpec, run_sweep
 
 __all__ = ["main", "parse_production_flag"]
 
@@ -136,12 +135,14 @@ def _override_network(
                 f"battle sizes {sizes}"
             )
         prize_by_size = dict(zip(sizes, prizes))
+    if per_size is not None and sorted(per_size) != sizes:
+        raise InputError(
+            f"--tullock sets sizes {sorted(per_size)} but the network has battle sizes {sizes}"
+        )
     battles = []
     for b in network.battles:
         pf = b.production
         if per_size is not None:
-            if b.size not in per_size:
-                raise InputError(f"--tullock misses size {b.size}")
             pf = per_size[b.size]
         elif production is not None:
             pf = production
@@ -161,6 +162,8 @@ def _network_from_args(args) -> ConflictNetwork:
         network = generate_example(args.example)
     else:
         raise InputError("need --input PATH or --example NAME")
+    if getattr(args, "production", None) and getattr(args, "tullock", None):
+        raise InputError("--f and --tullock both set the production functions; give one")
     production = (
         parse_production_flag(args.production) if getattr(args, "production", None) else None
     )
@@ -182,9 +185,9 @@ def _structure_from_args(args) -> SemiSymmetricStructure:
     return result
 
 
-def _bracketing_config(args) -> BracketingConfig:
-    tol = getattr(args, "tol", None)
-    return BracketingConfig() if tol is None else BracketingConfig(rel_tol=tol)
+def _tolerance(args, name: str) -> dict:
+    """``--tol`` as the keyword ``name``, or no keyword when it is not given."""
+    return {} if args.tol is None else {name: args.tol}
 
 
 def _write_report(text: str, output: str | None) -> None:
@@ -289,7 +292,6 @@ def _compare_csv(report: ComparisonReport) -> str:
 
 def _cmd_solve(args) -> int:
     network = _network_from_args(args)
-    cfg = _bracketing_config(args)
     regimes = ("de", "ue") if args.regime == "both" else (args.regime,)
 
     method = args.method
@@ -309,15 +311,14 @@ def _cmd_solve(args) -> int:
     exit_code = EXIT_OK
     if method == "semisymmetric":
         if "de" in regimes:
-            report["de"] = _de_dict(solve_de(structure, cfg))
+            report["de"] = _de_dict(solve_de(structure, **_tolerance(args, "rel_tol")))
         if "ue" in regimes:
-            report["ue"] = _ue_dict(solve_ue(structure, cfg))
+            report["ue"] = _ue_dict(solve_ue(structure, **_tolerance(args, "rel_tol")))
     else:
-        tolerance = {} if args.tol is None else {"tolerance": args.tol}
         iter_cfg = IterationConfig(
             initial="random" if args.seed is not None else "constant",
             seed=args.seed,
-            **tolerance,
+            **_tolerance(args, "tolerance"),
         )
         if "de" in regimes:
             outcome = solve_nash_iterative(network, iter_cfg)
@@ -336,7 +337,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_compare(args) -> int:
     structure = _structure_from_args(args)
-    report = compare_regimes(structure, _bracketing_config(args))
+    report = compare_regimes(structure, **_tolerance(args, "rel_tol"))
     if args.format == "md":
         text = _compare_markdown(report)
     elif args.format == "csv":
@@ -371,6 +372,8 @@ def _parse_grid_flag(text: str, sizes: tuple[int, ...]):
             raise InputError(f"bad random grid count in {text!r}") from None
         if count < 1:
             raise InputError("random grid needs a positive count")
+        if count > DEFAULT_MAX_GRID:
+            raise InputError(f"random grid has {count} points, cap is {DEFAULT_MAX_GRID}")
         seed = None
         if seed_text:
             label, _, value = seed_text.partition("=")
@@ -389,7 +392,7 @@ def _parse_grid_flag(text: str, sizes: tuple[int, ...]):
 def _cmd_neutrality(args) -> int:
     structure = _structure_from_args(args)
     grid = _parse_grid_flag(args.grid, structure.sizes)
-    report = neutrality_check(structure, grid, _bracketing_config(args))
+    report = neutrality_check(structure, grid, **_tolerance(args, "rel_tol"))
     _write_report(dumps_sorted(report.to_dict()), args.output)
     return EXIT_OK
 
@@ -550,7 +553,6 @@ def _add_network_flags(sub) -> None:
         "stopping width for semi-symmetric solves; the largest effort change "
         "between iterations, relative to the largest effort, for iterative solves",
     )
-    sub.add_argument("--seed", type=int, help="seed for randomized starting points")
     sub.add_argument("--output", help="write the report here instead of stdout")
 
 
@@ -570,6 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--regime", choices=("de", "ue", "both"), default="both")
     solve.add_argument(
         "--method", choices=("auto", "semisymmetric", "iterative"), default="auto"
+    )
+    solve.add_argument(
+        "--seed", type=int,
+        help="start iterative solves from a random profile drawn with this seed",
     )
 
     compare = subs.add_parser("compare", help="compare the two regimes")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .network import SemiSymmetricStructure
-from .rootfind import BracketingConfig, DEFAULT_CONFIG, brent_increasing
+from .rootfind import REL_TOL, brent_increasing
 
 __all__ = ["DEResult", "UEResult", "solve_de", "solve_ue", "reverse_valuations"]
 
@@ -60,9 +60,7 @@ def _symmetric_payoff(ss: SemiSymmetricStructure, total: float) -> float:
     return ss.prize_term - ss.cost.c(total)
 
 
-def solve_de(
-    ss: SemiSymmetricStructure, cfg: BracketingConfig = DEFAULT_CONFIG
-) -> DEResult:
+def solve_de(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> DEResult:
     """Solve the discriminatory-effort equilibrium.
 
     Construction: for a candidate total mu, each size-k effort is
@@ -80,7 +78,7 @@ def solve_de(
         xs = efforts_at(mu)
         return mu - sum(ss.degrees[k] * xs[k] for k in ss.sizes)
 
-    mu_root = brent_increasing(gap, 0.0, cfg)
+    mu_root = brent_increasing(gap, 0.0, rel_tol)
     efforts = efforts_at(mu_root)
     # Re-anchor the reported total on the final efforts so the accounting
     # identity total = sum_k d_k x_k holds to float precision.
@@ -108,9 +106,7 @@ def solve_de(
     )
 
 
-def solve_ue(
-    ss: SemiSymmetricStructure, cfg: BracketingConfig = DEFAULT_CONFIG
-) -> UEResult:
+def solve_ue(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> UEResult:
     """Solve the uniform-effort equilibrium.
 
     With a single effort level x in all battles, the first-order condition
@@ -134,7 +130,7 @@ def solve_ue(
             benefit += weights[k] / h
         return D * ss.cost.c_prime(D * x) - benefit
 
-    effort = brent_increasing(gap, 0.0, cfg)
+    effort = brent_increasing(gap, 0.0, rel_tol)
     total = D * effort
     lam = ss.cost.c_prime(total) * D
     benefit = sum(

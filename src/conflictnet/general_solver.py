@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
-from .rootfind import BracketingConfig, brent_increasing
+from .rootfind import brent_increasing
 
 __all__ = [
     "IterationConfig",
@@ -47,7 +47,7 @@ DEGENERATE_FLOOR = 1e-12
 
 # Inner root finds run well below the profile-change tolerance so that
 # best-response quantization noise cannot stall the outer iteration.
-_INNER_CFG = BracketingConfig(rel_tol=1e-13)
+_INNER_REL_TOL = 1e-13
 
 # Relative deviation-gain bound certifying an equilibrium.
 _GAIN_TOL = 1e-6
@@ -162,7 +162,7 @@ def _best_response_discriminatory(
 
     seed_total = sum(profile.efforts.get((player, b.id), 0.0) for b, _ in active)
     total = brent_increasing(
-        consistency_gap, 0.0, _INNER_CFG,
+        consistency_gap, 0.0, _INNER_REL_TOL,
         seed=seed_total if seed_total > 0 else None,
     )
     lam = network.cost.c_prime(total)
@@ -208,7 +208,7 @@ def _best_response_uniform(
 
     seed = profile.effort(player, own[0].id)
     effort = brent_increasing(
-        gap, 0.0, _INNER_CFG, seed=seed if seed > 0 else None
+        gap, 0.0, _INNER_REL_TOL, seed=seed if seed > 0 else None
     )
     return {b.id: effort for b in own}, degenerate
 

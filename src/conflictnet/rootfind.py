@@ -5,109 +5,98 @@ strictly monotone scalar functions, all solved by one bracketed method
 (`brent_increasing`): doubling or halving from a positive seed across the
 float range, then Brent's method (Brent 1973) with a purely relative stopping
 rule, whose bisection fallback needs nothing beyond monotonicity and
-therefore tolerates kinks in piecewise production functions.  Inverting
-``h`` needs no root find: every production family has a closed-form
-``h_inv``, so a structured solve is one call of this solver.
+therefore tolerates kinks in piecewise production functions.  Both stages
+evaluate through one function, and Brent starts from the values the
+bracket search found at the bracket's ends, so no point is evaluated twice.
+Inverting ``h`` needs no root find: every production family has a
+closed-form ``h_inv``, so a structured solve is one call of this solver.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketFailure, NoConvergence, NonFiniteEvaluation
 
-__all__ = ["BracketingConfig", "brent_increasing"]
+__all__ = ["REL_TOL", "brent_increasing"]
+
+# Relative width at which Brent's method stops: ``rel_tol * |x|``.
+REL_TOL = 1e-10
 
 # Brent steps allowed once the bracket is found; reaching it raises.
 MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class BracketingConfig:
-    """Relative width at which Brent's method stops: ``rel_tol * |x|``."""
+def _expand_bracket(phi, target, seed):
+    """Find a < b with phi(a) <= 0 <= phi(b) by doubling or halving.
 
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-
-
-DEFAULT_CONFIG = BracketingConfig()
-
-
-def _checked(g: Callable[[float], float], x: float) -> float:
-    value = g(x)
-    if math.isnan(value):
-        raise NonFiniteEvaluation(f"function returned NaN at x={x!r}")
-    return value
-
-
-def _expand_bracket(g, target, seed):
-    """Find lo < hi with g(lo) <= target <= g(hi) by doubling or halving.
-
-    Expansion runs from the seed until the next point would leave the float
-    range (0 or +inf); ``g`` is never evaluated at either end.  An overflow
-    of ``g`` to +inf counts as being above the target: the functions inverted
-    here grow without bound, so overflow only ever happens past the root.
+    Returns ``(a, phi(a), b, phi(b))``; a seed where phi is exactly 0 comes
+    back as both ends.  Expansion runs from the seed until the next point
+    would leave the float range (0 or +inf); ``phi`` is never evaluated at
+    either end.
     """
-    if not 0 < seed < math.inf:
-        raise ValueError(f"bracket seed must be positive and finite, got {seed!r}")
-    y0 = _checked(g, seed)
-    if y0 == target:
-        return seed, seed
-
-    if y0 < target:
-        lo, hi = seed, seed * 2.0
-        while hi < math.inf:
-            if _checked(g, hi) >= target:
-                return lo, hi
-            lo, hi = hi, hi * 2.0
-        raise BracketFailure(f"no upper bracket for target {target!r}: g < target up to {lo!r}")
-    lo, hi = seed / 2.0, seed
-    while lo > 0.0:
-        if _checked(g, lo) <= target:
-            return lo, hi
-        lo, hi = lo / 2.0, lo
-    raise BracketFailure(f"no lower bracket for target {target!r}: g > target down to {hi!r}")
+    a = b = seed
+    fa = fb = phi(seed)
+    step = 2.0 if fa < 0.0 else 0.5
+    while fb != 0.0 and (fb < 0.0) == (fa < 0.0):
+        a, fa = b, fb
+        b *= step
+        if b == math.inf:
+            raise BracketFailure(
+                f"no upper bracket for target {target!r}: g < target up to {a!r}"
+            )
+        if b == 0.0:
+            raise BracketFailure(
+                f"no lower bracket for target {target!r}: g > target down to {a!r}"
+            )
+        fb = phi(b)
+    return (a, fa, b, fb) if a <= b else (b, fb, a, fa)
 
 
 def brent_increasing(
     g: Callable[[float], float],
     target: float,
-    cfg: BracketingConfig = DEFAULT_CONFIG,
+    rel_tol: float = REL_TOL,
     seed: float | None = None,
 ) -> float:
     """Solve ``g(x) = target`` for strictly increasing ``g`` on ``(0, inf)``.
 
     The caller is responsible for the range of ``g`` covering the target.
-    Deterministic for a fixed configuration: bracket by doubling or halving
+    Deterministic for a fixed tolerance: bracket by doubling or halving
     from the seed (1.0 unless given) through the whole positive float range,
     then take inverse quadratic and secant steps, falling back to bisection
     whenever they stall (infinite values force bisection), until the bracket
     half-width drops to ``0.5 * rel_tol * |x|`` or to float spacing: the same
-    relative accuracy at every scale.
+    relative accuracy at every scale.  An overflow of ``g`` to +inf counts as
+    being above the target: the functions solved here grow without bound, so
+    overflow only ever happens past the root.  A point where ``g`` equals the
+    target exactly is returned as the root.
 
     Raises:
+        ValueError: ``rel_tol``, ``target`` or ``seed`` is out of range.
         BracketFailure: no float in ``(0, inf)`` straddles the target.
         NonFiniteEvaluation: ``g`` returned NaN.
         NoConvergence: ``MAX_ITERATIONS`` steps left the bracket open.
     """
-    lo, hi = _expand_bracket(g, target, 1.0 if seed is None else seed)
-    if lo == hi:
-        return lo
+    if not 0 < rel_tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target!r}")
+    seed = 1.0 if seed is None else seed
+    if not 0 < seed < math.inf:
+        raise ValueError(f"bracket seed must be positive and finite, got {seed!r}")
 
     def phi(x):
-        y = _checked(g, x)
+        y = g(x)
+        if math.isnan(y):
+            raise NonFiniteEvaluation(f"function returned NaN at x={x!r}")
         if math.isinf(y):
             return math.copysign(1e300, y)
         return y - target
 
-    a, b = lo, hi
-    fa, fb = phi(a), phi(b)
+    a, fa, b, fb = _expand_bracket(phi, target, seed)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -120,7 +109,7 @@ def brent_increasing(
             fa, fb, fc = fb, fc, fb
         # Brent's floor of two machine epsilons keeps a tolerance finer than
         # float spacing from stalling the bracket one ulp wide.
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * cfg.rel_tol * abs(b)
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * rel_tol * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b

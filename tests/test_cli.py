@@ -735,6 +735,65 @@ def test_misspelled_sweep_spec_fields_are_input_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("compare", ()), ("neutrality", ("--grid", "random:3:seed=5")),
+])
+def test_seed_is_a_solve_flag_only(capsys, command, flags):
+    code, _, err = run_cli(
+        capsys, command, "--example", "triangle", "--f", "ratio:1", "--seed", "5", *flags
+    )
+    assert code == 1
+    assert "--seed" in err
+    report = run_json(
+        capsys, "solve", "--example", "triangle", "--f", "ratio:1",
+        "--method", "iterative", "--seed", "5",
+    )
+    assert report["de"]["converged"] is True
+
+
+_CONFLICTING_PRODUCTIONS = {
+    "f-and-tullock": {"f": "ratio:1", "tullock": "r2=0.5,r3=0.5"},
+    "tullock-size-missing-from-network": {"tullock": "r2=0.5,r3=0.5,r9=1"},
+    "tullock-misses-a-network-size": {"tullock": "r2=0.5"},
+}
+
+
+@pytest.mark.parametrize("flags", _CONFLICTING_PRODUCTIONS.values(),
+                         ids=_CONFLICTING_PRODUCTIONS.keys())
+def test_production_flags_that_would_be_dropped_are_input_errors(capsys, flags):
+    argv = [arg for key, value in flags.items() for arg in (f"--{key}", value)]
+    code, out, err = run_cli(capsys, "compare", "--example", "triangle", *argv)
+    assert code == 1
+    assert err.startswith("error:") and "--tullock" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("keys", _CONFLICTING_PRODUCTIONS.values(),
+                         ids=_CONFLICTING_PRODUCTIONS.keys())
+def test_sweep_spec_production_keys_that_would_be_dropped_are_input_errors(
+    tmp_path, capsys, keys
+):
+    out = tmp_path / "out.csv"
+    spec = {"example": "triangle", "axes": [_V2_AXIS], "output": str(out), **keys}
+    code, _, err = run_cli(capsys, "sweep", str(write_spec(tmp_path, spec)))
+    assert code == 1
+    assert err.startswith("error:") and "--tullock" in err
+    assert not out.exists()
+
+
+def test_random_neutrality_grid_is_capped_before_it_is_built(capsys, monkeypatch):
+    solved = []
+    monkeypatch.setattr(
+        conflictnet.cli, "neutrality_check", lambda *args, **kwargs: solved.append(args)
+    )
+    code, out, err = run_cli(
+        capsys, "neutrality", "--example", "triangle", "--grid", "random:1000001"
+    )
+    assert code == 1
+    assert err.startswith("error:") and "cap is 1000000" in err
+    assert out == "" and solved == []
+
+
 _V2_AXIS = {"param": "v2", "min": 1, "max": 5, "steps": 3}
 
 

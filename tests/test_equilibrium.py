@@ -7,7 +7,6 @@ import pytest
 
 from conflictnet import (
     Battle,
-    BracketingConfig,
     CaraProduction,
     ConflictNetwork,
     EffortProfile,
@@ -285,13 +284,13 @@ def nested_brent_totals(ss):
     Each inner root inverts ``h`` (DE) or the aggregate ``1 / sum_k w_k / h_k``
     (UE) numerically inside an outer root in the per-player total.
     """
-    cfg = BracketingConfig(rel_tol=1e-13)
+    rel_tol = 1e-13
     targets = {k: ss.prizes[k] * (k - 1) / k**2 for k in ss.sizes}
 
     def de_efforts(mu):
         lam = ss.cost.c_prime(mu)
         return {
-            k: brent_increasing(ss.productions[k].h, targets[k] / lam, cfg)
+            k: brent_increasing(ss.productions[k].h, targets[k] / lam, rel_tol)
             for k in ss.sizes
         }
 
@@ -299,7 +298,7 @@ def nested_brent_totals(ss):
         xs = de_efforts(mu)
         return mu - sum(ss.degrees[k] * xs[k] for k in ss.sizes)
 
-    xs = de_efforts(brent_increasing(de_gap, 0.0, cfg))
+    xs = de_efforts(brent_increasing(de_gap, 0.0, rel_tol))
     de_total = sum(ss.degrees[k] * xs[k] for k in ss.sizes)
 
     D = ss.total_degree
@@ -310,9 +309,9 @@ def nested_brent_totals(ss):
         )
 
     def ue_effort(mu):
-        return brent_increasing(inverse_aggregate, 1.0 / (D * ss.cost.c_prime(mu)), cfg)
+        return brent_increasing(inverse_aggregate, 1.0 / (D * ss.cost.c_prime(mu)), rel_tol)
 
-    ue_total = D * ue_effort(brent_increasing(lambda mu: mu - D * ue_effort(mu), 0.0, cfg))
+    ue_total = D * ue_effort(brent_increasing(lambda mu: mu - D * ue_effort(mu), 0.0, rel_tol))
     return de_total, ue_total
 
 

@@ -32,7 +32,7 @@ from conflictnet import functions, general_solver
 from conflictnet.errors import NoConvergence
 from conflictnet.general_solver import _battle_effort
 from conflictnet.network import marginal_benefit
-from conflictnet.rootfind import BracketingConfig, brent_increasing
+from conflictnet.rootfind import brent_increasing
 
 from conftest import BENCHMARK_PRODUCTIONS
 
@@ -463,7 +463,7 @@ G_INV_FAMILIES = {
     },
 }
 
-_REFERENCE_CFG = BracketingConfig(rel_tol=1e-14)
+_REFERENCE_REL_TOL = 1e-14
 
 
 def _corner(pf, rivals):
@@ -478,11 +478,11 @@ def _g(pf, rivals, x):
 def _g_root_reference(pf, log_f_prime, rivals, target):
     """Brent on G, or on log G where G leaves the float range."""
     try:
-        return brent_increasing(lambda x: _g(pf, rivals, x), target, _REFERENCE_CFG)
+        return brent_increasing(lambda x: _g(pf, rivals, x), target, _REFERENCE_REL_TOL)
     except ArithmeticError:
         return brent_increasing(
             lambda x: 2.0 * math.log(pf.f(x) + rivals) - log_f_prime(x),
-            math.log(target), _REFERENCE_CFG,
+            math.log(target), _REFERENCE_REL_TOL,
         )
 
 
@@ -606,9 +606,9 @@ def test_battle_effort_target_divides_before_it_multiplies():
 def test_no_battle_effort_searches_a_root(monkeypatch):
     calls = []
 
-    def counting(g, target, cfg, seed=None):
+    def counting(g, target, rel_tol, seed=None):
         calls.append(target)
-        return brent_increasing(g, target, cfg, seed=seed)
+        return brent_increasing(g, target, rel_tol, seed=seed)
 
     monkeypatch.setattr(general_solver, "brent_increasing", counting)
     for pf in [

@@ -1,6 +1,5 @@
 """Monotone root-finding primitives and h inversion."""
 
-import dataclasses
 import math
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from conflictnet import (
     BracketFailure,
-    BracketingConfig,
     CaraProduction,
     NoConvergence,
     NonFiniteEvaluation,
@@ -17,10 +15,11 @@ from conflictnet import (
     PowerProduction,
     RatioProduction,
     brent_increasing,
+    solve_de,
 )
 
 from conflictnet import rootfind
-from conftest import BENCHMARK_PRODUCTIONS
+from conftest import BENCHMARK_PRODUCTIONS, triangle_structure
 
 
 def closed_form_h_inverse(pf, y):
@@ -117,9 +116,8 @@ def test_nan_evaluations_are_rejected():
 
 
 def test_deterministic_for_fixed_config():
-    cfg = BracketingConfig()
-    a = brent_increasing(lambda x: x**3, 11.0, cfg)
-    b = brent_increasing(lambda x: x**3, 11.0, cfg)
+    a = brent_increasing(lambda x: x**3, 11.0, 1e-10)
+    b = brent_increasing(lambda x: x**3, 11.0, 1e-10)
     assert a == b
 
 
@@ -133,21 +131,40 @@ def test_exhausted_iterations_raise(monkeypatch):
 
 
 def test_tolerance_below_float_spacing_still_converges():
-    cfg = BracketingConfig(rel_tol=1e-300)
-    assert brent_increasing(lambda x: x * (x + 1), 0.625, cfg) == pytest.approx(
+    assert brent_increasing(lambda x: x * (x + 1), 0.625, 1e-300) == pytest.approx(
         (math.sqrt(3.5) - 1) / 2, rel=1e-15
     )
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BracketingConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        BracketingConfig(rel_tol=math.inf)
+    ss = triangle_structure(BENCHMARK_PRODUCTIONS["ratio"])
+    for rel_tol in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            brent_increasing(lambda x: x, 1.0, rel_tol)
+        with pytest.raises(ValueError):
+            solve_de(ss, rel_tol)
 
 
-def test_config_has_one_relative_tolerance():
-    assert [f.name for f in dataclasses.fields(BracketingConfig)] == ["rel_tol"]
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_non_finite_target_is_rejected_before_any_evaluation(target):
+    def g(x):
+        raise AssertionError(f"evaluated at {x!r}")
+
+    with pytest.raises(ValueError, match="target"):
+        brent_increasing(g, target)
+
+
+@pytest.mark.parametrize("seed", [1.0, 1e-3, 1e3])
+def test_no_point_is_evaluated_twice(seed):
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return x**3
+
+    root = brent_increasing(g, 11.0, seed=seed)
+    assert root == pytest.approx(11.0 ** (1 / 3), rel=1e-10)
+    assert len(seen) == len(set(seen))
 
 
 @settings(max_examples=80, deadline=None)
