@@ -7,6 +7,11 @@ the reverse, and linear h (exactly the power families) makes the regimes
 equivalent.  Each production family labels the curvature of its h
 analytically; sampled midpoint-convexity defects of h can veto that label,
 turning the verdict ``indeterminate``, but never replace it.
+
+``compare_regimes``, ``neutrality_check`` and the sweep's rows solve both
+regimes through one helper, so the relative gap ``|X_de - X_ue| / X_ue`` is
+computed in one place.  ``neutrality_check`` reads its prize grid one entry
+at a time, so a lazily drawn grid is never held whole.
 """
 
 from __future__ import annotations
@@ -126,6 +131,16 @@ def classify_h(
 # Regime comparison
 # ---------------------------------------------------------------------------
 
+def _solve_both(
+    ss: SemiSymmetricStructure, rel_tol: float = REL_TOL
+) -> tuple[DEResult, UEResult, float]:
+    """Both regimes' equilibria of ``ss`` and the relative gap of their
+    totals; every DE/UE comparison in the package solves through here."""
+    de = solve_de(ss, rel_tol)
+    ue = solve_ue(ss, rel_tol)
+    return de, ue, abs(de.total - ue.total) / abs(ue.total)
+
+
 _RECOMMENDATION = {"convex": "ue", "concave": "de", "linear": "indifferent"}
 
 # Effort ordering each curvature class predicts, as a set of admissible
@@ -195,10 +210,7 @@ def compare_regimes(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> Com
     effort orderings (they are mirror images, the prize terms being equal at
     symmetric profiles).
     """
-    de = solve_de(ss, rel_tol)
-    ue = solve_ue(ss, rel_tol)
-
-    effort_gap = abs(de.total - ue.total) / abs(ue.total)
+    de, ue, effort_gap = _solve_both(ss, rel_tol)
     # Payoffs are prizes minus a cost that scales like effort squared, so
     # their gap is measured against the prize term, not the total.
     prize_term = ss.prize_term
@@ -294,19 +306,19 @@ def neutrality_check(
     """Test whether DE and UE totals coincide across a grid of prize vectors.
 
     Each grid entry assigns one prize per battle size (a mapping keyed by
-    size, or a sequence ordered by ascending size).  The structure's own
+    size, or a sequence ordered by ascending size).  The grid may be any
+    iterable, a one-shot generator included: entries are read and solved one
+    at a time, and ``grid_size`` counts those read.  The structure's own
     prizes are irrelevant; only sizes, degrees, production functions, and
     cost matter.  Neutral means every relative gap is at most
     ``NEUTRALITY_TOL``; power production functions achieve this for every
     grid, and for any other family some prize vector breaks it.
     """
-    grid = list(valuation_grid)
-    if not grid:
-        raise ValueError("valuation grid must not be empty")
-
     max_gap = -1.0
     worst = None
-    for entry in grid:
+    grid_size = 0
+    for entry in valuation_grid:
+        grid_size += 1
         if isinstance(entry, dict):
             prizes = {int(k): float(v) for k, v in entry.items()}
             if sorted(prizes) != list(structure.sizes):
@@ -320,13 +332,12 @@ def neutrality_check(
                     f"prize vector {values} does not match sizes {structure.sizes}"
                 )
             prizes = dict(zip(structure.sizes, map(float, values)))
-        candidate = structure.with_prizes(prizes)
-        de = solve_de(candidate, rel_tol)
-        ue = solve_ue(candidate, rel_tol)
-        gap = abs(de.total - ue.total) / abs(ue.total)
+        de, ue, gap = _solve_both(structure.with_prizes(prizes), rel_tol)
         if gap > max_gap:
             max_gap = gap
             worst = (prizes, de.total, ue.total)
+    if grid_size == 0:
+        raise ValueError("valuation grid must not be empty")
 
     prizes, de_total, ue_total = worst
     return NeutralityReport(
@@ -335,7 +346,7 @@ def neutrality_check(
         worst_prizes=prizes,
         worst_de_total=de_total,
         worst_ue_total=ue_total,
-        grid_size=len(grid),
+        grid_size=grid_size,
     )
 
 

@@ -4,12 +4,15 @@ Subcommands: ``solve``, ``compare``, ``neutrality``, ``sweep``, ``validate``,
 ``examples``.  Networks come from a JSON file (``--input``) or a built-in
 example (``--example``), optionally overridden by ``--f`` (common production
 function), ``--tullock`` (per-size power exponents), and ``--v`` (per-size
-prizes in ascending size order).  Reports are JSON with sorted keys and full
-float precision; markdown and CSV renderings round to 6 significant figures.
+prizes in ascending size order).  One reader, ``_network``, takes these
+values from the flags and from a sweep spec's keys alike; an empty value or
+two sources for one thing is an input error.  Reports are JSON with sorted
+keys and full float precision; markdown and CSV renderings round to 6
+significant figures.
 
-Exit codes: 0 success, 1 input error, 2 solver failure (bracket failure,
-NaN evaluation, non-convergence, or an arithmetic error such as an overflow
-inside a solve).
+Exit codes: 0 success, 1 input error (including an output path that cannot
+be written), 2 solver failure (bracket failure, NaN evaluation,
+non-convergence, or an arithmetic error such as an overflow inside a solve).
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .general_solver import IterationConfig, SolveOutcome, solve_nash_iterative,
 from .generators import EXAMPLE_NAMES, generate_example
 from .io import (
     SchemaViolation,
-    dump_network,
     dumps_sorted,
     load_network,
     network_to_dict,
@@ -117,72 +119,73 @@ def _parse_prizes_flag(text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",")]
     except ValueError:
-        raise InputError(f"bad --v list {text!r}") from None
+        raise InputError(f"bad prize list {text!r}") from None
 
 
-def _override_network(
-    network: ConflictNetwork,
-    production: ProductionFunction | None,
-    per_size: dict[int, ProductionFunction] | None,
+def _network(
+    path: str | None,
+    example: str | None,
+    f: str | None,
+    tullock: str | None,
     prizes: list[float] | None,
 ) -> ConflictNetwork:
+    """The network at ``path`` or ``example``, its productions set by ``f``
+    or ``tullock`` and its per-size prizes by ``prizes``, ascending by size.
+
+    ``None`` means not given.  Every given value is used, so an empty one,
+    or a pair of which one would be dropped, is an input error.
+    """
+    for flag, value in (("--input", path), ("--f", f), ("--tullock", tullock)):
+        if value == "":
+            raise InputError(f"{flag} is empty")
+    if path is not None and example is not None:
+        raise InputError("--input and --example both name the network; give one")
+    if f is not None and tullock is not None:
+        raise InputError("--f and --tullock both set the production functions; give one")
+    if path is not None:
+        try:
+            network = load_network(path)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot read network {path}: {exc}") from None
+    elif example is not None:
+        network = generate_example(example)
+    else:
+        raise InputError("need --input PATH or --example NAME")
+
+    if f is None and tullock is None and prizes is None:
+        return network
     sizes = sorted({b.size for b in network.battles})
-    prize_by_size = {}
-    if prizes is not None:
-        if len(prizes) != len(sizes):
-            raise InputError(
-                f"--v gives {len(prizes)} prizes but the network has "
-                f"battle sizes {sizes}"
-            )
-        prize_by_size = dict(zip(sizes, prizes))
+    if prizes is not None and len(prizes) != len(sizes):
+        raise InputError(f"prizes {prizes} do not match battle sizes {sizes}")
+    prize_by_size = dict(zip(sizes, prizes or ()))
+    production = None if f is None else parse_production_flag(f)
+    per_size = None if tullock is None else _parse_tullock_flag(tullock)
     if per_size is not None and sorted(per_size) != sizes:
         raise InputError(
             f"--tullock sets sizes {sorted(per_size)} but the network has battle sizes {sizes}"
         )
     battles = []
     for b in network.battles:
-        pf = b.production
-        if per_size is not None:
-            pf = per_size[b.size]
-        elif production is not None:
-            pf = production
-        battles.append(
-            Battle(b.id, b.participants, prize_by_size.get(b.size, b.prize), pf)
-        )
+        pf = per_size[b.size] if per_size is not None else production or b.production
+        battles.append(Battle(b.id, b.participants, prize_by_size.get(b.size, b.prize), pf))
     return ConflictNetwork(network.players, tuple(battles), network.cost)
 
 
-def _network_from_args(args) -> ConflictNetwork:
-    if getattr(args, "input", None):
-        try:
-            network = load_network(args.input)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read network {args.input}: {exc}") from None
-    elif getattr(args, "example", None):
-        network = generate_example(args.example)
-    else:
-        raise InputError("need --input PATH or --example NAME")
-    if getattr(args, "production", None) and getattr(args, "tullock", None):
-        raise InputError("--f and --tullock both set the production functions; give one")
-    production = (
-        parse_production_flag(args.production) if getattr(args, "production", None) else None
-    )
-    per_size = (
-        _parse_tullock_flag(args.tullock) if getattr(args, "tullock", None) else None
-    )
-    prizes = _parse_prizes_flag(args.prizes) if getattr(args, "prizes", None) else None
-    if production or per_size or prizes:
-        network = _override_network(network, production, per_size, prizes)
-    return network
+def _flag_network(args) -> ConflictNetwork:
+    prizes = None if args.prizes is None else _parse_prizes_flag(args.prizes)
+    return _network(args.input, args.example, args.production, args.tullock, prizes)
 
 
-def _structure_from_args(args) -> SemiSymmetricStructure:
-    network = _network_from_args(args)
+def _structure(network: ConflictNetwork, required: bool = True) -> SemiSymmetricStructure | None:
+    """The semi-symmetric structure of ``network``; when it has none, an
+    input error if ``required``, else ``None``."""
     result = check_semi_symmetry(network)
-    if isinstance(result, SemiSymmetryViolations):
+    if not isinstance(result, SemiSymmetryViolations):
+        return result
+    if required:
         lines = "; ".join(v.message for v in result)
         raise InputError(f"network is not semi-symmetric: {lines}")
-    return result
+    return None
 
 
 def _tolerance(args, name: str) -> dict:
@@ -191,7 +194,7 @@ def _tolerance(args, name: str) -> dict:
 
 
 def _write_report(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -291,21 +294,13 @@ def _compare_csv(report: ComparisonReport) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    network = _network_from_args(args)
+    network = _flag_network(args)
     regimes = ("de", "ue") if args.regime == "both" else (args.regime,)
 
-    method = args.method
     structure = None
-    if method in ("auto", "semisymmetric"):
-        result = check_semi_symmetry(network)
-        if isinstance(result, SemiSymmetryViolations):
-            if method == "semisymmetric":
-                lines = "; ".join(v.message for v in result)
-                raise InputError(f"network is not semi-symmetric: {lines}")
-            method = "iterative"
-        else:
-            structure = result
-            method = "semisymmetric"
+    if args.method != "iterative":
+        structure = _structure(network, required=args.method == "semisymmetric")
+    method = "iterative" if structure is None else "semisymmetric"
 
     report: dict = {"method": method, "regime": args.regime}
     exit_code = EXIT_OK
@@ -336,7 +331,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    structure = _structure_from_args(args)
+    structure = _structure(_flag_network(args))
     report = compare_regimes(structure, **_tolerance(args, "rel_tol"))
     if args.format == "md":
         text = _compare_markdown(report)
@@ -349,48 +344,37 @@ def _cmd_compare(args) -> int:
 
 
 def _parse_grid_flag(text: str, sizes: tuple[int, ...]):
+    """The prize vectors of ``--grid``, each in ascending size order.
+
+    ``explicit:`` points are read now; ``neutrality_check`` checks their
+    sizes.  ``random:N[:seed=S]`` is checked now and drawn one point at a
+    time as it is consumed, log-uniform on [0.1, 100] per size.
+    """
     kind, _, rest = text.partition(":")
     if kind == "explicit":
-        grid = []
-        for chunk in rest.split(";"):
-            if not chunk:
-                continue
-            values = [float(v) for v in chunk.split(",")]
-            if len(values) != len(sizes):
-                raise InputError(
-                    f"grid point {chunk!r} needs {len(sizes)} prizes for sizes {sizes}"
-                )
-            grid.append(dict(zip(sizes, values)))
-        if not grid:
-            raise InputError("explicit grid is empty")
-        return grid
+        return [_parse_prizes_flag(chunk) for chunk in rest.split(";") if chunk]
     if kind == "random":
         count_text, _, seed_text = rest.partition(":")
+        label, _, seed_value = seed_text.partition("=")
         try:
             count = int(count_text)
+            seed = int(seed_value if label == "seed" else "") if seed_text else None
+            rng = np.random.default_rng(seed)  # ValueError for a negative seed
         except ValueError:
-            raise InputError(f"bad random grid count in {text!r}") from None
+            raise InputError(f"bad random grid {text!r}; use random:N[:seed=S]") from None
         if count < 1:
             raise InputError("random grid needs a positive count")
         if count > DEFAULT_MAX_GRID:
             raise InputError(f"random grid has {count} points, cap is {DEFAULT_MAX_GRID}")
-        seed = None
-        if seed_text:
-            label, _, value = seed_text.partition("=")
-            if label != "seed" or not value:
-                raise InputError(f"bad random grid seed in {text!r}")
-            seed = int(value)
-        rng = np.random.default_rng(seed)
         lo, hi = np.log(0.1), np.log(100.0)
-        return [
-            {k: float(np.exp(rng.uniform(lo, hi))) for k in sizes}
-            for _ in range(count)
-        ]
+        return (
+            [float(np.exp(rng.uniform(lo, hi))) for _ in sizes] for _ in range(count)
+        )
     raise InputError(f"unknown grid spec {text!r}; use explicit:... or random:N[:seed=S]")
 
 
 def _cmd_neutrality(args) -> int:
-    structure = _structure_from_args(args)
+    structure = _structure(_flag_network(args))
     grid = _parse_grid_flag(args.grid, structure.sizes)
     report = neutrality_check(structure, grid, **_tolerance(args, "rel_tol"))
     _write_report(dumps_sorted(report.to_dict()), args.output)
@@ -449,14 +433,16 @@ def _cmd_sweep(args) -> int:
         if key in doc and (isinstance(value, bool) or not isinstance(value, kind)):
             raise InputError(f"sweep spec field {key!r} must be {kind.__name__}, got {value!r}")
 
-    base_args = argparse.Namespace(
-        input=doc.get("network"),
-        example=doc.get("example"),
-        production=doc.get("f"),
-        tullock=doc.get("tullock"),
-        prizes=",".join(str(v) for v in doc["v"]) if "v" in doc else None,
-    )
-    base = _structure_from_args(base_args)
+    prizes = doc.get("v")
+    for i, value in enumerate(prizes or ()):
+        # Past the float range, float() of a JSON integer raises OverflowError.
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) <= sys.float_info.max):
+            raise InputError(f"sweep spec 'v' entry #{i} must be a finite number, got {value!r}")
+    base = _structure(_network(
+        doc.get("network"), doc.get("example"), doc.get("f"), doc.get("tullock"),
+        None if prizes is None else [float(value) for value in prizes],
+    ))
 
     axes = []
     for i, axis in enumerate(doc.get("axes", [])):
@@ -465,7 +451,7 @@ def _cmd_sweep(args) -> int:
         except (ArithmeticError, ValueError) as exc:
             raise InputError(f"bad sweep axis #{i}: {exc}") from None
 
-    output = args.output or doc.get("output")
+    output = doc.get("output") if args.output is None else args.output
     if not output:
         raise InputError("sweep needs an output path (spec 'output' or --output)")
     try:
@@ -478,7 +464,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    path = args.input or args.path
+    if args.input is not None and args.path is not None:
+        raise InputError("validate got PATH and --input; give one")
+    path = args.path if args.input is None else args.input
     if not path:
         raise InputError("validate needs a network JSON path")
     report: dict = {"valid": True, "errors": []}
@@ -493,17 +481,19 @@ def _cmd_validate(args) -> int:
         return EXIT_INPUT
 
     # Battles often share one production; productions are frozen, so each
-    # distinct one is checked once.
-    outcomes: dict = {}
+    # distinct one is checked once.  A check that cannot evaluate the
+    # production on its grid is a finding about the input, not a failure.
+    findings: dict = {}
     for b in network.battles:
-        outcome = outcomes.get(b.production)
-        if outcome is None:
-            outcome = outcomes[b.production] = validate_production(b.production)
-        if not outcome.passed:
+        if b.production not in findings:
+            try:
+                failures = validate_production(b.production).failures()
+                findings[b.production] = f"fails checks: {failures}" if failures else ""
+            except (NonFiniteEvaluation, ArithmeticError) as exc:
+                findings[b.production] = f"cannot be evaluated: {exc}"
+        if findings[b.production]:
             report["valid"] = False
-            report["errors"].append(
-                f"battle {b.id!r} production fails checks: {outcome.failures()}"
-            )
+            report["errors"].append(f"battle {b.id!r} production {findings[b.production]}")
 
     result = check_semi_symmetry(network)
     if isinstance(result, SemiSymmetryViolations):
@@ -521,11 +511,7 @@ def _cmd_examples(args) -> int:
     if not args.name:
         _write_report("\n".join(EXAMPLE_NAMES) + "\n", args.output)
         return EXIT_OK
-    network = generate_example(args.name)
-    if args.output:
-        dump_network(network, args.output)
-    else:
-        sys.stdout.write(dumps_sorted(network_to_dict(network)))
+    _write_report(dumps_sorted(network_to_dict(generate_example(args.name))), args.output)
     return EXIT_OK
 
 
@@ -623,7 +609,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, ConflictNetError, ValueError, ArithmeticError) as exc:
+    except (InputError, ConflictNetError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONVERGE if isinstance(exc, _SOLVER_FAILURES) else EXIT_INPUT
 

@@ -293,7 +293,9 @@ class CaraProduction(ProductionFunction):
         return self.alpha * math.exp(-self.alpha * x)
 
     def f_double_prime(self, x):
-        return -self.alpha**2 * math.exp(-self.alpha * x)
+        # alpha**2 raises OverflowError past alpha ~ 1.3e154; this product
+        # rounds to -inf there instead.
+        return -self.alpha * (self.alpha * math.exp(-self.alpha * x))
 
     def h(self, x):
         # expm1 keeps h accurate near zero.  Past exp's range h is still
@@ -517,7 +519,7 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
     for x, fv, fpv in zip(grid, f_vals, fp_vals):
         if not math.isfinite(fv) or not math.isfinite(fpv):
             raise NonFiniteEvaluation(
-                f"{pf.family}: non-finite f or f' at grid point {x!r}"
+                f"{pf.family}: non-finite f or f' at grid point {float(x)!r}"
             )
 
     h_vals = np.array([pf.h(float(x)) for x in grid])

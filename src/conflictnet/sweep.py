@@ -4,7 +4,8 @@ A sweep spec names a base semi-symmetric structure, one or more parameter
 axes (per-size prizes ``v<k>``, power exponents ``r`` or ``r<k>``, cost
 parameters ``cost_p`` / ``cost_kappa``), and per-axis ranges.  Grid points
 are enumerated lexicographically in axis order, each built as it is solved
-in-process under both regimes, and written in that order.  Existing rows in
+in-process under both regimes (through ``analysis._solve_both``, the one
+DE/UE comparison), and written in that order.  Existing rows in
 the output file are skipped, so an interrupted sweep resumes where it
 stopped; rows are flushed as they are written so an interrupt preserves
 everything completed.
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import solve_de, solve_ue
+from .analysis import _solve_both
 from .functions import PowerCost, PowerProduction
 from .network import SemiSymmetricStructure
 
@@ -118,13 +119,6 @@ def _point_structure(
     )
 
 
-def _solve_point(ss: SemiSymmetricStructure, values: tuple[float, ...]) -> tuple:
-    de = solve_de(ss)
-    ue = solve_ue(ss)
-    gap = abs(de.total - ue.total) / abs(ue.total)
-    return values + (de.total, ue.total, de.payoff, ue.payoff, gap)
-
-
 def _format_cell(value: float) -> str:
     return repr(float(value))
 
@@ -170,8 +164,9 @@ def run_sweep(spec: SweepSpec, output) -> int:
             values = tuple(float(v) for v in combo)
             if tuple(_format_cell(v) for v in values) in done:
                 continue
-            ss = _point_structure(spec.base, params, values)
-            writer.writerow([_format_cell(v) for v in _solve_point(ss, values)])
+            de, ue, gap = _solve_both(_point_structure(spec.base, params, values))
+            row = values + (de.total, ue.total, de.payoff, ue.payoff, gap)
+            writer.writerow([_format_cell(v) for v in row])
             fh.flush()
             written += 1
     return written

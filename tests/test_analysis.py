@@ -382,6 +382,31 @@ def test_neutrality_rejects_empty_grid():
         neutrality_check(triangle_structure(PowerProduction(1.0, 1.0)), [])
 
 
+def test_neutrality_streams_a_one_shot_grid_and_counts_what_it_read(monkeypatch):
+    structure = triangle_structure(RatioProduction(1.0))
+    points = [(5.0, 72.0), {2: 10.0, 3: 20.0}, (72.0, 5.0)]
+    solved, solved_before_read = [], []
+    solve_de = analysis.solve_de
+
+    def counting(*args, **kwargs):
+        solved.append(1)
+        return solve_de(*args, **kwargs)
+
+    def one_shot():
+        for point in points:
+            solved_before_read.append(len(solved))
+            yield point
+
+    monkeypatch.setattr(analysis, "solve_de", counting)
+    report = neutrality_check(structure, one_shot())
+    # Each point is solved before the next is read.
+    assert solved_before_read == [0, 1, 2]
+    assert report.grid_size == len(points)
+    assert report == neutrality_check(structure, points)
+    with pytest.raises(ValueError, match="empty"):
+        neutrality_check(structure, iter(()))
+
+
 # ---------------------------------------------------------------------------
 # Closed form
 # ---------------------------------------------------------------------------

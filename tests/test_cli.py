@@ -1,15 +1,19 @@
 """CLI subcommands, exit codes, report formats, and the sweep harness."""
 
 import csv
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import conflictnet.analysis
 import conflictnet.cli
 import conflictnet.sweep
 from conflictnet import (
@@ -845,7 +849,7 @@ def test_sweep_builds_each_point_when_it_solves_it(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(conflictnet.sweep, "SemiSymmetricStructure", counting)
-    monkeypatch.setattr(conflictnet.sweep, "solve_de", stop)
+    monkeypatch.setattr(conflictnet.analysis, "solve_de", stop)
     axes = (SweepAxis("v2", 1.0, 5.0, 20), SweepAxis("v3", 1.0, 5.0, 20))
     spec = SweepSpec(base=check_semi_symmetry(generate_triangle()), axes=axes)
     with pytest.raises(KeyboardInterrupt):
@@ -984,3 +988,133 @@ def test_production_flag_aliases_name_the_registry_family(capsys):
     named = run_json(capsys, "solve", "--example", "triangle", "--f", "piecewise-f3")
     aliased = run_json(capsys, "solve", "--example", "triangle", "--f", "piecewise:2,0.5,1")
     assert named == aliased
+
+
+# ---------------------------------------------------------------------------
+# Input contract: every bad input is one error line, exit 1, no rows
+# ---------------------------------------------------------------------------
+
+# id: (argv, sweep spec keys or None).  In argv and in string spec values,
+# {net} is a triangle network file, {out} an output path, {missing} a path
+# in a missing directory and {dir} an existing directory.  None of the
+# output paths may be created.
+_BAD_INPUTS = {
+    "solve-empty-f": (["solve", "--example", "triangle", "--f", ""], None),
+    "solve-empty-v": (["solve", "--example", "triangle", "--v", ""], None),
+    "solve-empty-tullock": (["solve", "--example", "triangle", "--tullock", ""], None),
+    "solve-empty-input": (["solve", "--input", ""], None),
+    "solve-empty-input-beside-example": (
+        ["solve", "--input", "", "--example", "triangle"], None),
+    "solve-input-and-example": (["solve", "--input", "{net}", "--example", "triangle"], None),
+    "solve-f-and-tullock": (
+        ["solve", "--example", "triangle", "--f", "ratio:1", "--tullock", "r2=1,r3=1"], None),
+    "solve-non-finite-v": (["solve", "--example", "triangle", "--v", "inf,1"], None),
+    "solve-unwritable-output": (
+        ["solve", "--example", "triangle", "--output", "{missing}"], None),
+    "compare-empty-f": (["compare", "--example", "triangle", "--f", ""], None),
+    "compare-input-and-example": (
+        ["compare", "--input", "{net}", "--example", "simplex"], None),
+    "compare-non-finite-f": (["compare", "--example", "triangle", "--f", "ratio:inf"], None),
+    "compare-unwritable-output": (
+        ["compare", "--example", "triangle", "--output", "{missing}"], None),
+    "neutrality-empty-tullock": (
+        ["neutrality", "--example", "triangle", "--tullock", "", "--grid", "random:3"], None),
+    "neutrality-input-and-example": (
+        ["neutrality", "--input", "{net}", "--example", "triangle", "--grid", "random:3"],
+        None),
+    "neutrality-non-finite-point": (
+        ["neutrality", "--example", "triangle", "--grid", "explicit:inf,1"], None),
+    "neutrality-bad-seed": (
+        ["neutrality", "--example", "triangle", "--grid", "random:3:seed=x"], None),
+    "neutrality-unwritable-output": (
+        ["neutrality", "--example", "triangle", "--grid", "random:3", "--output", "{missing}"],
+        None),
+    "validate-path-and-input": (["validate", "{net}", "--input", "{net}"], None),
+    "validate-unwritable-output": (["validate", "{net}", "--output", "{missing}"], None),
+    "examples-unwritable-output": (["examples", "--name", "triangle", "--output", "{missing}"],
+                                   None),
+    "sweep-v-strings": (["sweep", "{spec}"], {"v": ["5", "72"]}),
+    "sweep-v-empty": (["sweep", "{spec}"], {"v": []}),
+    "sweep-v-joined-entry": (["sweep", "{spec}"], {"v": ["5,6", "72"]}),
+    "sweep-v-past-float-range": (["sweep", "{spec}"], {"v": [10**400, 72]}),
+    "sweep-empty-f": (["sweep", "{spec}"], {"f": ""}),
+    "sweep-empty-tullock": (["sweep", "{spec}"], {"tullock": ""}),
+    "sweep-network-and-example": (["sweep", "{spec}"], {"network": "{net}"}),
+    "sweep-output-is-a-directory": (["sweep", "{spec}"], {"output": "{dir}"}),
+    "sweep-unwritable-output": (["sweep", "{spec}", "--output", "{missing}"], None),
+}
+
+
+@pytest.mark.parametrize("argv,keys", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_is_one_error_line_and_writes_nothing(tmp_path, capsys, argv, keys):
+    net = tmp_path / "net.json"
+    net.write_text(dumps_sorted(network_to_dict(generate_triangle())))
+    names = {"net": net, "out": tmp_path / "out.csv", "missing": tmp_path / "missing" / "x",
+             "dir": tmp_path / "dir", "spec": tmp_path / "sweep.json"}
+    names["dir"].mkdir()
+    spec = {"example": "triangle", "axes": [_V2_AXIS], "output": "{out}", **(keys or {})}
+    write_spec(tmp_path, {k: v.format(**names) if isinstance(v, str) else v
+                          for k, v in spec.items()})
+    code, out, err = run_cli(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "net.json", "sweep.json"]
+    assert list(names["dir"].iterdir()) == []
+
+
+def test_sweep_v_entries_are_checked_as_json_numbers_by_their_own_name(tmp_path, capsys):
+    spec = {"example": "triangle", "axes": [_V2_AXIS], "output": str(tmp_path / "out.csv"),
+            "v": [5, "5,6"]}
+    code, _, err = run_cli(capsys, "sweep", str(write_spec(tmp_path, spec)))
+    assert code == 1
+    assert err == "error: sweep spec 'v' entry #1 must be a finite number, got '5,6'\n"
+
+
+@pytest.mark.parametrize("grid", ["random:3:seed=x", "random:3:seed=-1"])
+def test_bad_random_grid_seed_quotes_the_flag(capsys, grid):
+    code, _, err = run_cli(capsys, "neutrality", "--example", "triangle", "--grid", grid)
+    assert code == 1
+    assert err == f"error: bad random grid {grid!r}; use random:N[:seed=S]\n"
+
+
+def test_random_grid_is_drawn_as_it_is_consumed():
+    # A first call imports numpy's random modules, so the measured one
+    # allocates only what the grid itself holds.
+    conflictnet.cli._parse_grid_flag("random:1:seed=1", (2, 3))
+    tracemalloc.start()
+    try:
+        grid = conflictnet.cli._parse_grid_flag("random:1000000:seed=1", (2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # The draws keep their order: one point at a time, ascending sizes.
+    rng = np.random.default_rng(1)
+    lo, hi = np.log(0.1), np.log(100.0)
+    for point in itertools.islice(grid, 50):
+        assert point == [float(np.exp(rng.uniform(lo, hi))) for _ in (2, 3)]
+
+
+def test_explicit_grid_points_of_the_wrong_size_are_input_errors(capsys):
+    code, out, err = run_cli(
+        capsys, "neutrality", "--example", "triangle", "--grid", "explicit:5,72;5"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: prize vector [5.0] does not match sizes (2, 3)\n"
+
+
+@pytest.mark.parametrize("production,message", [
+    ({"family": "cara", "params": {"alpha": 1e300}}, "fails checks: ['h_vanishes_at_zero']"),
+    ({"family": "power", "params": {"A": 1e308, "r": 0.5}},
+     "cannot be evaluated: power: non-finite f or f' at grid point 0.001"),
+], ids=["cara-alpha-1e300", "power-A-1e308"])
+def test_validate_reports_productions_it_cannot_evaluate(tmp_path, capsys, production, message):
+    path = _triangle_with_production(tmp_path, production)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert report["errors"] == [
+        f"battle {b.id!r} production {message}" for b in generate_triangle().battles
+    ]

@@ -89,6 +89,14 @@ def test_ratio_derivatives_past_the_overflow_of_the_power_of_x_plus_c():
     )
 
 
+def test_cara_second_derivative_past_the_overflow_of_alpha_squared():
+    # alpha**2 raises OverflowError past alpha ~ 1.3e154.
+    pf = CaraProduction(alpha=1e300)
+    assert pf.f_double_prime(1e-3) == 0.0
+    assert pf.f_double_prime(1e-301) == -math.inf
+    assert CaraProduction(alpha=2.0).f_double_prime(0.5) == pytest.approx(-4.0 * math.exp(-1.0))
+
+
 def test_cara_h_matches_expm1():
     pf = CaraProduction(alpha=2.0)
     for x in (0.01, 0.5, 3.0):
