@@ -10,19 +10,23 @@ turning the verdict ``indeterminate``, but never replace it.
 
 ``compare_regimes``, ``neutrality_check`` and the sweep's rows solve both
 regimes through one helper, so the relative gap ``|X_de - X_ue| / X_ue`` is
-computed in one place.  ``neutrality_check`` reads its prize grid one entry
-at a time, so a lazily drawn grid is never held whole.
+computed in one place.  Along a grid the helper starts each point's two
+root searches from the previous point's totals, rescaled by the Tullock
+closed form (natural-parameter continuation).  ``neutrality_check`` reads
+its prize grid one entry at a time, so a lazily drawn grid is never held
+whole.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionViolation
-from .equilibrium import DEResult, UEResult, solve_de, solve_ue
+from .equilibrium import DEResult, UEResult, _size_weight, solve_de, solve_ue
 from .functions import PowerProduction, ProductionFunction
 from .network import SemiSymmetricStructure
 from .rootfind import REL_TOL
@@ -47,6 +51,9 @@ NEUTRALITY_TOL = 1e-6
 # which h counts as flat.
 CURVATURE_SAMPLES = 128
 CURVATURE_TOL = 1e-9
+
+# Smallest positive float, the lower end of a curvature sample.
+_SMALLEST = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -131,13 +138,55 @@ def classify_h(
 # Regime comparison
 # ---------------------------------------------------------------------------
 
+def _prize_weight(ss: SemiSymmetricStructure) -> float:
+    """``T = sum_k d_k v_k (k-1)/k^2``, the prize side of the Tullock closed form."""
+    return sum(ss.degrees[k] * ss.prizes[k] * _size_weight(k) for k in ss.sizes)
+
+
+def _continuation_seeds(
+    ss: SemiSymmetricStructure, previous: tuple[SemiSymmetricStructure, DEResult, UEResult]
+) -> tuple[float | None, float | None]:
+    """DE and UE bracket seeds at ``ss`` from the point solved before it.
+
+    With power production ``f = A x^r`` (so ``h(x) = x / r``) and cost
+    ``C(X) = kappa X^p / p``, both regimes solve ``X C'(X) = r T`` (the
+    Tullock closed form ``kappa X^p = r T``).  Each regime's previous total
+    calibrates ``rho = X C'(X) / T``, and the seed is the total that rho gives
+    here, ``X' = (rho T' / kappa')^(1/p')``: exact along a prize or cost axis
+    of a power family, a rescaled neighbour for any other.  The UE seed is
+    the per-battle effort ``X' / D``.  A calibration that leaves the float
+    range gives no seed.
+    """
+    prev, de, ue = previous
+    scale = _prize_weight(ss) / ss.cost.kappa
+    weight = _prize_weight(prev)
+
+    def seed(total: float, count: int) -> float | None:
+        try:
+            x = (total * prev.cost.c_prime(total) / weight * scale) ** (1.0 / ss.cost.p) / count
+        except ArithmeticError:
+            return None
+        return x if 0.0 < x < math.inf else None
+
+    return seed(de.total, 1), seed(ue.total, ss.total_degree)
+
+
 def _solve_both(
-    ss: SemiSymmetricStructure, rel_tol: float = REL_TOL
+    ss: SemiSymmetricStructure,
+    rel_tol: float = REL_TOL,
+    previous: tuple[SemiSymmetricStructure, DEResult, UEResult] | None = None,
 ) -> tuple[DEResult, UEResult, float]:
     """Both regimes' equilibria of ``ss`` and the relative gap of their
-    totals; every DE/UE comparison in the package solves through here."""
-    de = solve_de(ss, rel_tol)
-    ue = solve_ue(ss, rel_tol)
+    totals; every DE/UE comparison in the package solves through here.
+
+    ``previous`` is a grid's last point and its two results, ``(structure,
+    de, ue)``; each root search then starts from that point's answer,
+    rescaled to this one (natural-parameter continuation), and the results
+    move only within ``rel_tol`` of a cold solve's.
+    """
+    de_seed, ue_seed = (None, None) if previous is None else _continuation_seeds(ss, previous)
+    de = solve_de(ss, rel_tol, seed=de_seed)
+    ue = solve_ue(ss, rel_tol, seed=ue_seed)
     return de, ue, abs(de.total - ue.total) / abs(ue.total)
 
 
@@ -230,12 +279,16 @@ def compare_regimes(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> Com
     predicted: set[str] | None = None
     if common is not None:
         # A corner effort of 0 has no curvature to sample around.
+        # The sample stays within the positive floats, so efforts at either
+        # end of the float range are sampled up to that end.
         span = [x for x in [*de.efforts.values(), ue.effort] if x > 0]
-        lo = min(span) / 2.0
-        hi = max(span) * 2.0
+        lo = max(min(span) / 2.0, _SMALLEST)
+        hi = min(max(span) * 2.0, sys.float_info.max)
         if hi / lo < 1e2:
-            center = math.sqrt(lo * hi)
-            lo, hi = center / 10.0, center * 10.0
+            # lo * hi leaves the float range once efforts pass 1e+-154.
+            center = math.sqrt(lo) * math.sqrt(hi)
+            lo = max(center / 10.0, _SMALLEST)
+            hi = min(center * 10.0, sys.float_info.max)
         curvature = classify_h(common, domain=(lo, hi))
         predicted = _PREDICTED_ORDERINGS.get(curvature.verdict)
     elif all_power:
@@ -308,7 +361,8 @@ def neutrality_check(
     Each grid entry assigns one prize per battle size (a mapping keyed by
     size, or a sequence ordered by ascending size).  The grid may be any
     iterable, a one-shot generator included: entries are read and solved one
-    at a time, and ``grid_size`` counts those read.  The structure's own
+    at a time, each seeded from the one before (see ``_solve_both``), and
+    ``grid_size`` counts those read.  The structure's own
     prizes are irrelevant; only sizes, degrees, production functions, and
     cost matter.  Neutral means every relative gap is at most
     ``NEUTRALITY_TOL``; power production functions achieve this for every
@@ -317,6 +371,7 @@ def neutrality_check(
     max_gap = -1.0
     worst = None
     grid_size = 0
+    previous = None
     for entry in valuation_grid:
         grid_size += 1
         if isinstance(entry, dict):
@@ -332,7 +387,9 @@ def neutrality_check(
                     f"prize vector {values} does not match sizes {structure.sizes}"
                 )
             prizes = dict(zip(structure.sizes, map(float, values)))
-        de, ue, gap = _solve_both(structure.with_prizes(prizes), rel_tol)
+        point = structure.with_prizes(prizes)
+        de, ue, gap = _solve_both(point, rel_tol, previous)
+        previous = (point, de, ue)
         if gap > max_gap:
             max_gap = gap
             worst = (prizes, de.total, ue.total)

@@ -9,7 +9,9 @@ must equal ``sum_k d_k x_k``.  Under uniform effort (UE) the single effort x
 solves ``D C'(D x) = sum_k w_k / h_k(x)`` with ``D`` battles per player and
 ``w_k = d_k v_k (k-1) / k^2``.  At either equilibrium every participant of a
 size-k battle wins with probability exactly 1/k, which the payoff computation
-uses directly instead of re-evaluating the contest success function.
+uses directly instead of re-evaluating the contest success function.  Both
+solvers take an optional bracket ``seed``, which a grid of prize points sets
+from the point solved before it.
 """
 
 from __future__ import annotations
@@ -56,30 +58,63 @@ class UEResult:
     residual: float
 
 
+def _uniform_gap(weighted_h, count: int, cost):
+    """The uniform-effort first-order gap ``n C'(n x) - sum_b w_b / h_b(x)``.
+
+    ``weighted_h`` holds one ``(w_b, h_b)`` pair per battle or size class and
+    ``count`` is the number ``n`` of battles the effort x is spent on.  The
+    gap is strictly increasing in x; where some ``h_b(x)`` underflows to 0 the
+    marginal benefit is beyond float range and the gap is ``-inf``.
+    """
+    c_prime = cost.c_prime
+
+    def gap(x: float) -> float:
+        benefit = 0.0
+        for w, h in weighted_h:
+            hx = h(x)
+            if hx == 0.0:
+                return -math.inf
+            benefit += w / hx
+        return count * c_prime(count * x) - benefit
+
+    return gap
+
+
 def _symmetric_payoff(ss: SemiSymmetricStructure, total: float) -> float:
     return ss.prize_term - ss.cost.c(total)
 
 
-def solve_de(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> DEResult:
+def solve_de(
+    ss: SemiSymmetricStructure, rel_tol: float = REL_TOL, *, seed: float | None = None
+) -> DEResult:
     """Solve the discriminatory-effort equilibrium.
 
     Construction: for a candidate total mu, each size-k effort is
     ``h_k^{-1}(v_k (k-1) / (k^2 C'(mu)))`` in closed form; the consistency gap
     ``mu - sum_k d_k x_k(mu)`` is strictly increasing in mu and crosses zero
-    exactly once, so it is bracketed from mu = 1 and solved by Brent's method.
+    exactly once, so it is bracketed from mu = ``seed`` (1 unless given) and
+    solved by Brent's method.  A seed near the root, such as a neighbouring
+    grid point's total, shortens the search; the answer moves only within
+    ``rel_tol``.
     """
     targets = {k: ss.prizes[k] * _size_weight(k) for k in ss.sizes}
-
-    def efforts_at(mu: float) -> dict[int, float]:
-        lam = ss.cost.c_prime(mu)
-        return {k: ss.productions[k].h_inv(targets[k] / lam) for k in ss.sizes}
+    terms = tuple((ss.degrees[k], ss.productions[k].h_inv, targets[k]) for k in ss.sizes)
+    c_prime = ss.cost.c_prime
 
     def gap(mu: float) -> float:
-        xs = efforts_at(mu)
-        return mu - sum(ss.degrees[k] * xs[k] for k in ss.sizes)
+        lam = c_prime(mu)
+        if lam == 0.0:
+            # C'(mu) underflowed: every target, and so every effort, is
+            # beyond float range.
+            return -math.inf
+        acc = 0.0
+        for d, h_inv, t in terms:
+            acc += d * h_inv(t / lam)
+        return mu - acc
 
-    mu_root = brent_increasing(gap, 0.0, rel_tol)
-    efforts = efforts_at(mu_root)
+    mu_root = brent_increasing(gap, 0.0, rel_tol, seed)
+    lam = c_prime(mu_root)
+    efforts = {k: ss.productions[k].h_inv(targets[k] / lam) for k in ss.sizes}
     # Re-anchor the reported total on the final efforts so the accounting
     # identity total = sum_k d_k x_k holds to float precision.
     total = sum(ss.degrees[k] * efforts[k] for k in ss.sizes)
@@ -106,7 +141,9 @@ def solve_de(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> DEResult:
     )
 
 
-def solve_ue(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> UEResult:
+def solve_ue(
+    ss: SemiSymmetricStructure, rel_tol: float = REL_TOL, *, seed: float | None = None
+) -> UEResult:
     """Solve the uniform-effort equilibrium.
 
     With a single effort level x in all battles, the first-order condition
@@ -115,22 +152,14 @@ def solve_ue(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> UEResult:
     and ``D`` the number of battles per player.  Since ``f_k'/f_k = 1/h_k``
     and every ``h_k`` is strictly increasing, ``D C'(D x) - sum_k w_k / h_k(x)``
     is strictly increasing in x, so one Brent root gives the effort, whether
-    or not the production functions differ across sizes.
+    or not the production functions differ across sizes.  ``seed`` is the
+    effort the bracket search starts from (1 unless given), as in
+    :func:`solve_de`.
     """
     weights = {k: ss.degrees[k] * ss.prizes[k] * _size_weight(k) for k in ss.sizes}
     D = ss.total_degree
-
-    def gap(x: float) -> float:
-        benefit = 0.0
-        for k in ss.sizes:
-            h = ss.productions[k].h(x)
-            if h == 0.0:
-                # h underflowed: the marginal benefit is beyond float range.
-                return -math.inf
-            benefit += weights[k] / h
-        return D * ss.cost.c_prime(D * x) - benefit
-
-    effort = brent_increasing(gap, 0.0, rel_tol)
+    gap = _uniform_gap(tuple((weights[k], ss.productions[k].h) for k in ss.sizes), D, ss.cost)
+    effort = brent_increasing(gap, 0.0, rel_tol, seed)
     total = D * effort
     lam = ss.cost.c_prime(total) * D
     benefit = sum(

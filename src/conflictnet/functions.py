@@ -430,6 +430,27 @@ class PiecewisePowerAffineProduction(ProductionFunction):
 # Cost
 # ---------------------------------------------------------------------------
 
+def _scaled_power(kappa: float, x: float, q: float) -> float:
+    """``kappa * x**q`` for ``x >= 0``, also where ``x**q`` alone leaves the
+    normal floats but the product does not.
+
+    ``x**q`` raises past the float range and loses precision below it; only
+    then is ``x`` scaled first, as ``(kappa**(1/q) * x)**q``, so every other
+    value is the plain product.  A result past the float range is ``inf``,
+    as the product's overflow would be.
+    """
+    try:
+        y = x**q
+    except OverflowError:
+        y = math.inf
+    if sys.float_info.min <= y < math.inf or x == 0.0:
+        return kappa * y
+    try:
+        return (kappa ** (1.0 / q) * x) ** q
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PowerCost:
     """Convex, strictly increasing effort cost on total effort,
@@ -448,8 +469,11 @@ class PowerCost:
             raise ValueError(f"exponent p must be >= 1 and finite, got {self.p}")
 
     def c(self, total: float) -> float:
-        """Cost of a total effort level."""
-        return self.kappa * total**self.p / self.p
+        """Cost of a total effort level, or of each entry of a numpy array
+        of them (the grid oracle prices a whole grid at once)."""
+        if isinstance(total, np.ndarray):
+            return self.kappa * total**self.p / self.p
+        return _scaled_power(self.kappa, total, self.p) / self.p
 
     def c_prime(self, total: float) -> float:
         """Marginal cost."""
@@ -457,7 +481,7 @@ class PowerCost:
             return self.kappa
         if self.p == 2.0:
             return self.kappa * total
-        return self.kappa * total ** (self.p - 1.0)
+        return _scaled_power(self.kappa, total, self.p - 1.0)
 
     @property
     def is_unit_quadratic(self) -> bool:

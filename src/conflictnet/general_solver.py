@@ -16,17 +16,22 @@ oracle with its own shares provides an independent desk-scale cross-check.
 
 When every rival in a battle exerts zero effort the payoff is discontinuous
 at zero (an infinitesimal effort wins outright), so the marginal benefit is
-effectively unbounded; such battles receive the floor effort
-``DEGENERATE_FLOOR`` and are reported, rather than dividing by zero.
+effectively unbounded; such battles receive a floor effort and are reported,
+rather than dividing by zero.  The floor is ``1e-12`` times the network's
+effort scale (see :func:`_degenerate_floor`), so it lies as far below the
+equilibrium efforts at prizes of 1e-300 as at 1e300; a solve computes it
+once, the first time it meets such a battle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .equilibrium import _size_weight, _uniform_gap
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
@@ -39,11 +44,12 @@ __all__ = [
     "solve_nash_iterative",
     "solve_nash_ue_iterative",
     "brute_force_nash",
-    "DEGENERATE_FLOOR",
 ]
 
-# Effort assigned in a battle whose rivals all exert zero.
-DEGENERATE_FLOOR = 1e-12
+# Effort assigned in a battle whose rivals all exert zero, relative to the
+# network's effort scale, and the relative accuracy that scale needs.
+_FLOOR_RATIO = 1e-12
+_FLOOR_SCALE_TOL = 1e-3
 
 # Inner root finds run well below the profile-change tolerance so that
 # best-response quantization noise cannot stall the outer iteration.
@@ -103,6 +109,30 @@ class SolveOutcome:
 # Best responses
 # ---------------------------------------------------------------------------
 
+def _degenerate_floor(network: ConflictNetwork) -> float:
+    """Effort for a battle whose rivals all exert zero.
+
+    It is ``_FLOOR_RATIO`` times the largest per-battle effort x solving a
+    player's symmetric first-order condition
+    ``n C'(n x) = sum_b v_b (k_b - 1) / k_b^2 / h_b(x)`` over the player's
+    ``n`` battles: the uniform-effort equilibrium of a player whose rivals
+    all mirror it, one coarse root per player.  Scaled so, the floor stays
+    far below the equilibrium efforts at every prize scale; one sitting
+    above them can keep the profile flipping between two states that each
+    have degenerate battles.
+    """
+    scale = 0.0
+    for p in network.players:
+        own = network.battles_of(p)
+        gap = _uniform_gap(
+            tuple((b.prize * _size_weight(b.size), b.production.h) for b in own),
+            len(own),
+            network.cost,
+        )
+        scale = max(scale, brent_increasing(gap, 0.0, _FLOOR_SCALE_TOL))
+    return _FLOOR_RATIO * scale
+
+
 def _contested(
     network: ConflictNetwork, player: PlayerId, others: EffortProfile
 ) -> tuple[list[tuple[Battle, float]], tuple[str, ...]]:
@@ -137,13 +167,15 @@ def _battle_effort(battle: Battle, rivals: float, lam: float) -> float:
 
 
 def _best_response_discriminatory(
-    network: ConflictNetwork, player: PlayerId, profile: EffortProfile
+    network: ConflictNetwork, player: PlayerId, profile: EffortProfile, floor
 ) -> tuple[dict[str, float], tuple[str, ...]]:
     """Per-battle best response to ``profile`` and the battles given the
-    floor; the root on the total is seeded from the player's own efforts."""
+    floor effort ``floor()``; the root on the total is seeded from the
+    player's own efforts."""
     active, degenerate = _contested(network, player, profile)
-    floor_total = DEGENERATE_FLOOR * len(degenerate)
-    efforts = {bid: DEGENERATE_FLOOR for bid in degenerate}
+    x = floor() if degenerate else 0.0
+    efforts = {bid: x for bid in degenerate}
+    floor_total = x * len(degenerate)
     if not active:
         return efforts, degenerate
 
@@ -178,23 +210,28 @@ def best_response(
 
     Rival efforts enter only through the per-battle score sums, so the result
     is invariant to permuting rivals within a battle.  A battle whose rivals
-    all sit at zero gets the floor effort ``DEGENERATE_FLOOR``.  The
-    player's own efforts in ``others``, where present, only seed the search.
+    all sit at zero gets the floor effort the iterative solvers use (see
+    :func:`_degenerate_floor`).  The player's own efforts in ``others``,
+    where present, only seed the search.
     """
-    efforts, _ = _best_response_discriminatory(network, player, others)
+    efforts, _ = _best_response_discriminatory(
+        network, player, others, lambda: _degenerate_floor(network)
+    )
     return efforts
 
 
 def _best_response_uniform(
-    network: ConflictNetwork, player: PlayerId, profile: EffortProfile
+    network: ConflictNetwork, player: PlayerId, profile: EffortProfile, floor
 ) -> tuple[dict[str, float], tuple[str, ...]]:
-    """Best single effort level applied to all of the player's battles; the
-    root is seeded from the player's current effort."""
+    """Best single effort level applied to all of the player's battles, or
+    ``floor()`` when every one is degenerate; the root is seeded from the
+    player's current effort."""
     own = network.battles_of(player)
     count = len(own)
     active, degenerate = _contested(network, player, profile)
     if not active:
-        return {b.id: DEGENERATE_FLOOR for b in own}, degenerate
+        x = floor()
+        return {b.id: x for b in own}, degenerate
 
     mb0 = sum(marginal_benefit(b, 0.0, s) for b, s in active)
     if mb0 <= count * network.cost.c_prime(0.0):
@@ -251,19 +288,21 @@ def _deviation_gain(
 def _iterate(network, cfg, respond):
     """Shared simultaneous best-response loop.
 
-    ``respond(network, player, profile)`` returns the player's efforts by
-    battle id and the ids of battles given the floor effort; it must be a
-    pure function of the frozen profile.  Every sweep answers the current
-    profile for all players at once.  The sweep that meets the stop rule, or
-    the last one allowed, certifies the profile it answered, which is the
-    one returned.
+    ``respond(network, player, profile, floor)`` returns the player's
+    efforts by battle id and the ids of battles given the floor effort
+    ``floor()``; it must be a pure function of the frozen profile.  The
+    floor is computed on its first call and kept for the rest of the solve.
+    Every sweep answers the current profile for all players at once.  The
+    sweep that meets the stop rule, or the last one allowed, certifies the
+    profile it answered, which is the one returned.
     """
     profile = _initial_profile(network, cfg)
+    floor = functools.cache(lambda: _degenerate_floor(network))
     for iterations in range(1, cfg.max_iterations + 1):
         responses = {}
         degenerate: set[str] = set()
         for p in network.players:
-            responses[p], degen = respond(network, p, profile)
+            responses[p], degen = respond(network, p, profile, floor)
             degenerate.update(degen)
 
         delta = 0.0

@@ -5,7 +5,10 @@ axes (per-size prizes ``v<k>``, power exponents ``r`` or ``r<k>``, cost
 parameters ``cost_p`` / ``cost_kappa``), and per-axis ranges.  Grid points
 are enumerated lexicographically in axis order, each built as it is solved
 in-process under both regimes (through ``analysis._solve_both``, the one
-DE/UE comparison), and written in that order.  Existing rows in
+DE/UE comparison), and written in that order.  Each point's two root
+searches start from the previous point's answers, rescaled by the Tullock
+closed form (natural-parameter continuation), so a row matches a cold solve
+of its point to the solver's relative tolerance.  Existing rows in
 the output file are skipped, so an interrupted sweep resumes where it
 stopped; rows are flushed as they are written so an interrupt preserves
 everything completed.
@@ -154,19 +157,25 @@ def run_sweep(spec: SweepSpec, output) -> int:
     done = _existing_keys(path, params)
     header_needed = not path.exists() or path.stat().st_size == 0
 
+    # Each axis value is formatted once; its text is both the resume key and
+    # the row's cell.
+    axis_cells = [[(float(v), _format_cell(v)) for v in values] for values in axis_values]
     written = 0
+    previous = None
     with open(path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if header_needed:
             writer.writerow(params + _RESULT_COLUMNS)
             fh.flush()
-        for combo in itertools.product(*axis_values):
-            values = tuple(float(v) for v in combo)
-            if tuple(_format_cell(v) for v in values) in done:
+        for combo in itertools.product(*axis_cells):
+            values, cells = zip(*combo)
+            if cells in done:
                 continue
-            de, ue, gap = _solve_both(_point_structure(spec.base, params, values))
-            row = values + (de.total, ue.total, de.payoff, ue.payoff, gap)
-            writer.writerow([_format_cell(v) for v in row])
+            structure = _point_structure(spec.base, params, values)
+            de, ue, gap = _solve_both(structure, previous=previous)
+            previous = (structure, de, ue)
+            results = (de.total, ue.total, de.payoff, ue.payoff, gap)
+            writer.writerow(cells + tuple(_format_cell(v) for v in results))
             fh.flush()
             written += 1
     return written

@@ -18,10 +18,13 @@ import conflictnet.cli
 import conflictnet.sweep
 from conflictnet import (
     BracketFailure,
+    ConflictNetwork,
     NoConvergence,
     NonFiniteEvaluation,
+    PowerCost,
     SchemaViolation,
     check_semi_symmetry,
+    dump_network,
     generate_simplex,
     generate_triangle,
     network_from_dict,
@@ -878,7 +881,7 @@ def _assert_iterative_matches_structured(capsys, network):
     for regime in ("de", "ue"):
         assert iterative[regime]["converged"] is True
         for total in iterative[regime]["totals"].values():
-            assert total == pytest.approx(structured[regime]["total"], rel=1e-9)
+            assert total == pytest.approx(structured[regime]["total"], rel=1e-9, abs=0.0)
     return structured
 
 
@@ -902,6 +905,63 @@ def test_iterative_solve_at_prizes_1e_minus_22_matches_the_structured_engine(cap
     structured = _assert_iterative_matches_structured(capsys, network)
     if family == "power:1,1":
         assert structured["de"]["total"] == pytest.approx(1.0801234497e-11, rel=1e-10)
+
+
+@pytest.mark.parametrize("family", ["cara:1", "ratio:1", "power:1,1", "piecewise-f3"])
+def test_iterative_solve_at_prizes_1e_minus_30_matches_the_structured_engine(capsys, family):
+    # The first sweep leaves battles at the corner 0; the floor effort the
+    # next sweep gives them scales with the prizes, so it does not dwarf
+    # the equilibrium efforts near 1e-15.
+    network = ["solve", "--example", "triangle", "--v", "1e-30,3e-30", "--f", family]
+    _assert_iterative_matches_structured(capsys, network)
+
+
+def cost_network_file(tmp_path, kappa, p, scale):
+    """The triangle with prizes times ``scale`` and cost kappa X^p / p."""
+    network = generate_triangle(v2=5.0 * scale, v3=72.0 * scale)
+    network = ConflictNetwork(network.players, network.battles, PowerCost(kappa=kappa, p=p))
+    path = tmp_path / "cost.json"
+    dump_network(network, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_cost_overflowing_only_in_its_power_solves(tmp_path, capsys, command):
+    # Totals near 4e300 square past the float range, but kappa = 1e-300
+    # scales the cost back: C = T / 2 = 9.25e300.
+    path = cost_network_file(tmp_path, 1e-300, 2.0, 1e300)
+    report = run_json(capsys, command, "--input", path, "--f", "power:1,1")
+    payoff = report["de"]["payoff"] if command == "solve" else report["payoffs_de"]
+    assert payoff == pytest.approx(2.9e301 - 1.85e301 / 2.0, rel=1e-12)
+
+
+def test_marginal_cost_underflowing_in_the_de_search_solves(tmp_path, capsys):
+    path = cost_network_file(tmp_path, 1e300, 3.0, 1e-300)
+    report = run_json(capsys, "solve", "--input", path, "--f", "ratio:1")
+    assert report["de"]["total"] == pytest.approx(report["ue"]["total"], rel=1e-9, abs=0.0)
+    assert report["de"]["total"] == pytest.approx(2.6447862363e-200, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("scale,prizes", [(1e-300, None), (1.0, "4e-323,1e-322")])
+def test_compare_samples_curvature_at_efforts_near_the_float_range_ends(
+    tmp_path, capsys, scale, prizes
+):
+    # With linear cost the efforts are v (k-1) / k^2: near 1e-300, where
+    # lo * hi underflows, or subnormal, where lo / 2 does.
+    path = cost_network_file(tmp_path, 1.0, 1.0, scale)
+    extra = [] if prizes is None else ["--v", prizes]
+    report = run_json(capsys, "compare", "--input", path, "--f", "ratio:1", *extra)
+    assert report["verdict"] == "convex"
+    assert report["consistent"] is True
+
+
+def test_compare_past_the_float_range_is_a_solver_failure(tmp_path, capsys):
+    # Linear cost 1e300 puts every effort near 1e-600.
+    path = cost_network_file(tmp_path, 1e300, 1.0, 1e-300)
+    code, out, err = run_cli(capsys, "compare", "--input", path, "--f", "ratio:1")
+    assert code == 2
+    assert out == ""
+    assert "bracket" in err
 
 
 def test_iterative_solve_does_not_stop_on_a_sweep_that_used_the_floor_effort(capsys):

@@ -340,3 +340,27 @@ def test_ue_reads_an_underflowing_h_as_an_infinite_marginal_benefit():
     assert CaraProduction(0.5).h(5e-324) == 0.0
     ue = solve_ue(ss)
     assert 0.0 < ue.effort <= 1e-323
+
+
+def cost_structure(kappa, p, scale, production=PowerProduction(1.0, 1.0)):
+    """The benchmark triangle with prizes times ``scale`` and cost kappa X^p / p."""
+    network = generate_example("triangle", production=production, v2=5.0 * scale, v3=72.0 * scale)
+    return check_semi_symmetry(
+        ConflictNetwork(network.players, network.battles, PowerCost(kappa=kappa, p=p))
+    )
+
+
+@pytest.mark.parametrize("kappa,p,scale", [
+    # C'(mu) = kappa mu^2: mu^2 underflows where kappa mu^2 does not.
+    (1e300, 3.0, 1e-300),
+    # kappa mu^999 underflows to 0 one halving below the root, 0.708, so
+    # the DE search meets C'(mu) = 0 and reads it as an infinite target.
+    (1e-100, 1000.0, 1e-251),
+])
+def test_structured_solves_where_marginal_cost_leaves_float_range(kappa, p, scale):
+    ss = cost_structure(kappa, p, scale)
+    # Tullock closed form kappa X^p = T, the p-th root taken of each factor.
+    prize_weight = sum(ss.degrees[k] * ss.prizes[k] * (k - 1) / k**2 for k in ss.sizes)
+    expected = prize_weight ** (1.0 / p) / kappa ** (1.0 / p)
+    assert solve_de(ss).total == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert solve_ue(ss).total == pytest.approx(expected, rel=1e-9, abs=0.0)

@@ -206,6 +206,28 @@ def test_cost_function_values_and_derivatives():
     assert linear.c_prime(5.0) == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("kappa,p,total,cost,marginal", [
+    # total**p overflows; kappa brings the cost back into range.
+    (1e-300, 2.0, 1e300, 5e299, 1.0),
+    (1e-300, 3.0, 1e200, 1e300 / 3.0, 1e100),
+    # total**p underflows below the normal floats; kappa lifts it back.
+    (1e300, 3.0, 1e-200, 1e-300 / 3.0, 1e-100),
+])
+def test_cost_stays_finite_where_only_the_power_leaves_float_range(kappa, p, total, cost, marginal):
+    power = PowerCost(kappa=kappa, p=p)
+    assert power.c(total) == pytest.approx(cost, rel=1e-13, abs=0.0)
+    assert power.c_prime(total) == pytest.approx(marginal, rel=1e-13, abs=0.0)
+
+
+def test_cost_in_float_range_is_the_plain_product():
+    for kappa, p, total in [(1.0, 2.0, 3.0), (2.0, 3.0, 2.5), (0.3, 2.7, 1e10), (5.0, 1.5, 1e-30)]:
+        cost = PowerCost(kappa=kappa, p=p)
+        assert cost.c(total) == kappa * total**p / p
+        assert cost.c_prime(total) == kappa * total ** (p - 1.0)
+    # Past every float the cost is inf, as the product's overflow is.
+    assert PowerCost(kappa=1.0, p=3.0).c_prime(1e200) == math.inf
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
 def test_spec_round_trip(name):
     pf = BENCHMARK_PRODUCTIONS[name]

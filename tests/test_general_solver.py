@@ -126,7 +126,30 @@ def test_degenerate_battles_get_the_floor_effort():
     net = single_battle_network()
     zeros = EffortProfile.constant(net, 0.0)
     response = best_response(net, 1, zeros)
-    assert response["t"] == pytest.approx(1e-12)
+    # 1e-12 times the symmetric effort x = v / (4 x) = 1/2.
+    assert response["t"] == pytest.approx(0.5e-12, rel=1e-3, abs=0.0)
+
+
+@pytest.mark.parametrize("prize", [1e-30, 1e-300])
+def test_floor_effort_scales_with_the_prizes(prize):
+    net = single_battle_network(prize)
+    response = best_response(net, 1, EffortProfile.constant(net, 0.0))
+    assert response["t"] == pytest.approx(1e-12 * math.sqrt(prize) / 2.0, rel=1e-3, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-100, 1e-300])
+@pytest.mark.parametrize("production", [
+    PowerProduction(1.0, 1.0), RatioProduction(1.0), CaraProduction(1.0),
+], ids=["power", "ratio", "cara"])
+def test_iterative_de_converges_at_small_prizes(production, scale):
+    # Battles left at the corner 0 get a floor far below the equilibrium
+    # efforts, so the profile does not flip between two degenerate states.
+    net = generate_triangle(v2=5.0 * scale, v3=72.0 * scale, production=production)
+    out = solve_nash_iterative(net, IterationConfig(max_iterations=300))
+    assert out.converged
+    expected = solve_de(check_semi_symmetry(net)).total
+    for player in net.players:
+        assert out.profile.total(player) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_corner_best_response_under_linear_cost():
