@@ -32,7 +32,7 @@ for label, production in PRODUCTIONS:
     relation = {"<": ">", ">": "<", "=": "="}[result.ordering]  # UE side on the left
     print(
         f"{label:<24}{result.curvature.verdict:<14}"
-        f"{result.total_ue:>10.6g}   {relation}  {result.total_de:>10.6g}  "
+        f"{result.ue.total:>10.6g}   {relation}  {result.de.total:>10.6g}  "
         f"{result.recommendation}"
     )
 

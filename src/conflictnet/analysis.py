@@ -29,7 +29,6 @@ from .errors import PreconditionViolation
 from .equilibrium import DEResult, UEResult, _size_weight, solve_de, solve_ue
 from .functions import PowerProduction, ProductionFunction
 from .network import SemiSymmetricStructure
-from .rootfind import REL_TOL
 
 __all__ = [
     "CurvatureVerdict",
@@ -42,9 +41,9 @@ __all__ = [
     "NEUTRALITY_TOL",
 ]
 
-# Relative total-effort gap below which the two regimes count as equal; one
-# order above the solver residual tolerance to avoid false verdicts from
-# root-finding error.
+# Relative total-effort gap below which the two regimes count as equal.  It
+# holds only because every DE/UE comparison solves at ``rootfind.REL_TOL``,
+# four orders tighter, so root-finding error cannot cross it.
 NEUTRALITY_TOL = 1e-6
 
 # Grid points of the curvature sample and the relative midpoint defect below
@@ -173,20 +172,20 @@ def _continuation_seeds(
 
 def _solve_both(
     ss: SemiSymmetricStructure,
-    rel_tol: float = REL_TOL,
     previous: tuple[SemiSymmetricStructure, DEResult, UEResult] | None = None,
 ) -> tuple[DEResult, UEResult, float]:
     """Both regimes' equilibria of ``ss`` and the relative gap of their
-    totals; every DE/UE comparison in the package solves through here.
+    totals; every DE/UE comparison in the package solves through here, at
+    the root finder's own ``REL_TOL``.
 
     ``previous`` is a grid's last point and its two results, ``(structure,
     de, ue)``; each root search then starts from that point's answer,
     rescaled to this one (natural-parameter continuation), and the results
-    move only within ``rel_tol`` of a cold solve's.
+    move only within ``REL_TOL`` of a cold solve's.
     """
     de_seed, ue_seed = (None, None) if previous is None else _continuation_seeds(ss, previous)
-    de = solve_de(ss, rel_tol, seed=de_seed)
-    ue = solve_ue(ss, rel_tol, seed=ue_seed)
+    de = solve_de(ss, seed=de_seed)
+    ue = solve_ue(ss, seed=ue_seed)
     return de, ue, abs(de.total - ue.total) / abs(ue.total)
 
 
@@ -216,12 +215,10 @@ class ComparisonReport:
     recommendation: str | None
 
     @property
-    def total_de(self) -> float:
-        return self.de.total
-
-    @property
-    def total_ue(self) -> float:
-        return self.ue.total
+    def verdict(self) -> str:
+        """The curvature verdict, or ``"heterogeneous"`` when the sizes
+        share no production function."""
+        return self.curvature.verdict if self.curvature else "heterogeneous"
 
     def to_dict(self) -> dict:
         """JSON-ready summary with deterministic key order when dumped."""
@@ -237,7 +234,7 @@ class ComparisonReport:
         }
         return {
             "structure": summary,
-            "verdict": self.curvature.verdict if self.curvature else "heterogeneous",
+            "verdict": self.verdict,
             "X_de": self.de.total,
             "X_ue": self.ue.total,
             "payoffs_de": self.de.payoff,
@@ -249,7 +246,7 @@ class ComparisonReport:
         }
 
 
-def compare_regimes(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> ComparisonReport:
+def compare_regimes(ss: SemiSymmetricStructure) -> ComparisonReport:
     """Solve both regimes and check the ordering the curvature of h predicts.
 
     A curvature-based prediction needs one shared production function across
@@ -259,7 +256,7 @@ def compare_regimes(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> Com
     effort orderings (they are mirror images, the prize terms being equal at
     symmetric profiles).
     """
-    de, ue, effort_gap = _solve_both(ss, rel_tol)
+    de, ue, effort_gap = _solve_both(ss)
     # Payoffs are prizes minus a cost that scales like effort squared, so
     # their gap is measured against the prize term, not the total.
     prize_term = ss.prize_term
@@ -351,11 +348,7 @@ class NeutralityReport:
         }
 
 
-def neutrality_check(
-    structure: SemiSymmetricStructure,
-    valuation_grid,
-    rel_tol: float = REL_TOL,
-) -> NeutralityReport:
+def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> NeutralityReport:
     """Test whether DE and UE totals coincide across a grid of prize vectors.
 
     Each grid entry assigns one prize per battle size (a mapping keyed by
@@ -388,7 +381,7 @@ def neutrality_check(
                 )
             prizes = dict(zip(structure.sizes, map(float, values)))
         point = structure.with_prizes(prizes)
-        de, ue, gap = _solve_both(point, rel_tol, previous)
+        de, ue, gap = _solve_both(point, previous)
         previous = (point, de, ue)
         if gap > max_gap:
             max_gap = gap

@@ -240,8 +240,12 @@ def _outcome_dict(outcome: SolveOutcome, network: ConflictNetwork) -> dict:
     }
 
 
-def _production_label(pf: ProductionFunction) -> str:
-    spec = pf.to_spec()
+def _production_label(structure: SemiSymmetricStructure) -> str:
+    """The table's ``f`` column: the shared production, or ``per-size``."""
+    common = structure.common_production()
+    if common is None:
+        return "per-size"
+    spec = common.to_spec()
     params = ",".join(f"{v:.6g}" for v in spec["params"].values())
     return f"{spec['family']}({params})"
 
@@ -253,33 +257,28 @@ def _ue_side_relation(ordering: str) -> str:
 
 
 def _compare_markdown(report: ComparisonReport) -> str:
-    common = report.structure.common_production()
-    label = _production_label(common) if common is not None else "per-size"
-    verdict = report.curvature.verdict if report.curvature else "heterogeneous"
     lines = [
         "| f | h curvature | UE total | | DE total |",
         "|---|---|---|---|---|",
-        f"| {label} | {verdict} | {report.total_ue:.6g} "
-        f"| {_ue_side_relation(report.ordering)} | {report.total_de:.6g} |",
+        f"| {_production_label(report.structure)} | {report.verdict} "
+        f"| {report.ue.total:.6g} | {_ue_side_relation(report.ordering)} "
+        f"| {report.de.total:.6g} |",
     ]
     return "\n".join(lines) + "\n"
 
 
 def _compare_csv(report: ComparisonReport) -> str:
-    common = report.structure.common_production()
-    label = _production_label(common) if common is not None else "per-size"
-    verdict = report.curvature.verdict if report.curvature else "heterogeneous"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["f", "curvature", "X_ue", "ordering", "X_de", "payoff_ue",
                      "payoff_de", "consistent", "recommendation"])
     writer.writerow(
         [
-            label,
-            verdict,
-            f"{report.total_ue:.6g}",
+            _production_label(report.structure),
+            report.verdict,
+            f"{report.ue.total:.6g}",
             report.ordering,
-            f"{report.total_de:.6g}",
+            f"{report.de.total:.6g}",
             f"{report.ue.payoff:.6g}",
             f"{report.de.payoff:.6g}",
             str(report.theorem_consistent),
@@ -332,7 +331,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_compare(args) -> int:
     structure = _structure(_flag_network(args))
-    report = compare_regimes(structure, **_tolerance(args, "rel_tol"))
+    report = compare_regimes(structure)
     if args.format == "md":
         text = _compare_markdown(report)
     elif args.format == "csv":
@@ -376,7 +375,7 @@ def _parse_grid_flag(text: str, sizes: tuple[int, ...]):
 def _cmd_neutrality(args) -> int:
     structure = _structure(_flag_network(args))
     grid = _parse_grid_flag(args.grid, structure.sizes)
-    report = neutrality_check(structure, grid, **_tolerance(args, "rel_tol"))
+    report = neutrality_check(structure, grid)
     _write_report(dumps_sorted(report.to_dict()), args.output)
     return EXIT_OK
 
@@ -533,12 +532,6 @@ def _add_network_flags(sub) -> None:
     sub.add_argument(
         "--v", dest="prizes", help="per-size prizes in ascending size order, e.g. 5,72"
     )
-    sub.add_argument(
-        "--tol", type=float,
-        help="solver tolerance (default 1e-10): the root finder's relative "
-        "stopping width for semi-symmetric solves; the largest effort change "
-        "between iterations, relative to the largest effort, for iterative solves",
-    )
     sub.add_argument("--output", help="write the report here instead of stdout")
 
 
@@ -562,6 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--seed", type=int,
         help="start iterative solves from a random profile drawn with this seed",
+    )
+    solve.add_argument(
+        "--tol", type=float,
+        help="solver tolerance (default 1e-10): the root finder's relative "
+        "stopping width for semi-symmetric solves; the largest effort change "
+        "between iterations, relative to the largest effort, for iterative solves",
     )
 
     compare = subs.add_parser("compare", help="compare the two regimes")

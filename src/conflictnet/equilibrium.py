@@ -49,7 +49,15 @@ class DEResult:
 
 @dataclass(frozen=True)
 class UEResult:
-    """Uniform-effort equilibrium of a semi-symmetric structure."""
+    """Uniform-effort equilibrium of a semi-symmetric structure.
+
+    ``effort`` is the one effort level a player puts into each of its ``D``
+    battles and ``total = D * effort``.  ``marginal_cost`` is
+    ``D C'(D effort)``, the marginal cost of raising that level, not
+    ``DEResult.marginal_cost``'s ``C'(total)``: at the same total the two
+    differ by the factor ``D``.  ``residual`` is the absolute gap between
+    the aggregated marginal benefit and ``marginal_cost``.
+    """
 
     effort: float
     marginal_cost: float

@@ -469,16 +469,11 @@ class PowerCost:
             raise ValueError(f"exponent p must be >= 1 and finite, got {self.p}")
 
     def c(self, total: float) -> float:
-        """Cost of a total effort level, or of each entry of a numpy array
-        of them (the grid oracle prices a whole grid at once)."""
-        if isinstance(total, np.ndarray):
-            return self.kappa * total**self.p / self.p
+        """Cost of a total effort level."""
         return _scaled_power(self.kappa, total, self.p) / self.p
 
     def c_prime(self, total: float) -> float:
         """Marginal cost."""
-        if self.p == 1.0:
-            return self.kappa
         if self.p == 2.0:
             return self.kappa * total
         return _scaled_power(self.kappa, total, self.p - 1.0)
@@ -503,12 +498,10 @@ _VALIDATION_GRID = np.geomspace(1e-3, 1e2, 64)
 class ValidityReport:
     """Outcome of the sampled production-function checks.
 
-    ``checks`` maps check name to pass/fail; ``details`` carries the worst
-    observed violation magnitude (or witness value) per check.
+    ``checks`` maps check name to pass/fail.
     """
 
     checks: dict
-    details: dict
 
     @property
     def passed(self) -> bool:
@@ -552,14 +545,8 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
     finite = np.isfinite(h_vals)
 
     checks: dict = {}
-    details: dict = {}
-
-    f0 = pf.f(0.0)
-    checks["f0_zero"] = f0 == 0.0
-    details["f0_zero"] = f0
-
+    checks["f0_zero"] = pf.f(0.0) == 0.0
     checks["f_prime_positive"] = bool(np.all(fp_vals[finite] > 0))
-    details["f_prime_positive"] = float(fp_vals[finite].min(initial=math.inf))
 
     away_from_kink = np.array(
         [all(not math.isclose(x, k, rel_tol=1e-9) for k in kinks) for x in grid]
@@ -568,18 +555,10 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
         [pf.f_double_prime(float(x)) for x in grid[away_from_kink]]
     )
     checks["f_double_prime_nonpositive"] = bool(np.all(fpp_vals <= 0))
-    details["f_double_prime_nonpositive"] = float(fpp_vals.max())
-
-    diffs = np.diff(h_vals[finite])
-    checks["h_strictly_increasing"] = bool(np.all(diffs > 0))
-    details["h_strictly_increasing"] = float(diffs.min()) if diffs.size else 0.0
-
-    h_lo = h_vals[0]
+    checks["h_strictly_increasing"] = bool(np.all(np.diff(h_vals[finite]) > 0))
     h_hi = h_vals[finite][-1] if finite.any() else math.nan
-    checks["h_vanishes_at_zero"] = bool(h_lo <= 1e-3 * h_hi)
-    details["h_vanishes_at_zero"] = float(h_lo)
-
-    return ValidityReport(checks=checks, details=details)
+    checks["h_vanishes_at_zero"] = bool(h_vals[0] <= 1e-3 * h_hi)
+    return ValidityReport(checks=checks)
 
 
 # ---------------------------------------------------------------------------

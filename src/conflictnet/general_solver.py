@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class SolveOutcome:
     converged: bool
     iterations: int
     deviation_gain: float
-    degenerate_battles: tuple[str, ...] = field(default=())
+    degenerate_battles: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +415,7 @@ def brute_force_nash(
         return values.reshape(shape)
 
     # Per-battle winning probabilities over the whole grid, then payoffs.
+    cost = network.cost
     payoffs = {}
     for p in network.players:
         own_battles = network.battles_of(p)
@@ -429,7 +430,8 @@ def brute_force_nash(
                 contested, own / np.where(contested, score_sum, 1.0), 1.0 / b.size
             )
             value = value + b.prize * prob
-        payoffs[p] = value - network.cost.c(total)
+        # The whole grid is priced at once; ``PowerCost.c`` takes one float.
+        payoffs[p] = value - cost.kappa * total**cost.p / cost.p
 
     gains = np.zeros([grid.size] * ndim)
     for p in network.players:

@@ -12,10 +12,11 @@ The on-disk format is::
     }
 
 Loading checks only the document's shape: objects carry exactly their keys,
-ids are strings or integers, battle ids are strings, and prizes and
-parameters are JSON numbers.  Every rule on values (positive finite prizes,
-distinct participants, known players, parameter domains) belongs to the
-constructor that builds the part.  Both kinds of failure raise
+ids are strings or integers, no two player ids print alike (``1`` and
+``"1"``), battle ids are strings, and prizes and parameters are JSON
+numbers.  Every rule on values (positive finite prizes, distinct
+participants, known players, parameter domains) belongs to the constructor
+that builds the part.  Both kinds of failure raise
 `SchemaViolation` at the JSON pointer of the part that broke the rule.
 
 Serialization sorts object keys so reports and fixtures are diffable;
@@ -103,6 +104,15 @@ def network_from_dict(doc: dict) -> ConflictNetwork:
     """Check the document's shape and build the network."""
     _object(doc, ("players", "cost", "battles"), "")
     players = _ids(doc["players"], "/players")
+    # Reports key players by str(id), so two ids must not share a text.
+    # Equal ids are left to the constructor's duplicate check.
+    first: dict = {}
+    for i, pid in enumerate(players):
+        other = first.setdefault(str(pid), pid)
+        if other != pid:
+            raise SchemaViolation(
+                f"/players/{i}", f"id {pid!r} has the same text as id {other!r}"
+            )
     cost = _build("/cost", cost_from_spec, _function_spec(doc["cost"], "/cost"))
     if not isinstance(doc["battles"], list):
         raise SchemaViolation("/battles", "expected a list of battles")

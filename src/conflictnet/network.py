@@ -89,7 +89,6 @@ class ConflictNetwork:
     battles: tuple[Battle, ...]
     cost: PowerCost
     _battles_by_player: dict = field(init=False, repr=False, compare=False)
-    _battle_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "players", tuple(self.players))
@@ -116,16 +115,12 @@ class ConflictNetwork:
         object.__setattr__(
             self, "_battles_by_player", {p: tuple(bs) for p, bs in by_player.items()}
         )
-        object.__setattr__(self, "_battle_index", {b.id: b for b in self.battles})
 
     def battles_of(self, player: PlayerId) -> tuple[Battle, ...]:
         try:
             return self._battles_by_player[player]
         except KeyError:
             raise UnknownPlayer(f"unknown player {player!r}") from None
-
-    def battle(self, battle_id: str) -> Battle:
-        return self._battle_index[battle_id]
 
     @property
     def max_prize(self) -> float:

@@ -24,7 +24,7 @@ from conflictnet import (
     solve_ue,
     tullock_closed_form_total,
 )
-from conflictnet import analysis
+from conflictnet import analysis, rootfind
 from conflictnet.analysis import CurvatureVerdict
 from conflictnet.cli import main
 
@@ -236,8 +236,8 @@ def test_compare_reports_match_all_pairs_reference(monkeypatch, capsys, example,
 def test_compare_triangle_ratio():
     report = compare_regimes(triangle_structure(RatioProduction(1.0)))
     assert report.curvature.verdict == "convex"
-    assert report.total_ue == pytest.approx(3.03304, rel=1e-4)
-    assert report.total_de == pytest.approx(2.68415, rel=1e-4)
+    assert report.ue.total == pytest.approx(3.03304, rel=1e-4)
+    assert report.de.total == pytest.approx(2.68415, rel=1e-4)
     assert report.ordering == "<"
     assert report.theorem_consistent is True
     assert report.recommendation == "ue"
@@ -249,8 +249,8 @@ def test_compare_triangle_piecewise():
         triangle_structure(PiecewisePowerAffineProduction(2.0, 0.5, 1.0))
     )
     assert report.curvature.verdict == "concave"
-    assert report.total_ue == pytest.approx(3.05522, rel=1e-3)
-    assert report.total_de == pytest.approx(3.6833, rel=1e-3)
+    assert report.ue.total == pytest.approx(3.05522, rel=1e-3)
+    assert report.de.total == pytest.approx(3.6833, rel=1e-3)
     assert report.ordering == ">"
     assert report.theorem_consistent is True
     assert report.recommendation == "de"
@@ -269,7 +269,7 @@ def test_compare_triangle_power_is_neutral():
 def test_compare_triangle_cara():
     report = compare_regimes(triangle_structure(CaraProduction(1.0)))
     assert report.curvature.verdict == "convex"
-    assert report.total_de <= report.total_ue
+    assert report.de.total <= report.ue.total
     assert report.theorem_consistent is True
 
 
@@ -336,6 +336,12 @@ def test_power_families_are_neutral_on_random_prize_grids():
     report = neutrality_check(base, grid)
     assert report.neutral
     assert report.max_gap <= 1e-6
+
+
+def test_neutrality_tolerance_sits_above_the_root_finder_tolerance():
+    # Every DE/UE comparison solves at rootfind.REL_TOL, so root-finding
+    # error alone cannot push a gap past NEUTRALITY_TOL.
+    assert analysis.NEUTRALITY_TOL >= 10 * rootfind.REL_TOL
 
 
 def test_ratio_family_is_not_neutral_at_benchmark_prizes():

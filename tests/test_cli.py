@@ -78,8 +78,8 @@ def test_solve_tullock_triangle_at_prizes_near_the_float_floor(capsys):
         capsys, "solve", "--example", "triangle", "--f", "power:1,1", "--v", "1e-300,1e-300"
     )
     de, ue = report["de"]["total"], report["ue"]["total"]
-    assert de == pytest.approx(ue, rel=1e-9)
-    assert de == pytest.approx(8.49837e-151, rel=1e-5)
+    assert de == pytest.approx(ue, rel=1e-9, abs=0.0)
+    assert de == pytest.approx(8.49837e-151, rel=1e-5, abs=0.0)
 
 
 def _reject_constant(token):
@@ -486,7 +486,7 @@ def _counting_validator(monkeypatch, fails=()):
     def counting(pf):
         seen.append(pf)
         if pf.family in fails:
-            return ValidityReport(checks={"stub": False}, details={})
+            return ValidityReport(checks={"stub": False})
         return check(pf)
 
     monkeypatch.setattr(conflictnet.cli, "validate_production", counting)
@@ -684,6 +684,36 @@ def test_integral_float_player_ids_still_load():
     assert network_from_dict(doc).players == (1.0, 2, 3)
 
 
+@pytest.mark.parametrize("ids", [[1, "1", 2], [1.0, "1.0", 2]], ids=["int", "float"])
+def test_player_ids_with_the_same_text_are_input_errors(tmp_path, capsys, ids):
+    # Reports key players by str(id); one player's efforts would replace
+    # the other's.
+    doc = {
+        "players": ids,
+        "cost": PowerCost().to_spec(),
+        "battles": [
+            {"id": bid, "participants": pair, "prize": 5.0,
+             "production": {"family": "power", "params": {"A": 1.0, "r": 1.0}}}
+            for bid, pair in (("a", ids[:2]), ("b", ids[1:]), ("c", [ids[2], ids[0]]))
+        ],
+    }
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(
+        capsys, "solve", "--input", str(path), "--method", "iterative", "--regime", "de",
+        "--output", str(out),
+    )
+    assert code == 1
+    assert stdout == "" and err.startswith("error: at /players/1:")
+    assert not out.exists()
+    code, stdout, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    report = json.loads(stdout)
+    assert report["valid"] is False
+    assert report["errors"][0].startswith("at /players/1:")
+
+
 @pytest.mark.parametrize("value", ["null", "1e400"])
 def test_validate_reports_bad_parameters_as_invalid(tmp_path, capsys, value):
     text = json.dumps(network_to_dict(generate_triangle())).replace(
@@ -756,6 +786,52 @@ def test_seed_is_a_solve_flag_only(capsys, command, flags):
         "--method", "iterative", "--seed", "5",
     )
     assert report["de"]["converged"] is True
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("compare", ("--f", "power:1,0.5", "--v", "3,40,90", "--tol", "1e-2")),
+    ("neutrality", ("--f", "power:1,0.5", "--grid", "random:50:seed=3", "--tol", "1e-3")),
+], ids=["compare", "neutrality"])
+def test_tol_is_a_solve_flag_only(tmp_path, capsys, command, flags):
+    # A loose tolerance once made these report the Tullock neutrality
+    # theorem false; comparisons solve at the root finder's own tolerance.
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(
+        capsys, command, "--example", "simplex", *flags, "--output", str(out)
+    )
+    assert code == 1
+    assert stdout == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--tol" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["semisymmetric", "iterative"])
+def test_solve_passes_tol_to_its_solver(capsys, monkeypatch, method):
+    seen = []
+
+    def recording(solver, read_tol):
+        def wrapped(*args, **kwargs):
+            seen.append(read_tol(*args, **kwargs))
+            return solver(*args, **kwargs)
+        return wrapped
+
+    for name in ("solve_de", "solve_ue"):
+        monkeypatch.setattr(conflictnet.cli, name, recording(
+            getattr(conflictnet.cli, name), lambda ss, rel_tol=None: rel_tol
+        ))
+    for name in ("solve_nash_iterative", "solve_nash_ue_iterative"):
+        monkeypatch.setattr(conflictnet.cli, name, recording(
+            getattr(conflictnet.cli, name), lambda network, cfg: cfg.tolerance
+        ))
+    report = run_json(
+        capsys, "solve", "--example", "triangle", "--f", "ratio:1",
+        "--method", method, "--tol", "1e-7",
+    )
+    assert report["method"] == method
+    assert seen == [1e-7, 1e-7]
+    if method == "iterative":
+        assert report["de"]["converged"] and report["ue"]["converged"]
 
 
 _CONFLICTING_PRODUCTIONS = {
@@ -904,7 +980,7 @@ def test_iterative_solve_at_prizes_1e_minus_22_matches_the_structured_engine(cap
     network = ["solve", "--example", "triangle", "--v", "1e-22,3e-22", "--f", family]
     structured = _assert_iterative_matches_structured(capsys, network)
     if family == "power:1,1":
-        assert structured["de"]["total"] == pytest.approx(1.0801234497e-11, rel=1e-10)
+        assert structured["de"]["total"] == pytest.approx(1.0801234497e-11, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("family", ["cara:1", "ratio:1", "power:1,1", "piecewise-f3"])

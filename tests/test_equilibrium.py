@@ -242,8 +242,8 @@ def test_power_families_make_regimes_agree_with_closed_form():
 def test_tullock_neutrality_holds_at_every_prize_scale(r, v):
     ss = triangle_structure(PowerProduction(1.0, r)).with_prizes({2: v, 3: 3 * v})
     expected = tullock_closed_form_total(ss)
-    assert solve_de(ss).total == pytest.approx(expected, rel=1e-9)
-    assert solve_ue(ss).total == pytest.approx(expected, rel=1e-9)
+    assert solve_de(ss).total == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert solve_ue(ss).total == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +323,8 @@ def test_one_root_solves_match_nested_root_finds(example, name, v):
     ss = check_semi_symmetry(network)
     ss = ss.with_prizes({k: v * (k - 1) for k in ss.sizes})
     de_total, ue_total = nested_brent_totals(ss)
-    assert solve_de(ss).total == pytest.approx(de_total, rel=1e-9)
-    assert solve_ue(ss).total == pytest.approx(ue_total, rel=1e-9)
+    assert solve_de(ss).total == pytest.approx(de_total, rel=1e-9, abs=0.0)
+    assert solve_ue(ss).total == pytest.approx(ue_total, rel=1e-9, abs=0.0)
 
 
 def test_ue_reads_an_underflowing_h_as_an_infinite_marginal_benefit():

@@ -546,7 +546,9 @@ def test_closed_form_battle_effort_matches_a_root_search_on_g(name):
                 for z in (x, reference)
             )
             tol = 1e-12 + 16.0 * sys.float_info.epsilon * kappa
-            assert x == pytest.approx(reference, rel=tol), (rivals, target / g0 if g0 else target)
+            assert x == pytest.approx(reference, rel=tol, abs=0.0), (
+                rivals, target / g0 if g0 else target
+            )
 
 
 @pytest.mark.parametrize("alpha,target", [(1e300, 1e300), (1e308, 1e308), (1e308, 1.7e308)])
@@ -556,7 +558,7 @@ def test_cara_battle_effort_where_exp_of_alpha_x_passes_the_float_range(alpha, t
     pf = CaraProduction(alpha)
     x = pf.g_inv(1.0, target, target - _corner(pf, 1.0))
     reference = _g_root_reference(pf, lambda x: math.log(alpha) - alpha * x, 1.0, target)
-    assert x == pytest.approx(reference, rel=1e-14)
+    assert x == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("pf,rivals,target", [

@@ -236,7 +236,7 @@ def test_marginal_benefit_stays_finite_past_the_overflow_of_the_squared_score(x,
     exact = Fraction(battle.prize) * Fraction(pf.f_prime(x)) * Fraction(rivals) / score**2
     got = marginal_benefit(battle, x, rivals)
     assert math.isfinite(got) and got > 0.0
-    assert got == pytest.approx(float(exact), rel=1e-15)
+    assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def test_marginal_benefit_at_zero_is_infinite_where_f_prime_is():
@@ -277,7 +277,7 @@ def test_prize_override_keeps_semi_symmetry():
 def test_prize_mismatch_is_reported():
     net = generate_triangle()
     battles = [
-        Battle("a", (1, 2), 6.0, net.battle("a").production)
+        Battle("a", (1, 2), 6.0, net.battles[0].production)
         if b.id == "a"
         else b
         for b in net.battles

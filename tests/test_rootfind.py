@@ -97,10 +97,10 @@ def test_expansion_never_evaluates_at_zero_or_infinity(g, target, root):
 @pytest.mark.parametrize("target", [1e-300, 1e-150, 1e-22, 1e22, 1e150, 1e300])
 def test_relative_accuracy_at_every_scale(target):
     assert brent_increasing(lambda x: x**3, target) == pytest.approx(
-        target ** (1 / 3), rel=1e-10
+        target ** (1 / 3), rel=1e-10, abs=0.0
     )
     assert brent_increasing(lambda x: x * (1 + x), target) == pytest.approx(
-        closed_form_h_inverse(RatioProduction(1.0), target), rel=1e-10
+        closed_form_h_inverse(RatioProduction(1.0), target), rel=1e-10, abs=0.0
     )
 
 
@@ -178,7 +178,7 @@ def test_invert_h_round_trip_over_twelve_decades(name, exponent):
     y = pf.h(x)
     if not math.isfinite(y):
         return
-    assert pf.h_inv(y) == pytest.approx(x, rel=1e-8)
+    assert pf.h_inv(y) == pytest.approx(x, rel=1e-8, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -203,7 +203,7 @@ def test_invert_h_is_monotone_in_target(name, y1, y2):
 def test_brent_agrees_with_closed_form_inverse(name, target):
     pf = BENCHMARK_PRODUCTIONS[name]
     assert brent_increasing(pf.h, target) == pytest.approx(
-        closed_form_h_inverse(pf, target), rel=1e-8
+        closed_form_h_inverse(pf, target), rel=1e-8, abs=0.0
     )
 
 
