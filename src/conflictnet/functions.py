@@ -1,17 +1,17 @@
 """Contest production functions and the effort cost.
 
-Every production family ships analytic first and second derivatives, and
-derived quantities such as the inverse semi-elasticity ``h = f / f'`` and
-its inverse ``h_inv`` are implemented in closed form per family rather than
-as generic quotients or root finds, since solver accuracy depends on an exact
+Every production family ships an analytic first derivative, and derived
+quantities such as the inverse semi-elasticity ``h = f / f'`` and its
+inverse ``h_inv`` are implemented in closed form per family rather than as
+generic quotients or root finds, since solver accuracy depends on an exact
 ``h``.  ``g_inv`` inverts a battle's first-order condition without a
 bracketed search: in closed form for ratio, cara, linear power and the affine
 piecewise branch, and for power with ``r < 1`` by a monotone Newton
 iteration on the log of the own-to-rival score ratio; none squares a score.
 Each family also labels the curvature of its ``h`` analytically
 (:meth:`ProductionFunction.h_curvature`), the label the regime comparison
-starts from.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'' <= 0`` on the
-positive axis (away from a declared kink), which makes ``h`` strictly
+starts from.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'``
+nonincreasing (concavity) on the positive axis, which makes ``h`` strictly
 increasing with ``h(0+) = 0`` and ``h -> +inf``.
 
 A family's name and parameters live only in its frozen dataclass: the
@@ -67,10 +67,6 @@ class ProductionFunction(ABC):
         """First derivative; may be ``inf`` at ``x = 0``."""
 
     @abstractmethod
-    def f_double_prime(self, x: float) -> float:
-        """Second derivative (undefined at a kink; see :meth:`kinks`)."""
-
-    @abstractmethod
     def h(self, x: float) -> float:
         """Inverse semi-elasticity ``f(x) / f'(x)`` in closed form."""
 
@@ -92,10 +88,6 @@ class ProductionFunction(ABC):
         ``excess = target - G(0) > 0``, so that the corner is computed in one
         place.  A root below the smallest float is the corner 0.
         """
-
-    def kinks(self) -> tuple[float, ...]:
-        """Points where the second derivative does not exist."""
-        return ()
 
     def h_curvature(self) -> str:
         """Analytic curvature of ``h``: 'convex', 'concave' or 'linear'."""
@@ -193,13 +185,6 @@ class PowerProduction(ProductionFunction):
             return self.A if self.r == 1.0 else math.inf
         return self.A * self.r * x ** (self.r - 1.0)
 
-    def f_double_prime(self, x):
-        if self.r == 1.0:
-            return 0.0
-        if x == 0.0:
-            return -math.inf
-        return self.A * self.r * (self.r - 1.0) * x ** (self.r - 2.0)
-
     def h(self, x):
         return x / self.r
 
@@ -231,19 +216,13 @@ class RatioProduction(ProductionFunction):
     def f(self, x):
         return x / (x + self.c)
 
-    # Past x of about 1e154 (f') or 1e103 (f'') the power of x + c
-    # overflows; dividing by x + c once per power underflows to 0 instead.
+    # Past x of about 1e154 the square of x + c overflows; dividing by
+    # x + c twice underflows to 0 instead.
     def f_prime(self, x):
         try:
             return self.c / (x + self.c) ** 2
         except OverflowError:
             return self.c / (x + self.c) / (x + self.c)
-
-    def f_double_prime(self, x):
-        try:
-            return -2.0 * self.c / (x + self.c) ** 3
-        except OverflowError:
-            return -2.0 * self.c / (x + self.c) / (x + self.c) / (x + self.c)
 
     def h(self, x):
         # x * (x + c) / c would overflow in the product for c > 1.
@@ -291,11 +270,6 @@ class CaraProduction(ProductionFunction):
 
     def f_prime(self, x):
         return self.alpha * math.exp(-self.alpha * x)
-
-    def f_double_prime(self, x):
-        # alpha**2 raises OverflowError past alpha ~ 1.3e154; this product
-        # rounds to -inf there instead.
-        return -self.alpha * (self.alpha * math.exp(-self.alpha * x))
 
     def h(self, x):
         # expm1 keeps h accurate near zero.  Past exp's range h is still
@@ -391,13 +365,6 @@ class PiecewisePowerAffineProduction(ProductionFunction):
             return self.A if self.r == 1.0 else math.inf
         return self.A * self.r * x ** (self.r - 1.0)
 
-    def f_double_prime(self, x):
-        if x > self.s or self.r == 1.0:
-            return 0.0
-        if x == 0.0:
-            return -math.inf
-        return self.A * self.r * (self.r - 1.0) * x ** (self.r - 2.0)
-
     def h(self, x):
         if x <= self.s:
             return x / self.r
@@ -418,9 +385,6 @@ class PiecewisePowerAffineProduction(ProductionFunction):
         if target <= kink:
             return _power_g_inv(self.A, self.r, rivals, target, excess)
         return self.s + (target - kink) / (math.sqrt(a) * math.sqrt(target) + score)
-
-    def kinks(self):
-        return () if self.r == 1.0 else (self.s,)
 
     def h_curvature(self):
         return "linear" if self.r == 1.0 else "concave"
@@ -515,10 +479,13 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
     """Check the maintained assumptions of a production function on a grid.
 
     The grid is fixed: 64 log-spaced points on ``[1e-3, 1e2]``.  Checks:
-    ``f(0) = 0``, ``f' > 0`` wherever ``h`` is finite, ``f'' <= 0`` away from
-    declared kinks, strict monotonicity of ``h``, and ``h`` at the smallest
-    grid point being negligible relative to ``h`` at the largest finite one
-    (a finite stand-in for ``h(0+) = 0``, failed when no ``h`` is finite).
+    ``f(0) = 0``, ``f' > 0`` wherever ``h`` is finite, ``f'`` nonincreasing
+    along the grid (``f_prime_nonincreasing``: concavity, which for a C1
+    production needs no second derivative, so a kink such as the piecewise
+    family's is checked like any other point), strict monotonicity of ``h``,
+    and ``h`` at the smallest grid point being negligible relative to ``h``
+    at the largest finite one (a finite stand-in for ``h(0+) = 0``, failed
+    when no ``h`` is finite).
 
     An infinite ``h`` from float overflow at the top of the grid is tolerated
     and excluded from the ``f'`` and monotonicity checks: ``h = f / f'``
@@ -529,7 +496,6 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
             is NaN, at a grid point.
     """
     grid = _VALIDATION_GRID
-    kinks = pf.kinks()
 
     f_vals = np.array([pf.f(float(x)) for x in grid])
     fp_vals = np.array([pf.f_prime(float(x)) for x in grid])
@@ -547,14 +513,7 @@ def validate_production(pf: ProductionFunction) -> ValidityReport:
     checks: dict = {}
     checks["f0_zero"] = pf.f(0.0) == 0.0
     checks["f_prime_positive"] = bool(np.all(fp_vals[finite] > 0))
-
-    away_from_kink = np.array(
-        [all(not math.isclose(x, k, rel_tol=1e-9) for k in kinks) for x in grid]
-    )
-    fpp_vals = np.array(
-        [pf.f_double_prime(float(x)) for x in grid[away_from_kink]]
-    )
-    checks["f_double_prime_nonpositive"] = bool(np.all(fpp_vals <= 0))
+    checks["f_prime_nonincreasing"] = bool(np.all(np.diff(fp_vals) <= 0))
     checks["h_strictly_increasing"] = bool(np.all(np.diff(h_vals[finite]) > 0))
     h_hi = h_vals[finite][-1] if finite.any() else math.nan
     checks["h_vanishes_at_zero"] = bool(h_vals[0] <= 1e-3 * h_hi)

@@ -64,8 +64,8 @@ class IterationConfig:
     """Controls for the simultaneous best-response iteration: stop once no
     effort moves by more than ``tolerance`` times the largest effort, or
     after ``max_iterations`` sweeps; start from every effort at 1
-    (``"constant"``), from efforts log-uniform on [0.05, 5] drawn with
-    ``seed`` (``"random"``), or from ``initial_profile`` (``"explicit"``).
+    (``"constant"``) or from efforts log-uniform on [0.05, 5] drawn with
+    ``seed`` (``"random"``).
     Every sweep moves each effort to its best response; at least one sweep
     is needed to certify a profile."""
 
@@ -73,17 +73,14 @@ class IterationConfig:
     tolerance: float = 1e-10
     initial: str = "constant"
     seed: int | None = None
-    initial_profile: EffortProfile | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.initial not in ("constant", "random", "explicit"):
+        if self.initial not in ("constant", "random"):
             raise ValueError(f"unknown initial profile spec {self.initial!r}")
-        if self.initial == "explicit" and self.initial_profile is None:
-            raise ValueError("explicit start requires initial_profile")
 
 
 @dataclass(frozen=True)
@@ -257,10 +254,6 @@ def _best_response_uniform(
 def _initial_profile(network: ConflictNetwork, cfg: IterationConfig) -> EffortProfile:
     if cfg.initial == "constant":
         return EffortProfile.constant(network, 1.0)
-    if cfg.initial == "explicit":
-        profile = cfg.initial_profile
-        profile.validate_for(network)
-        return profile
     rng = np.random.default_rng(cfg.seed)
     efforts = {}
     for p in network.players:

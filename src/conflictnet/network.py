@@ -149,20 +149,6 @@ class EffortProfile:
             }
         )
 
-    def validate_for(self, network: ConflictNetwork) -> None:
-        """Require entries for exactly the incidence pairs of the network."""
-        expected = {
-            (p, b.id) for p in network.players for b in network.battles_of(p)
-        }
-        got = set(self.efforts)
-        if got != expected:
-            missing = expected - got
-            extra = got - expected
-            raise ValueError(
-                f"profile does not match network incidence; "
-                f"missing={sorted(map(str, missing))}, extra={sorted(map(str, extra))}"
-            )
-
     def effort(self, player: PlayerId, battle_id: str) -> float:
         return self.efforts[(player, battle_id)]
 
@@ -230,8 +216,6 @@ def winning_probabilities(battle: Battle, efforts: Iterable[float]) -> np.ndarra
 
 def payoff(network: ConflictNetwork, profile: EffortProfile, player: PlayerId) -> float:
     """Expected payoff: prize-weighted winning probabilities minus cost."""
-    if player not in network._battles_by_player:
-        raise UnknownPlayer(f"unknown player {player!r}")
     value = 0.0
     total_effort = 0.0
     for battle in network.battles_of(player):

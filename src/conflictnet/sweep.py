@@ -11,7 +11,9 @@ closed form (natural-parameter continuation), so a row matches a cold solve
 of its point to the solver's relative tolerance.  Existing rows in
 the output file are skipped, so an interrupted sweep resumes where it
 stopped; rows are flushed as they are written so an interrupt preserves
-everything completed.
+everything completed.  An output's first row is always solved cold, so a
+rerun re-solves it cold first and refuses an output written for another
+base.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ DEFAULT_MAX_GRID = 1_000_000
 
 _RESULT_COLUMNS = ("X_de", "X_ue", "payoff_de", "payoff_ue", "gap")
 
+# Relative difference between a stored first row's totals and a cold
+# re-solve beyond which the output belongs to another base.
+_BASE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -53,8 +59,6 @@ class SweepAxis:
             raise ValueError(f"axis {self.param!r} range is empty")
 
     def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.minimum])
         return np.linspace(self.minimum, self.maximum, self.steps)
 
 
@@ -126,18 +130,49 @@ def _format_cell(value: float) -> str:
     return repr(float(value))
 
 
-def _existing_keys(path: Path, params: tuple[str, ...]) -> set[tuple[str, ...]]:
+def _check_base(
+    path: Path, base: SemiSymmetricStructure, params: tuple[str, ...], row: dict
+) -> None:
+    """Raise unless a cold solve of ``row``'s point on ``base`` gives back
+    the row's totals, as it does for the row that opens an output."""
+    try:
+        values = tuple(float(row[p]) for p in params)
+        stored = (float(row["X_de"]), float(row["X_ue"]))
+        readable = all(math.isfinite(v) for v in values)
+    except (TypeError, ValueError):
+        readable = False
+    if not readable:
+        raise ValueError(f"existing output {path}: cannot read its first row")
+    de, ue, _ = _solve_both(_point_structure(base, params, values))
+    if not all(
+        math.isclose(s, x, rel_tol=_BASE_TOL, abs_tol=0.0)
+        for s, x in zip(stored, (de.total, ue.total))
+    ):
+        raise ValueError(
+            f"existing output {path} was written for another base (network, "
+            f"production, cost or prizes); give a new output path"
+        )
+
+
+def _existing_keys(
+    path: Path, base: SemiSymmetricStructure, params: tuple[str, ...]
+) -> set[tuple[str, ...]]:
     if not path.exists() or path.stat().st_size == 0:
         return set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or any(
-            p not in reader.fieldnames for p in params
+            c not in reader.fieldnames for c in params + _RESULT_COLUMNS
         ):
             raise ValueError(
-                f"existing output {path} does not match the sweep's parameters"
+                f"existing output {path} lacks a column of the sweep's rows"
             )
-        return {tuple(row[p] for p in params) for row in reader}
+        keys = set()
+        for row in reader:
+            if not keys:
+                _check_base(path, base, params, row)
+            keys.add(tuple(row[p] for p in params))
+        return keys
 
 
 def run_sweep(spec: SweepSpec, output) -> int:
@@ -154,7 +189,7 @@ def run_sweep(spec: SweepSpec, output) -> int:
     for end in (0, -1):
         _point_structure(spec.base, params, tuple(float(v[end]) for v in axis_values))
     path = Path(output)
-    done = _existing_keys(path, params)
+    done = _existing_keys(path, spec.base, params)
     header_needed = not path.exists() or path.stat().st_size == 0
 
     # Each axis value is formatted once; its text is both the resume key and

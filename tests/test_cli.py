@@ -425,6 +425,48 @@ def test_sweep_resumes_from_partial_output(tmp_path, capsys):
     assert "0 rows written" in stdout
 
 
+def _triangle_v3_sweep(tmp_path, f):
+    return write_spec(
+        tmp_path,
+        {
+            "example": "triangle",
+            "f": f,
+            "axes": [{"param": "v3", "min": 10, "max": 100, "steps": 3}],
+            "output": str(tmp_path / "out.csv"),
+        },
+    )
+
+
+def test_sweep_rerun_on_another_base_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, stdout, _ = run_cli(capsys, "sweep", str(_triangle_v3_sweep(tmp_path, "power:1,0.5")))
+    assert code == 0 and "3 rows written" in stdout
+    before = out.read_bytes()
+    code, stdout, err = run_cli(capsys, "sweep", str(_triangle_v3_sweep(tmp_path, "ratio:1")))
+    assert code == 1 and stdout == ""
+    assert "written for another base" in err
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v3,X_de,X_ue,payoff_de,payoff_ue,gap\nten,1.0,1.0,0.0,0.0,0.0\n",
+        "v3,X_de,X_ue,payoff_de,payoff_ue,gap\n10.0,1.0\n",
+        "v3,X_de,X_ue,payoff_de,payoff_ue,gap\nnan,1.0,1.0,0.0,0.0,0.0\n",
+        "v3,X_de,X_ue,payoff_de,payoff_ue\n10.0,1.0,1.0,0.0,0.0\n",
+    ],
+    ids=["bad-axis-cell", "short-row", "nan-axis-cell", "no-gap-column"],
+)
+def test_sweep_rerun_on_an_unreadable_output_is_an_input_error(tmp_path, capsys, text):
+    out = tmp_path / "out.csv"
+    out.write_text(text)
+    code, _, err = run_cli(capsys, "sweep", str(_triangle_v3_sweep(tmp_path, "power:1,0.5")))
+    assert code == 1
+    assert err.startswith("error: existing output") and "Traceback" not in err
+    assert out.read_text() == text
+
+
 def test_sweep_grid_cap(tmp_path, capsys):
     # The grid size is a product of step counts, so nothing is enumerated.
     spec = write_spec(

@@ -30,21 +30,12 @@ def finite_difference(fun, x, step=1e-6):
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
 def test_analytic_first_derivative_matches_finite_difference(name):
     pf = BENCHMARK_PRODUCTIONS[name]
+    kinks = (pf.s,) if isinstance(pf, PiecewisePowerAffineProduction) else ()
     for x in (0.2, 0.7, 1.5, 3.0):
-        if any(abs(x - k) < 1e-3 for k in pf.kinks()):
+        if any(abs(x - k) < 1e-3 for k in kinks):
             continue
         approx = finite_difference(pf.f, x)
         assert pf.f_prime(x) == pytest.approx(approx, rel=1e-6)
-
-
-@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
-def test_analytic_second_derivative_matches_finite_difference(name):
-    pf = BENCHMARK_PRODUCTIONS[name]
-    for x in (0.2, 0.7, 1.5, 3.0):
-        if any(abs(x - k) < 1e-2 for k in pf.kinks()):
-            continue
-        approx = finite_difference(pf.f_prime, x, step=1e-5)
-        assert pf.f_double_prime(x) == pytest.approx(approx, rel=1e-4, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
@@ -79,22 +70,10 @@ def test_ratio_family_h_is_x_times_one_plus_x():
 
 def test_ratio_derivatives_past_the_overflow_of_the_power_of_x_plus_c():
     pf = RatioProduction(c=1.0)
-    for derivative in (pf.f_prime, pf.f_double_prime):
-        assert math.isfinite(derivative(1e300))
-    # At x = c the derivatives are 1/(4c) and -1/(4c^2); each shift puts its
-    # power of 2c beyond the float range but not its value.
+    assert math.isfinite(pf.f_prime(1e300))
+    # At x = c the derivative is 1/(4c); the shift puts (2c)^2 beyond the
+    # float range but not its value.
     assert RatioProduction(c=1e160).f_prime(1e160) == pytest.approx(0.25e-160, rel=1e-15, abs=0.0)
-    assert RatioProduction(c=1e110).f_double_prime(1e110) == pytest.approx(
-        -0.25e-220, rel=1e-15, abs=0.0
-    )
-
-
-def test_cara_second_derivative_past_the_overflow_of_alpha_squared():
-    # alpha**2 raises OverflowError past alpha ~ 1.3e154.
-    pf = CaraProduction(alpha=1e300)
-    assert pf.f_double_prime(1e-3) == 0.0
-    assert pf.f_double_prime(1e-301) == -math.inf
-    assert CaraProduction(alpha=2.0).f_double_prime(0.5) == pytest.approx(-4.0 * math.exp(-1.0))
 
 
 def test_cara_h_matches_expm1():
@@ -114,7 +93,6 @@ def test_piecewise_branches_and_h():
     assert pf.f_prime(0.999999) == pytest.approx(pf.f_prime(1.000001), rel=1e-5)
     assert pf.h(0.5) == pytest.approx(1.0)
     assert pf.h(1.5) == pytest.approx(2.5)
-    assert pf.kinks() == (1.0,)
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
@@ -140,9 +118,6 @@ class _BrokenProduction(ProductionFunction):
     def f_prime(self, x):
         return 1.0
 
-    def f_double_prime(self, x):
-        return 0.0
-
     def h(self, x):
         return x
 
@@ -161,9 +136,46 @@ def test_validation_raises_on_non_finite_values():
         validate_production(_BrokenProduction())
 
 
+class _ConvexProduction(_BrokenProduction):
+    """f = x^2: increasing with h = x / 2 increasing, but convex."""
+
+    family = "convex"
+
+    def f(self, x):
+        return x * x
+
+    def f_prime(self, x):
+        return 2.0 * x
+
+    def h(self, x):
+        return 0.5 * x
+
+
+def test_validation_fails_a_convex_production_on_its_slope_alone():
+    assert validate_production(_ConvexProduction()).failures() == ["f_prime_nonincreasing"]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+def test_validation_reads_only_f_f_prime_and_h(monkeypatch, name):
+    # f at 0 and on the 64-point grid, f' and h on the grid; nothing else.
+    pf = BENCHMARK_PRODUCTIONS[name]
+    methods = ("f", "f_prime", "h", "h_inv", "g_inv", "h_curvature", "to_spec")
+    calls = dict.fromkeys(methods, 0)
+    for method in methods:
+        original = getattr(type(pf), method)
+
+        def counting(self, *args, method=method, original=original):
+            calls[method] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(type(pf), method, counting)
+    assert validate_production(pf).passed
+    assert calls == {**dict.fromkeys(methods, 0), "f": 65, "f_prime": 64, "h": 64}
+
+
 def test_production_interface_is_two_derivatives_h_and_its_inverse():
     assert ProductionFunction.__abstractmethods__ == {
-        "f", "f_prime", "f_double_prime", "h", "h_inv", "g_inv",
+        "f", "f_prime", "h", "h_inv", "g_inv",
     }
 
 
