@@ -58,8 +58,8 @@ from .network import (
     Battle,
     ConflictNetwork,
     EffortProfile,
+    NotSemiSymmetric,
     SemiSymmetricStructure,
-    SemiSymmetryViolations,
     check_semi_symmetry,
     payoff,
     winning_probabilities,
@@ -84,6 +84,7 @@ __all__ = [
     "NeutralityReport",
     "NoConvergence",
     "NonFiniteEvaluation",
+    "NotSemiSymmetric",
     "PiecewisePowerAffineProduction",
     "PowerCost",
     "PowerProduction",
@@ -92,7 +93,6 @@ __all__ = [
     "RatioProduction",
     "SchemaViolation",
     "SemiSymmetricStructure",
-    "SemiSymmetryViolations",
     "SolveOutcome",
     "SweepAxis",
     "SweepSpec",

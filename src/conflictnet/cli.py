@@ -36,7 +36,6 @@ from .functions import (
     PowerProduction,
     ProductionFunction,
     production_from_spec,
-    validate_production,
 )
 from .general_solver import IterationConfig, SolveOutcome, solve_nash_iterative, solve_nash_ue_iterative
 from .generators import EXAMPLE_NAMES, generate_example
@@ -50,8 +49,8 @@ from .io import (
 from .network import (
     Battle,
     ConflictNetwork,
+    NotSemiSymmetric,
     SemiSymmetricStructure,
-    SemiSymmetryViolations,
     check_semi_symmetry,
 )
 from .sweep import DEFAULT_MAX_GRID, SweepAxis, SweepSpec, run_sweep
@@ -176,18 +175,6 @@ def _flag_network(args) -> ConflictNetwork:
     return _network(args.input, args.example, args.production, args.tullock, prizes)
 
 
-def _structure(network: ConflictNetwork, required: bool = True) -> SemiSymmetricStructure | None:
-    """The semi-symmetric structure of ``network``; when it has none, an
-    input error if ``required``, else ``None``."""
-    result = check_semi_symmetry(network)
-    if not isinstance(result, SemiSymmetryViolations):
-        return result
-    if required:
-        lines = "; ".join(v.message for v in result)
-        raise InputError(f"network is not semi-symmetric: {lines}")
-    return None
-
-
 def _tolerance(args, name: str) -> dict:
     """``--tol`` as the keyword ``name``, or no keyword when it is not given."""
     return {} if args.tol is None else {name: args.tol}
@@ -298,7 +285,11 @@ def _cmd_solve(args) -> int:
 
     structure = None
     if args.method != "iterative":
-        structure = _structure(network, required=args.method == "semisymmetric")
+        try:
+            structure = check_semi_symmetry(network)
+        except NotSemiSymmetric:
+            if args.method == "semisymmetric":
+                raise
     method = "iterative" if structure is None else "semisymmetric"
 
     report: dict = {"method": method, "regime": args.regime}
@@ -330,7 +321,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    structure = _structure(_flag_network(args))
+    structure = check_semi_symmetry(_flag_network(args))
     report = compare_regimes(structure)
     if args.format == "md":
         text = _compare_markdown(report)
@@ -373,7 +364,7 @@ def _parse_grid_flag(text: str, sizes: tuple[int, ...]):
 
 
 def _cmd_neutrality(args) -> int:
-    structure = _structure(_flag_network(args))
+    structure = check_semi_symmetry(_flag_network(args))
     grid = _parse_grid_flag(args.grid, structure.sizes)
     report = neutrality_check(structure, grid)
     _write_report(dumps_sorted(report.to_dict()), args.output)
@@ -438,7 +429,7 @@ def _cmd_sweep(args) -> int:
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and abs(value) <= sys.float_info.max):
             raise InputError(f"sweep spec 'v' entry #{i} must be a finite number, got {value!r}")
-    base = _structure(_network(
+    base = check_semi_symmetry(_network(
         doc.get("network"), doc.get("example"), doc.get("f"), doc.get("tullock"),
         None if prizes is None else [float(value) for value in prizes],
     ))
@@ -479,31 +470,17 @@ def _cmd_validate(args) -> int:
         _write_report(dumps_sorted(report), args.output)
         return EXIT_INPUT
 
-    # Battles often share one production; productions are frozen, so each
-    # distinct one is checked once.  A check that cannot evaluate the
-    # production on its grid is a finding about the input, not a failure.
-    findings: dict = {}
-    for b in network.battles:
-        if b.production not in findings:
-            try:
-                failures = validate_production(b.production).failures()
-                findings[b.production] = f"fails checks: {failures}" if failures else ""
-            except (NonFiniteEvaluation, ArithmeticError) as exc:
-                findings[b.production] = f"cannot be evaluated: {exc}"
-        if findings[b.production]:
-            report["valid"] = False
-            report["errors"].append(f"battle {b.id!r} production {findings[b.production]}")
-
-    result = check_semi_symmetry(network)
-    if isinstance(result, SemiSymmetryViolations):
+    try:
+        structure = check_semi_symmetry(network)
+    except NotSemiSymmetric as exc:
         report["semi_symmetric"] = False
-        report["violations"] = [v.message for v in result]
+        report["violations"] = list(exc.violations)
     else:
         report["semi_symmetric"] = True
-        report["sizes"] = list(result.sizes)
-        report["degrees"] = {str(k): result.degrees[k] for k in result.sizes}
+        report["sizes"] = list(structure.sizes)
+        report["degrees"] = {str(k): structure.degrees[k] for k in structure.sizes}
     _write_report(dumps_sorted(report), args.output)
-    return EXIT_OK if report["valid"] else EXIT_INPUT
+    return EXIT_OK
 
 
 def _cmd_examples(args) -> int:

@@ -216,13 +216,10 @@ class RatioProduction(ProductionFunction):
     def f(self, x):
         return x / (x + self.c)
 
-    # Past x of about 1e154 the square of x + c overflows; dividing by
-    # x + c twice underflows to 0 instead.
+    # Dividing by x + c twice, not by its square: the square overflows past
+    # x of about 1e154 and underflows to 0 below about 1e-162.
     def f_prime(self, x):
-        try:
-            return self.c / (x + self.c) ** 2
-        except OverflowError:
-            return self.c / (x + self.c) / (x + self.c)
+        return self.c / (x + self.c) / (x + self.c)
 
     def h(self, x):
         # x * (x + c) / c would overflow in the product for c > 1.

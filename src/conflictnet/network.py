@@ -26,9 +26,8 @@ __all__ = [
     "Battle",
     "ConflictNetwork",
     "EffortProfile",
+    "NotSemiSymmetric",
     "SemiSymmetricStructure",
-    "SemiSymmetryViolation",
-    "SemiSymmetryViolations",
     "rival_score",
     "contest_share",
     "marginal_benefit",
@@ -287,37 +286,25 @@ class SemiSymmetricStructure:
         )
 
 
-@dataclass(frozen=True)
-class SemiSymmetryViolation:
-    kind: str  # "degree" | "prize" | "production"
-    size: int
-    message: str
+class NotSemiSymmetric(ValueError):
+    """A network breaks semi-symmetry; ``violations`` holds one message per
+    broken condition."""
+
+    def __init__(self, violations: tuple[str, ...]):
+        super().__init__(f"network is not semi-symmetric: {'; '.join(violations)}")
+        self.violations = violations
 
 
-@dataclass(frozen=True)
-class SemiSymmetryViolations:
-    """Every way a network fails to be semi-symmetric; data, not an error."""
-
-    violations: tuple[SemiSymmetryViolation, ...]
-
-    def __iter__(self):
-        return iter(self.violations)
-
-    def __len__(self):
-        return len(self.violations)
-
-
-def check_semi_symmetry(
-    network: ConflictNetwork,
-) -> SemiSymmetricStructure | SemiSymmetryViolations:
-    """Classify a network as semi-symmetric or list every violated condition.
+def check_semi_symmetry(network: ConflictNetwork) -> SemiSymmetricStructure:
+    """The size-indexed structure of a semi-symmetric network.
 
     Semi-symmetry requires that every player participates in the same number
     of size-k battles for each size k, and that prize and production function
-    are constant within each size class.
+    are constant within each size class.  Raises ``NotSemiSymmetric`` naming
+    every violated condition.
     """
     sizes = sorted({b.size for b in network.battles})
-    violations: list[SemiSymmetryViolation] = []
+    violations: list[str] = []
 
     degrees: dict[int, int] = {}
     for k in sizes:
@@ -326,18 +313,11 @@ def check_semi_symmetry(
             for p in network.players
         }
         reference = counts[network.players[0]]
-        mismatched = {p: c for p, c in counts.items() if c != reference}
-        if mismatched:
-            for p, c in mismatched.items():
+        for p, c in counts.items():
+            if c != reference:
                 violations.append(
-                    SemiSymmetryViolation(
-                        kind="degree",
-                        size=k,
-                        message=(
-                            f"player {p!r} attends {c} size-{k} battles, "
-                            f"player {network.players[0]!r} attends {reference}"
-                        ),
-                    )
+                    f"player {p!r} attends {c} size-{k} battles, "
+                    f"player {network.players[0]!r} attends {reference}"
                 )
         degrees[k] = reference
 
@@ -347,13 +327,7 @@ def check_semi_symmetry(
         class_battles = [b for b in network.battles if b.size == k]
         distinct_prizes = sorted({b.prize for b in class_battles})
         if len(distinct_prizes) > 1:
-            violations.append(
-                SemiSymmetryViolation(
-                    kind="prize",
-                    size=k,
-                    message=f"size-{k} prizes not constant: {distinct_prizes}",
-                )
-            )
+            violations.append(f"size-{k} prizes not constant: {distinct_prizes}")
         prizes[k] = class_battles[0].prize
         distinct_productions = []
         for b in class_battles:
@@ -361,19 +335,12 @@ def check_semi_symmetry(
                 distinct_productions.append(b.production)
         if len(distinct_productions) > 1:
             violations.append(
-                SemiSymmetryViolation(
-                    kind="production",
-                    size=k,
-                    message=(
-                        f"size-{k} production functions not constant: "
-                        f"{distinct_productions}"
-                    ),
-                )
+                f"size-{k} production functions not constant: {distinct_productions}"
             )
         productions[k] = class_battles[0].production
 
     if violations:
-        return SemiSymmetryViolations(tuple(violations))
+        raise NotSemiSymmetric(tuple(violations))
     return SemiSymmetricStructure(
         sizes=tuple(sizes),
         degrees=degrees,

@@ -12,11 +12,11 @@ from conflictnet import (
     Battle,
     ConflictNetwork,
     EffortProfile,
+    NotSemiSymmetric,
     PowerCost,
     PowerProduction,
     RatioProduction,
     SemiSymmetricStructure,
-    SemiSymmetryViolations,
     UnknownPlayer,
     check_semi_symmetry,
     generate_simplex,
@@ -269,6 +269,14 @@ def test_prize_override_keeps_semi_symmetry():
     assert ss.prizes[2] == 6.0
 
 
+def _violations(network):
+    with pytest.raises(NotSemiSymmetric) as info:
+        check_semi_symmetry(network)
+    violations = info.value.violations
+    assert str(info.value) == "network is not semi-symmetric: " + "; ".join(violations)
+    return violations
+
+
 def test_prize_mismatch_is_reported():
     net = generate_triangle()
     battles = [
@@ -278,9 +286,7 @@ def test_prize_mismatch_is_reported():
         for b in net.battles
     ]
     broken = ConflictNetwork(net.players, tuple(battles), net.cost)
-    result = check_semi_symmetry(broken)
-    assert isinstance(result, SemiSymmetryViolations)
-    assert any(v.kind == "prize" and v.size == 2 for v in result)
+    assert _violations(broken) == ("size-2 prizes not constant: [5.0, 6.0]",)
 
 
 def test_degree_mismatch_is_reported():
@@ -293,18 +299,16 @@ def test_degree_mismatch_is_reported():
         ),
         cost=PowerCost(),
     )
-    result = check_semi_symmetry(net)
-    assert isinstance(result, SemiSymmetryViolations)
-    assert any(v.kind == "degree" for v in result)
+    assert _violations(net) == ("player 2 attends 2 size-2 battles, player 1 attends 1",)
 
 
 def test_production_mismatch_within_size_class_is_reported():
     net = generate_triangle()
     battles = list(net.battles)
     battles[0] = Battle("a", (1, 2), 5.0, RatioProduction(1.0))
-    result = check_semi_symmetry(ConflictNetwork(net.players, tuple(battles), net.cost))
-    assert isinstance(result, SemiSymmetryViolations)
-    assert any(v.kind == "production" and v.size == 2 for v in result)
+    violations = _violations(ConflictNetwork(net.players, tuple(battles), net.cost))
+    assert len(violations) == 1
+    assert violations[0].startswith("size-2 production functions not constant: [")
 
 
 def test_structure_invariants_enforced():
