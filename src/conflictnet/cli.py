@@ -301,7 +301,7 @@ def _cmd_solve(args) -> int:
             report["ue"] = _ue_dict(solve_ue(structure, **_tolerance(args, "rel_tol")))
     else:
         iter_cfg = IterationConfig(
-            initial="random" if args.seed is not None else "constant",
+            initial="random" if args.seed is not None else "symmetric",
             seed=args.seed,
             **_tolerance(args, "tolerance"),
         )

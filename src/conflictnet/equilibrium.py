@@ -88,6 +88,30 @@ def _uniform_gap(weighted_h, count: int, cost):
     return gap
 
 
+def _discriminatory_gap(terms, cost):
+    """The discriminatory-effort consistency gap ``mu - sum_b d_b x_b(mu)``.
+
+    ``terms`` holds one ``(d_b, h_inv_b, t_b)`` triple per battle or size
+    class: the number of such battles, the inverse of ``h_b`` and the target
+    ``t_b = v_b (k_b - 1) / k_b^2``, so that ``x_b(mu) = h_b^{-1}(t_b /
+    C'(mu))``.  The gap is strictly increasing in mu; where ``C'(mu)``
+    underflows to 0 every target, and so every effort, is beyond float range
+    and the gap is ``-inf``.
+    """
+    c_prime = cost.c_prime
+
+    def gap(mu: float) -> float:
+        lam = c_prime(mu)
+        if lam == 0.0:
+            return -math.inf
+        acc = 0.0
+        for d, h_inv, t in terms:
+            acc += d * h_inv(t / lam)
+        return mu - acc
+
+    return gap
+
+
 def _symmetric_payoff(ss: SemiSymmetricStructure, total: float) -> float:
     return ss.prize_term - ss.cost.c(total)
 
@@ -107,21 +131,9 @@ def solve_de(
     """
     targets = {k: ss.prizes[k] * _size_weight(k) for k in ss.sizes}
     terms = tuple((ss.degrees[k], ss.productions[k].h_inv, targets[k]) for k in ss.sizes)
-    c_prime = ss.cost.c_prime
-
-    def gap(mu: float) -> float:
-        lam = c_prime(mu)
-        if lam == 0.0:
-            # C'(mu) underflowed: every target, and so every effort, is
-            # beyond float range.
-            return -math.inf
-        acc = 0.0
-        for d, h_inv, t in terms:
-            acc += d * h_inv(t / lam)
-        return mu - acc
-
+    gap = _discriminatory_gap(terms, ss.cost)
     mu_root = brent_increasing(gap, 0.0, rel_tol, seed)
-    lam = c_prime(mu_root)
+    lam = ss.cost.c_prime(mu_root)
     efforts = {k: ss.productions[k].h_inv(targets[k] / lam) for k in ss.sizes}
     # Re-anchor the reported total on the final efforts so the accounting
     # identity total = sum_k d_k x_k holds to float precision.

@@ -11,16 +11,21 @@ without a bracketed search, so the root on the total is the only inner root
 find.
 Equilibria are then computed by simultaneous best-response iteration; the
 sweep that ends it also certifies the profile it answered, by the largest
-payoff gain a switch to its responses would bring.  A brute-force grid
-oracle with its own shares provides an independent desk-scale cross-check.
+payoff gain a switch to its responses would bring.  The iteration starts
+from each player's symmetric first-order solution: the efforts the player
+would exert if every rival mirrored it, one root of the structured
+engine's condition over the player's own battles.  On a semi-symmetric
+network that start is the equilibrium, and the first sweep certifies it.
+A brute-force grid oracle with its own shares provides an independent
+desk-scale cross-check.
 
 When every rival in a battle exerts zero effort the payoff is discontinuous
 at zero (an infinitesimal effort wins outright), so the marginal benefit is
 effectively unbounded; such battles receive a floor effort and are reported,
-rather than dividing by zero.  The floor is ``1e-12`` times the network's
-effort scale (see :func:`_degenerate_floor`), so it lies as far below the
-equilibrium efforts at prizes of 1e-300 as at 1e300; a solve computes it
-once, the first time it meets such a battle.
+rather than dividing by zero.  The floor is ``1e-12`` times the largest
+effort of the symmetric uniform-effort start (see :func:`_degenerate_floor`),
+so it lies as far below the equilibrium efforts at prizes of 1e-300 as at
+1e300; a solve computes it once, the first time it meets such a battle.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _size_weight, _uniform_gap
+from .equilibrium import _discriminatory_gap, _size_weight, _uniform_gap
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
@@ -47,9 +52,8 @@ __all__ = [
 ]
 
 # Effort assigned in a battle whose rivals all exert zero, relative to the
-# network's effort scale, and the relative accuracy that scale needs.
+# largest effort of the symmetric uniform-effort start.
 _FLOOR_RATIO = 1e-12
-_FLOOR_SCALE_TOL = 1e-3
 
 # Inner root finds run well below the profile-change tolerance so that
 # best-response quantization noise cannot stall the outer iteration.
@@ -63,23 +67,24 @@ _GAIN_TOL = 1e-6
 class IterationConfig:
     """Controls for the simultaneous best-response iteration: stop once no
     effort moves by more than ``tolerance`` times the largest effort, or
-    after ``max_iterations`` sweeps; start from every effort at 1
-    (``"constant"``) or from efforts log-uniform on [0.05, 5] drawn with
-    ``seed`` (``"random"``).
+    after ``max_iterations`` sweeps (an ``int``, at least 1); start from each
+    player's symmetric first-order solution (``"symmetric"``) or from
+    efforts log-uniform on [0.05, 5] drawn with ``seed`` (``"random"``).
     Every sweep moves each effort to its best response; at least one sweep
     is needed to certify a profile."""
 
     max_iterations: int = 10_000
     tolerance: float = 1e-10
-    initial: str = "constant"
+    initial: str = "symmetric"
     seed: int | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise ValueError(f"max_iterations must be an int of at least 1, got {cap!r}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.initial not in ("constant", "random"):
+        if self.initial not in ("symmetric", "random"):
             raise ValueError(f"unknown initial profile spec {self.initial!r}")
 
 
@@ -106,28 +111,57 @@ class SolveOutcome:
 # Best responses
 # ---------------------------------------------------------------------------
 
-def _degenerate_floor(network: ConflictNetwork) -> float:
-    """Effort for a battle whose rivals all exert zero.
+def _targets(battles) -> list[float]:
+    """Each battle's symmetric marginal-benefit target ``v_b (k_b - 1) / k_b^2``."""
+    return [b.prize * _size_weight(b.size) for b in battles]
 
-    It is ``_FLOOR_RATIO`` times the largest per-battle effort x solving a
-    player's symmetric first-order condition
-    ``n C'(n x) = sum_b v_b (k_b - 1) / k_b^2 / h_b(x)`` over the player's
-    ``n`` battles: the uniform-effort equilibrium of a player whose rivals
-    all mirror it, one coarse root per player.  Scaled so, the floor stays
-    far below the equilibrium efforts at every prize scale; one sitting
-    above them can keep the profile flipping between two states that each
-    have degenerate battles.
+
+def _symmetric_de_start(network: ConflictNetwork) -> EffortProfile:
+    """Each player's discriminatory efforts when every rival mirrors it.
+
+    Battle b then takes ``h_b^{-1}(v_b (k_b - 1) / k_b^2 / C'(mu))``, and the
+    player's total mu is one root of the consistency gap the structured
+    engine solves, over the player's own battles.
     """
-    scale = 0.0
+    efforts = {}
+    for p in network.players:
+        own = network.battles_of(p)
+        targets = _targets(own)
+        gap = _discriminatory_gap(
+            tuple((1, b.production.h_inv, t) for b, t in zip(own, targets)), network.cost
+        )
+        lam = network.cost.c_prime(brent_increasing(gap, 0.0, _INNER_REL_TOL))
+        for b, t in zip(own, targets):
+            efforts[(p, b.id)] = b.production.h_inv(t / lam)
+    return EffortProfile(efforts)
+
+
+def _symmetric_ue_start(network: ConflictNetwork) -> EffortProfile:
+    """Each player's uniform effort when every rival mirrors it: the root x
+    of ``n C'(n x) = sum_b v_b (k_b - 1) / k_b^2 / h_b(x)`` over its ``n``
+    battles, in all of them."""
+    efforts = {}
     for p in network.players:
         own = network.battles_of(p)
         gap = _uniform_gap(
-            tuple((b.prize * _size_weight(b.size), b.production.h) for b in own),
-            len(own),
-            network.cost,
+            tuple(zip(_targets(own), (b.production.h for b in own))), len(own), network.cost
         )
-        scale = max(scale, brent_increasing(gap, 0.0, _FLOOR_SCALE_TOL))
-    return _FLOOR_RATIO * scale
+        x = brent_increasing(gap, 0.0, _INNER_REL_TOL)
+        for b in own:
+            efforts[(p, b.id)] = x
+    return EffortProfile(efforts)
+
+
+def _degenerate_floor(network: ConflictNetwork) -> float:
+    """Effort for a battle whose rivals all exert zero.
+
+    It is ``_FLOOR_RATIO`` times the largest effort of the symmetric
+    uniform-effort start, the network's effort scale.  Scaled so, the floor
+    stays far below the equilibrium efforts at every prize scale; one
+    sitting above them can keep the profile flipping between two states
+    that each have degenerate battles.
+    """
+    return _FLOOR_RATIO * max(_symmetric_ue_start(network).efforts.values())
 
 
 def _contested(
@@ -251,10 +285,8 @@ def _best_response_uniform(
 # Iterative solvers
 # ---------------------------------------------------------------------------
 
-def _initial_profile(network: ConflictNetwork, cfg: IterationConfig) -> EffortProfile:
-    if cfg.initial == "constant":
-        return EffortProfile.constant(network, 1.0)
-    rng = np.random.default_rng(cfg.seed)
+def _random_profile(network: ConflictNetwork, seed: int | None) -> EffortProfile:
+    rng = np.random.default_rng(seed)
     efforts = {}
     for p in network.players:
         for b in network.battles_of(p):
@@ -278,9 +310,11 @@ def _deviation_gain(
     return worst
 
 
-def _iterate(network, cfg, respond):
+def _iterate(network, cfg, respond, symmetric_start):
     """Shared simultaneous best-response loop.
 
+    It starts from ``symmetric_start(network)``, the regime's symmetric
+    first-order solution, unless ``cfg`` asks for a random profile.
     ``respond(network, player, profile, floor)`` returns the player's
     efforts by battle id and the ids of battles given the floor effort
     ``floor()``; it must be a pure function of the frozen profile.  The
@@ -289,7 +323,10 @@ def _iterate(network, cfg, respond):
     sweep that meets the stop rule, or the last one allowed, certifies the
     profile it answered, which is the one returned.
     """
-    profile = _initial_profile(network, cfg)
+    if cfg.initial == "symmetric":
+        profile = symmetric_start(network)
+    else:
+        profile = _random_profile(network, cfg.seed)
     floor = functools.cache(lambda: _degenerate_floor(network))
     for iterations in range(1, cfg.max_iterations + 1):
         responses = {}
@@ -336,14 +373,14 @@ def solve_nash_iterative(
     is hit.  Always returns the last profile answered; non-convergence is
     reported through the ``converged`` flag, never silently.
     """
-    return _iterate(network, cfg, _best_response_discriminatory)
+    return _iterate(network, cfg, _best_response_discriminatory, _symmetric_de_start)
 
 
 def solve_nash_ue_iterative(
     network: ConflictNetwork, cfg: IterationConfig = IterationConfig()
 ) -> SolveOutcome:
     """Nash equilibrium when each player must use one effort in all battles."""
-    return _iterate(network, cfg, _best_response_uniform)
+    return _iterate(network, cfg, _best_response_uniform, _symmetric_ue_start)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conflictnet import (
     check_semi_symmetry,
     generate_triangle,
 )
+from conflictnet import general_solver
 
 # The four production functions exercised throughout the suite: a saturating
 # ratio (convex h), a square-root power (linear h), a bounded exponential
@@ -79,3 +80,18 @@ def random_structure(rng, family, quadratic_cost=False):
         productions={k: production for k in sizes},
         cost=cost,
     )
+
+
+@pytest.fixture
+def floor_calls(monkeypatch):
+    """The networks the iterative solvers compute the degenerate floor for
+    during the test, one entry per computation."""
+    calls = []
+    floor = general_solver._degenerate_floor
+
+    def counting(network):
+        calls.append(network)
+        return floor(network)
+
+    monkeypatch.setattr(general_solver, "_degenerate_floor", counting)
+    return calls

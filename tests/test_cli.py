@@ -958,8 +958,8 @@ def test_arithmetic_error_in_an_iterative_solve_is_a_solver_failure(capsys, monk
     assert err == "error: forced\n"
 
 
-def _assert_iterative_matches_structured(capsys, network):
-    iterative = run_json(capsys, *network, "--method", "iterative")
+def _assert_iterative_matches_structured(capsys, network, *iterative_flags):
+    iterative = run_json(capsys, *network, "--method", "iterative", *iterative_flags)
     structured = run_json(capsys, *network, "--method", "semisymmetric")
     for regime in ("de", "ue"):
         assert iterative[regime]["converged"] is True
@@ -1000,6 +1000,19 @@ def test_iterative_solve_at_prizes_1e_minus_30_matches_the_structured_engine(cap
     # are near 1e-110, where (x + c)^2 underflows to 0.
     network = ["solve", "--example", "triangle", "--v", "1e-30,3e-30", "--f", family]
     _assert_iterative_matches_structured(capsys, network)
+
+
+@pytest.mark.parametrize("family", ["cara:1", "ratio:1", "power:1,1"])
+def test_iterative_solve_at_prizes_1e_minus_30_from_a_random_start_uses_the_floor(
+    capsys, floor_calls, family
+):
+    # The symmetric start is the triangle's equilibrium, so the test above
+    # never meets a degenerate battle.  From this random start a sweep
+    # leaves battles at the corner 0 and the next gives them the floor; the
+    # other two families of that test leave none at the corner.
+    network = ["solve", "--example", "triangle", "--v", "1e-30,3e-30", "--f", family]
+    _assert_iterative_matches_structured(capsys, network, "--seed", "0")
+    assert floor_calls
 
 
 def cost_network_file(tmp_path, kappa, p, scale):
@@ -1057,6 +1070,18 @@ def test_iterative_solve_does_not_stop_on_a_sweep_that_used_the_floor_effort(cap
     # converged false.
     network = ["solve", "--example", "triangle", "--f", "cara:1.9454", "--v", "24.662,1.162"]
     _assert_iterative_matches_structured(capsys, network)
+
+
+def test_iterative_solve_from_a_random_start_meets_the_floor_effort(capsys, floor_calls):
+    # The symmetric start is the equilibrium, so the test above converges
+    # in one sweep with no degenerate battle.  The random start of seed 2
+    # (seeds 0 and 1 put no battle at the corner) meets the floor.  No
+    # seed from 0 to 299 reaches a floor sweep that moves the profile by
+    # less than the stop rule allows, so the library's test of that rule
+    # starts every effort at 1 instead.
+    network = ["solve", "--example", "triangle", "--f", "cara:1.9454", "--v", "24.662,1.162"]
+    _assert_iterative_matches_structured(capsys, network, "--seed", "2")
+    assert floor_calls
 
 
 def _fresh_process_run(argv):

@@ -20,6 +20,7 @@ from conflictnet import (
     best_response,
     brute_force_nash,
     check_semi_symmetry,
+    generate_example,
     generate_triangle,
     payoff,
     solve_de,
@@ -137,16 +138,55 @@ def test_floor_effort_scales_with_the_prizes(prize):
     assert response["t"] == pytest.approx(1e-12 * math.sqrt(prize) / 2.0, rel=1e-3, abs=0.0)
 
 
-@pytest.mark.parametrize("scale", [1e-30, 1e-100, 1e-300])
-@pytest.mark.parametrize("production", [
+small_prizes = pytest.mark.parametrize("scale", [1e-30, 1e-100, 1e-300])
+finite_slopes_at_zero = pytest.mark.parametrize("production", [
     PowerProduction(1.0, 1.0), RatioProduction(1.0), CaraProduction(1.0),
 ], ids=["power", "ratio", "cara"])
+
+
+def _assert_iterative_de_matches_structured(net, cfg):
+    out = solve_nash_iterative(net, cfg)
+    assert out.converged
+    expected = solve_de(check_semi_symmetry(net)).total
+    for player in net.players:
+        assert out.profile.total(player) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+@small_prizes
+@finite_slopes_at_zero
 def test_iterative_de_converges_at_small_prizes(production, scale):
     # Battles left at the corner 0 get a floor far below the equilibrium
     # efforts, so the profile does not flip between two degenerate states.
     net = generate_triangle(v2=5.0 * scale, v3=72.0 * scale, production=production)
-    out = solve_nash_iterative(net, IterationConfig(max_iterations=300))
-    assert out.converged
+    _assert_iterative_de_matches_structured(net, IterationConfig(max_iterations=300))
+
+
+@small_prizes
+@finite_slopes_at_zero
+def test_iterative_de_converges_at_small_prizes_from_a_random_start(
+    floor_calls, production, scale
+):
+    # The symmetric start is this network's equilibrium, so the test above
+    # never meets a degenerate battle.  From this random start a sweep
+    # leaves battles at the corner 0 and the next gives them the floor.
+    net = generate_triangle(v2=5.0 * scale, v3=72.0 * scale, production=production)
+    cfg = IterationConfig(max_iterations=300, initial="random", seed=0)
+    _assert_iterative_de_matches_structured(net, cfg)
+    assert floor_calls
+
+
+def test_iteration_does_not_stop_on_a_sweep_that_used_the_floor_effort(floor_calls):
+    # From every effort at 1 the first sweep puts every effort in the size-3
+    # battle at the corner 0 and leaves the others near 1; the second gives
+    # that battle the floor and moves the profile by little more than it.
+    # Neither the symmetric start nor a random one reaches this sweep.
+    net = generate_triangle(v2=24.662, v3=1.162, production=CaraProduction(1.9454))
+    out = general_solver._iterate(
+        net, IterationConfig(), general_solver._best_response_discriminatory,
+        lambda network: EffortProfile.constant(network, 1.0),
+    )
+    assert out.converged and out.iterations > 2
+    assert floor_calls
     expected = solve_de(check_semi_symmetry(net)).total
     for player in net.players:
         assert out.profile.total(player) == pytest.approx(expected, rel=1e-9, abs=0.0)
@@ -236,22 +276,23 @@ def test_multi_start_agreement_small():
 
 
 def test_nonconvergence_is_reported_not_raised():
-    net = generate_triangle(production=BENCHMARK_PRODUCTIONS["ratio"])
+    net = _random_asymmetric_network(np.random.default_rng(7))
     out = solve_nash_iterative(net, IterationConfig(max_iterations=2))
     assert not out.converged
     assert out.iterations == 2
 
 
 def test_iteration_config_validation():
-    for cap in (0, -1):
+    for cap in (0, -1, 1.5, math.inf, math.nan, True, 10.0):
         with pytest.raises(ValueError):
             IterationConfig(max_iterations=cap)
     with pytest.raises(ValueError):
         IterationConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         IterationConfig(tolerance=math.inf)
-    with pytest.raises(ValueError):
-        IterationConfig(initial="explicit")
+    for initial in ("explicit", "constant"):
+        with pytest.raises(ValueError):
+            IterationConfig(initial=initial)
 
 
 @pytest.mark.parametrize(
@@ -280,14 +321,54 @@ def test_each_sweep_answers_every_player_once(monkeypatch, solver, name, cap):
     assert len(calls) == len(net.players) * out.iterations
 
 
-@pytest.mark.parametrize("solver", [solve_nash_iterative, solve_nash_ue_iterative])
-def test_one_sweep_certifies_the_unmoved_start(solver):
-    net = generate_triangle(production=BENCHMARK_PRODUCTIONS["ratio"])
+@pytest.mark.parametrize(
+    "solver, start",
+    [
+        (solve_nash_iterative, general_solver._symmetric_de_start),
+        (solve_nash_ue_iterative, general_solver._symmetric_ue_start),
+    ],
+    ids=["solve_nash_iterative", "solve_nash_ue_iterative"],
+)
+def test_one_sweep_certifies_the_unmoved_start(solver, start):
+    net = _random_asymmetric_network(np.random.default_rng(7))
     out = solver(net, IterationConfig(max_iterations=1))
     assert out.iterations == 1
     assert not out.converged
-    assert out.profile == EffortProfile.constant(net, 1.0)
+    assert out.profile == start(net)
     assert out.deviation_gain > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
+@pytest.mark.parametrize("example", ["triangle", "simplex"])
+def test_symmetric_start_is_certified_in_one_sweep(example, name):
+    # On a semi-symmetric network each player's symmetric first-order
+    # solution is the equilibrium, so the first sweep moves nothing.
+    net = generate_example(example, production=BENCHMARK_PRODUCTIONS[name])
+    ss = check_semi_symmetry(net)
+    for solver, structured in (
+        (solve_nash_iterative, solve_de(ss)),
+        (solve_nash_ue_iterative, solve_ue(ss)),
+    ):
+        out = solver(net)
+        assert (out.iterations, out.converged) == (1, True)
+        for player in net.players:
+            assert out.profile.total(player) == pytest.approx(
+                structured.total, rel=1e-9, abs=0.0
+            )
+
+
+# DE and UE sweeps to convergence on ``_random_asymmetric_network`` by rng
+# seed, when every effort started at 1.
+CONSTANT_START_SWEEPS = {0: (195, 11), 5: (35, 10), 7: (35, 14)}
+
+
+@pytest.mark.parametrize("seed", sorted(CONSTANT_START_SWEEPS))
+def test_symmetric_start_takes_no_more_sweeps_than_the_constant_start(seed):
+    net = _random_asymmetric_network(np.random.default_rng(seed))
+    outcomes = (solve_nash_iterative(net), solve_nash_ue_iterative(net))
+    for out, sweeps in zip(outcomes, CONSTANT_START_SWEEPS[seed]):
+        assert out.converged
+        assert out.iterations <= sweeps
 
 
 @pytest.mark.parametrize("cap", [1, 3, 10_000])
