@@ -10,11 +10,11 @@ turning the verdict ``indeterminate``, but never replace it.
 
 ``compare_regimes``, ``neutrality_check`` and the sweep's rows solve both
 regimes through one helper, so the relative gap ``|X_de - X_ue| / X_ue`` is
-computed in one place.  Along a grid the helper starts each point's two
-root searches from the previous point's totals, rescaled by the Tullock
-closed form (natural-parameter continuation).  ``neutrality_check`` reads
-its prize grid one entry at a time, so a lazily drawn grid is never held
-whole.
+computed in one place.  Each solve starts its root search from the
+closed-form start of :mod:`conflictnet.equilibrium` and keeps no state, so
+a grid point's answer does not depend on the points before it or on their
+order.  ``neutrality_check`` reads its prize grid one entry at a time, so a
+lazily drawn grid is never held whole.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolation
-from .equilibrium import DEResult, UEResult, _size_weight, solve_de, solve_ue
+from .equilibrium import DEResult, UEResult, _terms, _tullock_total, solve_de, solve_ue
 from .functions import PowerProduction, ProductionFunction
 from .network import SemiSymmetricStructure
+from .rootfind import _SMALLEST
 
 __all__ = [
     "CurvatureVerdict",
@@ -50,9 +51,6 @@ NEUTRALITY_TOL = 1e-6
 # which h counts as flat.
 CURVATURE_SAMPLES = 128
 CURVATURE_TOL = 1e-9
-
-# Smallest positive float, the lower end of a curvature sample.
-_SMALLEST = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -137,55 +135,12 @@ def classify_h(
 # Regime comparison
 # ---------------------------------------------------------------------------
 
-def _prize_weight(ss: SemiSymmetricStructure) -> float:
-    """``T = sum_k d_k v_k (k-1)/k^2``, the prize side of the Tullock closed form."""
-    return sum(ss.degrees[k] * ss.prizes[k] * _size_weight(k) for k in ss.sizes)
-
-
-def _continuation_seeds(
-    ss: SemiSymmetricStructure, previous: tuple[SemiSymmetricStructure, DEResult, UEResult]
-) -> tuple[float | None, float | None]:
-    """DE and UE bracket seeds at ``ss`` from the point solved before it.
-
-    With power production ``f = A x^r`` (so ``h(x) = x / r``) and cost
-    ``C(X) = kappa X^p / p``, both regimes solve ``X C'(X) = r T`` (the
-    Tullock closed form ``kappa X^p = r T``).  Each regime's previous total
-    calibrates ``rho = X C'(X) / T``, and the seed is the total that rho gives
-    here, ``X' = (rho T' / kappa')^(1/p')``: exact along a prize or cost axis
-    of a power family, a rescaled neighbour for any other.  The UE seed is
-    the per-battle effort ``X' / D``.  A calibration that leaves the float
-    range gives no seed.
-    """
-    prev, de, ue = previous
-    scale = _prize_weight(ss) / ss.cost.kappa
-    weight = _prize_weight(prev)
-
-    def seed(total: float, count: int) -> float | None:
-        try:
-            x = (total * prev.cost.c_prime(total) / weight * scale) ** (1.0 / ss.cost.p) / count
-        except ArithmeticError:
-            return None
-        return x if 0.0 < x < math.inf else None
-
-    return seed(de.total, 1), seed(ue.total, ss.total_degree)
-
-
-def _solve_both(
-    ss: SemiSymmetricStructure,
-    previous: tuple[SemiSymmetricStructure, DEResult, UEResult] | None = None,
-) -> tuple[DEResult, UEResult, float]:
+def _solve_both(ss: SemiSymmetricStructure) -> tuple[DEResult, UEResult, float]:
     """Both regimes' equilibria of ``ss`` and the relative gap of their
     totals; every DE/UE comparison in the package solves through here, at
-    the root finder's own ``REL_TOL``.
-
-    ``previous`` is a grid's last point and its two results, ``(structure,
-    de, ue)``; each root search then starts from that point's answer,
-    rescaled to this one (natural-parameter continuation), and the results
-    move only within ``REL_TOL`` of a cold solve's.
-    """
-    de_seed, ue_seed = (None, None) if previous is None else _continuation_seeds(ss, previous)
-    de = solve_de(ss, seed=de_seed)
-    ue = solve_ue(ss, seed=ue_seed)
+    the root finder's own ``REL_TOL``."""
+    de = solve_de(ss)
+    ue = solve_ue(ss)
     return de, ue, abs(de.total - ue.total) / abs(ue.total)
 
 
@@ -354,8 +309,7 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
     Each grid entry assigns one prize per battle size (a mapping keyed by
     size, or a sequence ordered by ascending size).  The grid may be any
     iterable, a one-shot generator included: entries are read and solved one
-    at a time, each seeded from the one before (see ``_solve_both``), and
-    ``grid_size`` counts those read.  The structure's own
+    at a time, and ``grid_size`` counts those read.  The structure's own
     prizes are irrelevant; only sizes, degrees, production functions, and
     cost matter.  Neutral means every relative gap is at most
     ``NEUTRALITY_TOL``; power production functions achieve this for every
@@ -364,7 +318,6 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
     max_gap = -1.0
     worst = None
     grid_size = 0
-    previous = None
     for entry in valuation_grid:
         grid_size += 1
         if isinstance(entry, dict):
@@ -381,8 +334,7 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
                 )
             prizes = dict(zip(structure.sizes, map(float, values)))
         point = structure.with_prizes(prizes)
-        de, ue, gap = _solve_both(point, previous)
-        previous = (point, de, ue)
+        de, ue, gap = _solve_both(point)
         if gap > max_gap:
             max_gap = gap
             worst = (prizes, de.total, ue.total)
@@ -407,26 +359,17 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
 def tullock_closed_form_total(ss: SemiSymmetricStructure) -> float:
     """Per-player total effort in closed form for power families.
 
-    With ``f_k(x) = A_k x^{r_k}`` and quadratic unit cost the DE and UE
-    totals coincide at
-
-        sqrt( sum_k d_k v_k (k-1)/k^2 r_k ).
+    With ``f_k(x) = A_k x^{r_k}`` and cost ``C(X) = kappa X^p / p`` the DE
+    and UE totals coincide at the X with ``kappa X^p = sum_k d_k r_k v_k
+    (k-1)/k^2``, computed as the structured solvers' start computes it.
 
     Raises:
-        PreconditionViolation: cost is not ``X^2/2`` or a production function
-            is not a power function.
+        PreconditionViolation: a production function is not a power function.
     """
-    if not ss.cost.is_unit_quadratic:
-        raise PreconditionViolation(
-            "closed form requires the quadratic unit cost X^2/2"
-        )
-    acc = 0.0
-    for k in ss.sizes:
-        pf = ss.productions[k]
+    terms = _terms(ss)
+    for k, (_, pf, _) in zip(ss.sizes, terms):
         if not isinstance(pf, PowerProduction):
             raise PreconditionViolation(
-                f"closed form requires power production functions, "
-                f"size {k} has {pf.family!r}"
+                f"closed form requires power production functions, size {k} has {pf.family!r}"
             )
-        acc += ss.degrees[k] * ss.prizes[k] * ((k - 1) / k**2) * pf.r
-    return math.sqrt(acc)
+    return _tullock_total(sum(d * pf.r * t for d, pf, t in terms), ss.cost)

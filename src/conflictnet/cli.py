@@ -66,6 +66,9 @@ EXIT_NOCONVERGE = 2
 # ArithmeticError that reaches main comes from a solve.
 _SOLVER_FAILURES = (BracketFailure, NonFiniteEvaluation, NoConvergence, ArithmeticError)
 
+# Points of a random neutrality grid drawn by one call of the generator.
+_GRID_CHUNK = 1024
+
 # Shorthand for the concave piecewise benchmark production (power branch
 # 2*sqrt(x) glued to x+1 at the breakpoint 1).
 _NAMED_PRODUCTIONS = {"piecewise-f3": "piecewise:2,0.5,1"}
@@ -337,8 +340,8 @@ def _parse_grid_flag(text: str, sizes: tuple[int, ...]):
     """The prize vectors of ``--grid``, each in ascending size order.
 
     ``explicit:`` points are read now; ``neutrality_check`` checks their
-    sizes.  ``random:N[:seed=S]`` is checked now and drawn one point at a
-    time as it is consumed, log-uniform on [0.1, 100] per size.
+    sizes.  ``random:N[:seed=S]`` is checked now and drawn ``_GRID_CHUNK``
+    points at a time as it is consumed, log-uniform on [0.1, 100] per size.
     """
     kind, _, rest = text.partition(":")
     if kind == "explicit":
@@ -357,9 +360,8 @@ def _parse_grid_flag(text: str, sizes: tuple[int, ...]):
         if count > DEFAULT_MAX_GRID:
             raise InputError(f"random grid has {count} points, cap is {DEFAULT_MAX_GRID}")
         lo, hi = np.log(0.1), np.log(100.0)
-        return (
-            [float(np.exp(rng.uniform(lo, hi))) for _ in sizes] for _ in range(count)
-        )
+        chunks = ((min(_GRID_CHUNK, count - i), len(sizes)) for i in range(0, count, _GRID_CHUNK))
+        return (point for shape in chunks for point in np.exp(rng.uniform(lo, hi, shape)).tolist())
     raise InputError(f"unknown grid spec {text!r}; use explicit:... or random:N[:seed=S]")
 
 

@@ -10,8 +10,8 @@ solves ``D C'(D x) = sum_k w_k / h_k(x)`` with ``D`` battles per player and
 ``w_k = d_k v_k (k-1) / k^2``.  At either equilibrium every participant of a
 size-k battle wins with probability exactly 1/k, which the payoff computation
 uses directly instead of re-evaluating the contest success function.  Both
-solvers take an optional bracket ``seed``, which a grid of prize points sets
-from the point solved before it.
+solvers, and the iterative engine's start, search from one closed-form start
+(:func:`_closed_form_start`), exact for power families, and keep no state.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .functions import _scaled_power
 from .network import SemiSymmetricStructure
-from .rootfind import REL_TOL, brent_increasing
+from .rootfind import _LARGEST, _SMALLEST, REL_TOL, brent_increasing
 
 __all__ = ["DEResult", "UEResult", "solve_de", "solve_ue", "reverse_valuations"]
 
@@ -66,15 +67,57 @@ class UEResult:
     residual: float
 
 
-def _uniform_gap(weighted_h, count: int, cost):
+def _terms(ss: SemiSymmetricStructure):
+    """``(d_k, f_k, t_k)`` per size: degree, production and the target
+    ``t_k = v_k (k-1)/k^2``."""
+    return tuple(
+        (ss.degrees[k], ss.productions[k], ss.prizes[k] * _size_weight(k)) for k in ss.sizes
+    )
+
+
+def _tullock_total(weight: float, cost) -> float:
+    """The Tullock closed form: X with ``kappa X^p = X C'(X) = weight``."""
+    q = 1.0 / cost.p
+    return _scaled_power(1.0 / cost.kappa**q, weight, q)
+
+
+def _closed_form_start(terms, cost, count: int = 1) -> float:
+    """Start of a symmetric root search over ``(d_b, f_b, t_b)`` terms.
+
+    With power production both regimes' totals are ``_tullock_total(sum_b
+    d_b r_b t_b)``.  As ``h(x) >= x`` for concave f with f(0) = 0, every
+    family's totals are at most ``X_T = _tullock_total(sum_b d_b t_b)``, and
+    the DE total is at least ``sum_b d_b h_b^{-1}(x_b)`` at the Tullock
+    efforts ``x_b = t_b / C'(X_T)``.  The start takes each r_b as f_b's
+    elasticity ``x_b / h_b(x_b)`` there (0 where ``h_b(x_b)`` leaves the
+    float range), clips the total to those bounds and spreads it over
+    ``count`` battles: the DE total for 1, the UE effort for ``D``.
+    """
+    total = 0.0
+    for d, _, t in terms:
+        total += d * t
+    bound = min(max(_tullock_total(total, cost), _SMALLEST), _LARGEST)
+    lam = total / bound  # C'(X_T), since X_T C'(X_T) = total
+    weight = lower = 0.0
+    for d, pf, t in terms:
+        x = t / lam if lam > 0.0 else 0.0
+        hx = pf.h(x)
+        weight += d * t * (x / hx if 0.0 < hx < math.inf else 0.0)
+        lower += d * pf.h_inv(x)
+    start = min(max(_tullock_total(weight, cost), lower), bound)
+    return max(start / count, _SMALLEST)
+
+
+def _uniform_gap(terms, count: int, cost):
     """The uniform-effort first-order gap ``n C'(n x) - sum_b w_b / h_b(x)``.
 
-    ``weighted_h`` holds one ``(w_b, h_b)`` pair per battle or size class and
-    ``count`` is the number ``n`` of battles the effort x is spent on.  The
-    gap is strictly increasing in x; where some ``h_b(x)`` underflows to 0 the
+    ``w_b = d_b t_b`` over :func:`_discriminatory_gap`'s terms, and ``count``
+    is the number ``n`` of battles the effort x is spent on.  The gap is
+    strictly increasing in x; where some ``h_b(x)`` underflows to 0 the
     marginal benefit is beyond float range and the gap is ``-inf``.
     """
     c_prime = cost.c_prime
+    weighted_h = tuple((d * t, pf.h) for d, pf, t in terms)
 
     def gap(x: float) -> float:
         benefit = 0.0
@@ -91,21 +134,22 @@ def _uniform_gap(weighted_h, count: int, cost):
 def _discriminatory_gap(terms, cost):
     """The discriminatory-effort consistency gap ``mu - sum_b d_b x_b(mu)``.
 
-    ``terms`` holds one ``(d_b, h_inv_b, t_b)`` triple per battle or size
-    class: the number of such battles, the inverse of ``h_b`` and the target
-    ``t_b = v_b (k_b - 1) / k_b^2``, so that ``x_b(mu) = h_b^{-1}(t_b /
-    C'(mu))``.  The gap is strictly increasing in mu; where ``C'(mu)``
-    underflows to 0 every target, and so every effort, is beyond float range
-    and the gap is ``-inf``.
+    ``terms`` holds one ``(d_b, f_b, t_b)`` triple per battle or size class:
+    the number of such battles, their production and the target ``t_b = v_b
+    (k_b - 1) / k_b^2``, so that ``x_b(mu) = h_b^{-1}(t_b / C'(mu))``.  The
+    gap is strictly increasing in mu; where ``C'(mu)`` underflows to 0 every
+    target, and so every effort, is beyond float range and the gap is
+    ``-inf``.
     """
     c_prime = cost.c_prime
+    inverses = tuple((d, pf.h_inv, t) for d, pf, t in terms)
 
     def gap(mu: float) -> float:
         lam = c_prime(mu)
         if lam == 0.0:
             return -math.inf
         acc = 0.0
-        for d, h_inv, t in terms:
+        for d, h_inv, t in inverses:
             acc += d * h_inv(t / lam)
         return mu - acc
 
@@ -116,25 +160,21 @@ def _symmetric_payoff(ss: SemiSymmetricStructure, total: float) -> float:
     return ss.prize_term - ss.cost.c(total)
 
 
-def solve_de(
-    ss: SemiSymmetricStructure, rel_tol: float = REL_TOL, *, seed: float | None = None
-) -> DEResult:
+def solve_de(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> DEResult:
     """Solve the discriminatory-effort equilibrium.
 
     Construction: for a candidate total mu, each size-k effort is
     ``h_k^{-1}(v_k (k-1) / (k^2 C'(mu)))`` in closed form; the consistency gap
     ``mu - sum_k d_k x_k(mu)`` is strictly increasing in mu and crosses zero
-    exactly once, so it is bracketed from mu = ``seed`` (1 unless given) and
-    solved by Brent's method.  A seed near the root, such as a neighbouring
-    grid point's total, shortens the search; the answer moves only within
-    ``rel_tol``.
+    exactly once, so it is bracketed by a galloping search from the
+    closed-form start (see :func:`_closed_form_start`), which is the root
+    itself for power families, and solved by Brent's method.
     """
-    targets = {k: ss.prizes[k] * _size_weight(k) for k in ss.sizes}
-    terms = tuple((ss.degrees[k], ss.productions[k].h_inv, targets[k]) for k in ss.sizes)
+    terms = _terms(ss)
     gap = _discriminatory_gap(terms, ss.cost)
-    mu_root = brent_increasing(gap, 0.0, rel_tol, seed)
+    mu_root = brent_increasing(gap, 0.0, rel_tol, _closed_form_start(terms, ss.cost))
     lam = ss.cost.c_prime(mu_root)
-    efforts = {k: ss.productions[k].h_inv(targets[k] / lam) for k in ss.sizes}
+    efforts = {k: pf.h_inv(t / lam) for k, (_, pf, t) in zip(ss.sizes, terms)}
     # Re-anchor the reported total on the final efforts so the accounting
     # identity total = sum_k d_k x_k holds to float precision.
     total = sum(ss.degrees[k] * efforts[k] for k in ss.sizes)
@@ -142,15 +182,8 @@ def solve_de(
     # An effort of 0 is the corner left by a target below float range; its
     # first-order condition holds as an inequality, and f'(0)/f(0) is 1/0.
     residuals = {
-        k: 0.0
-        if efforts[k] == 0.0
-        else abs(
-            targets[k]
-            * ss.productions[k].f_prime(efforts[k])
-            / ss.productions[k].f(efforts[k])
-            - lam
-        )
-        for k in ss.sizes
+        k: 0.0 if efforts[k] == 0.0 else abs(t * pf.f_prime(efforts[k]) / pf.f(efforts[k]) - lam)
+        for k, (_, pf, t) in zip(ss.sizes, terms)
     }
     return DEResult(
         efforts=efforts,
@@ -161,9 +194,7 @@ def solve_de(
     )
 
 
-def solve_ue(
-    ss: SemiSymmetricStructure, rel_tol: float = REL_TOL, *, seed: float | None = None
-) -> UEResult:
+def solve_ue(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> UEResult:
     """Solve the uniform-effort equilibrium.
 
     With a single effort level x in all battles, the first-order condition
@@ -172,20 +203,17 @@ def solve_ue(
     and ``D`` the number of battles per player.  Since ``f_k'/f_k = 1/h_k``
     and every ``h_k`` is strictly increasing, ``D C'(D x) - sum_k w_k / h_k(x)``
     is strictly increasing in x, so one Brent root gives the effort, whether
-    or not the production functions differ across sizes.  ``seed`` is the
-    effort the bracket search starts from (1 unless given), as in
+    or not the production functions differ across sizes.  The search starts
+    from the closed-form start spread over the ``D`` battles, as in
     :func:`solve_de`.
     """
-    weights = {k: ss.degrees[k] * ss.prizes[k] * _size_weight(k) for k in ss.sizes}
+    terms = _terms(ss)
     D = ss.total_degree
-    gap = _uniform_gap(tuple((weights[k], ss.productions[k].h) for k in ss.sizes), D, ss.cost)
-    effort = brent_increasing(gap, 0.0, rel_tol, seed)
+    gap = _uniform_gap(terms, D, ss.cost)
+    effort = brent_increasing(gap, 0.0, rel_tol, _closed_form_start(terms, ss.cost, D))
     total = D * effort
     lam = ss.cost.c_prime(total) * D
-    benefit = sum(
-        weights[k] * ss.productions[k].f_prime(effort) / ss.productions[k].f(effort)
-        for k in ss.sizes
-    )
+    benefit = sum(d * t * pf.f_prime(effort) / pf.f(effort) for d, pf, t in terms)
     return UEResult(
         effort=effort,
         marginal_cost=lam,

@@ -439,10 +439,6 @@ class PowerCost:
             return self.kappa * total
         return _scaled_power(self.kappa, total, self.p - 1.0)
 
-    @property
-    def is_unit_quadratic(self) -> bool:
-        return self.kappa == 1.0 and self.p == 2.0
-
     def to_spec(self) -> dict:
         """JSON-serializable ``{"family", "params"}`` description."""
         return {"family": "power", "params": {"kappa": self.kappa, "p": self.p}}

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _discriminatory_gap, _size_weight, _uniform_gap
+from .equilibrium import _closed_form_start, _discriminatory_gap, _size_weight, _uniform_gap
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
@@ -111,9 +111,11 @@ class SolveOutcome:
 # Best responses
 # ---------------------------------------------------------------------------
 
-def _targets(battles) -> list[float]:
-    """Each battle's symmetric marginal-benefit target ``v_b (k_b - 1) / k_b^2``."""
-    return [b.prize * _size_weight(b.size) for b in battles]
+def _own_terms(network: ConflictNetwork, player: PlayerId):
+    """The structured engine's ``(1, f_b, t_b)`` terms over ``player``'s battles."""
+    return tuple(
+        (1, b.production, b.prize * _size_weight(b.size)) for b in network.battles_of(player)
+    )
 
 
 def _symmetric_de_start(network: ConflictNetwork) -> EffortProfile:
@@ -125,14 +127,14 @@ def _symmetric_de_start(network: ConflictNetwork) -> EffortProfile:
     """
     efforts = {}
     for p in network.players:
-        own = network.battles_of(p)
-        targets = _targets(own)
-        gap = _discriminatory_gap(
-            tuple((1, b.production.h_inv, t) for b, t in zip(own, targets)), network.cost
+        terms = _own_terms(network, p)
+        mu = brent_increasing(
+            _discriminatory_gap(terms, network.cost), 0.0, _INNER_REL_TOL,
+            _closed_form_start(terms, network.cost),
         )
-        lam = network.cost.c_prime(brent_increasing(gap, 0.0, _INNER_REL_TOL))
-        for b, t in zip(own, targets):
-            efforts[(p, b.id)] = b.production.h_inv(t / lam)
+        lam = network.cost.c_prime(mu)
+        for b, (_, pf, t) in zip(network.battles_of(p), terms):
+            efforts[(p, b.id)] = pf.h_inv(t / lam)
     return EffortProfile(efforts)
 
 
@@ -142,12 +144,12 @@ def _symmetric_ue_start(network: ConflictNetwork) -> EffortProfile:
     battles, in all of them."""
     efforts = {}
     for p in network.players:
-        own = network.battles_of(p)
-        gap = _uniform_gap(
-            tuple(zip(_targets(own), (b.production.h for b in own))), len(own), network.cost
+        terms = _own_terms(network, p)
+        x = brent_increasing(
+            _uniform_gap(terms, len(terms), network.cost), 0.0, _INNER_REL_TOL,
+            _closed_form_start(terms, network.cost, len(terms)),
         )
-        x = brent_increasing(gap, 0.0, _INNER_REL_TOL)
-        for b in own:
+        for b in network.battles_of(p):
             efforts[(p, b.id)] = x
     return EffortProfile(efforts)
 
@@ -186,14 +188,19 @@ def _battle_effort(battle: Battle, rivals: float, lam: float) -> float:
     strictly increasing G.  A target at or below G(0) = S^2 / f'(0) is the
     corner 0; G(0) is 0 where f'(0) is infinite, and overflows to inf only
     where it exceeds every float target.  Above it the family's ``g_inv``
-    gives the effort.  The target divides before it multiplies, since v S
-    can overflow where v S / lam does not.
+    gives the effort, and an infinite target an infinite one.  The target
+    divides before it multiplies, since v S can overflow where v S / lam
+    does not.
     """
     pf = battle.production
     target = battle.prize * (rivals / lam)
     g0 = rivals * (rivals / pf.f_prime(0.0))
     if target <= g0:
         return 0.0
+    if target == math.inf:
+        # A bracket search far below the root on the total meets this; g_inv
+        # would make NaN of it.
+        return math.inf
     return pf.g_inv(rivals, target, target - g0)
 
 

@@ -2,12 +2,13 @@
 
 The solvers in this package reduce every equilibrium computation to roots of
 strictly monotone scalar functions, all solved by one bracketed method
-(`brent_increasing`): doubling or halving from a positive seed across the
-float range, then Brent's method (Brent 1973) with a purely relative stopping
-rule, whose bisection fallback needs nothing beyond monotonicity and
-therefore tolerates kinks in piecewise production functions.  Both stages
-evaluate through one function, and Brent starts from the values the
-bracket search found at the bracket's ends, so no point is evaluated twice.
+(`brent_increasing`): a galloping bracket search from a positive seed
+across the float range, then Brent's method (Brent 1973) with a purely
+relative stopping rule, whose bisection fallback needs nothing beyond
+monotonicity and therefore tolerates kinks in piecewise production
+functions.  Both stages evaluate through one function, and Brent starts from
+the values the bracket search found at the bracket's ends, so no point is
+evaluated twice.
 Inverting ``h`` needs no root find: every production family has a
 closed-form ``h_inv``, so a structured solve is one call of this solver.
 """
@@ -28,31 +29,45 @@ REL_TOL = 1e-10
 # Brent steps allowed once the bracket is found; reaching it raises.
 MAX_ITERATIONS = 200
 
+_SMALLEST = math.ulp(0.0)
+_LARGEST = sys.float_info.max
+
 
 def _expand_bracket(phi, target, seed):
-    """Find a < b with phi(a) <= 0 <= phi(b) by doubling or halving.
+    """Find a < b <= 2a with phi(a) <= 0 <= phi(b) by galloping from the seed.
 
-    Returns ``(a, phi(a), b, phi(b))``; a seed where phi is exactly 0 comes
-    back as both ends.  Expansion runs from the seed until the next point
-    would leave the float range (0 or +inf); ``phi`` is never evaluated at
-    either end.
+    Returns ``(a, phi(a), b, phi(b))``, one of which may be an exact zero.
+    The search steps by a factor of 2 and then squares the factor at every
+    step (4, 16, 256, ...), ending at the largest or smallest positive
+    float, so a root 1e300 away takes about 10 steps, not 1000; then it
+    bisects geometrically down to a factor of 2.
     """
     a = b = seed
     fa = fb = phi(seed)
-    step = 2.0 if fa < 0.0 else 0.5
-    while fb != 0.0 and (fb < 0.0) == (fa < 0.0):
+    rising = fa < 0.0
+    step, end = (2.0, _LARGEST) if rising else (0.5, _SMALLEST)
+    while fb != 0.0 and (fb < 0.0) == rising:
+        if b == end:
+            raise BracketFailure(
+                f"no upper bracket for target {target!r}: g < target up to {b!r}"
+                if rising
+                else f"no lower bracket for target {target!r}: g > target down to {b!r}"
+            )
         a, fa = b, fb
         b *= step
-        if b == math.inf:
-            raise BracketFailure(
-                f"no upper bracket for target {target!r}: g < target up to {a!r}"
-            )
-        if b == 0.0:
-            raise BracketFailure(
-                f"no lower bracket for target {target!r}: g > target down to {a!r}"
-            )
+        if not _SMALLEST <= b <= _LARGEST:
+            b = end
         fb = phi(b)
-    return (a, fa, b, fb) if a <= b else (b, fb, a, fa)
+        step *= step
+    lo, flo, hi, fhi = (a, fa, b, fb) if a < b else (b, fb, a, fa)
+    while hi / 2.0 > lo and flo != 0.0 and fhi != 0.0:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        fmid = phi(mid)
+        if fmid < 0.0:
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return lo, flo, hi, fhi
 
 
 def brent_increasing(
@@ -64,13 +79,14 @@ def brent_increasing(
     """Solve ``g(x) = target`` for strictly increasing ``g`` on ``(0, inf)``.
 
     The caller is responsible for the range of ``g`` covering the target.
-    Deterministic for a fixed tolerance: bracket by doubling or halving
-    from the seed (1.0 unless given) through the whole positive float range,
-    then take inverse quadratic and secant steps, falling back to bisection
+    Deterministic for a fixed tolerance: bracket by a galloping search from
+    the seed (1.0 unless given) through the whole positive float range, then
+    take inverse quadratic and secant steps, falling back to bisection
     whenever they stall (infinite values force bisection), until the bracket
     half-width drops to ``0.5 * rel_tol * |x|`` or to float spacing: the same
-    relative accuracy at every scale.  An overflow of ``g`` to +inf counts as
-    being above the target: the functions solved here grow without bound, so
+    relative accuracy at every scale.  An overflow of ``g`` to +inf, or an
+    ``OverflowError`` raised by ``g`` above the seed, counts as being above
+    the target: the functions solved here grow without bound, so
     overflow only ever happens past the root.  A point where ``g`` equals the
     target exactly is returned as the root.
 
@@ -89,7 +105,14 @@ def brent_increasing(
         raise ValueError(f"bracket seed must be positive and finite, got {seed!r}")
 
     def phi(x):
-        y = g(x)
+        try:
+            y = g(x)
+        except OverflowError:
+            # Above the seed, where g was finite, g overflowed by growing
+            # past the target; at or below it the overflow is the caller's.
+            if x <= seed:
+                raise
+            y = math.inf
         if math.isnan(y):
             raise NonFiniteEvaluation(f"function returned NaN at x={x!r}")
         if math.isinf(y):

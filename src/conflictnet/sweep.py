@@ -5,15 +5,13 @@ axes (per-size prizes ``v<k>``, power exponents ``r`` or ``r<k>``, cost
 parameters ``cost_p`` / ``cost_kappa``), and per-axis ranges.  Grid points
 are enumerated lexicographically in axis order, each built as it is solved
 in-process under both regimes (through ``analysis._solve_both``, the one
-DE/UE comparison), and written in that order.  Each point's two root
-searches start from the previous point's answers, rescaled by the Tullock
-closed form (natural-parameter continuation), so a row matches a cold solve
-of its point to the solver's relative tolerance.  Existing rows in
-the output file are skipped, so an interrupted sweep resumes where it
-stopped; rows are flushed as they are written so an interrupt preserves
-everything completed.  An output's first row is always solved cold, so a
-rerun re-solves it cold first and refuses an output written for another
-base.
+DE/UE comparison), and written in that order.  Every point is solved on its
+own from the solvers' closed-form start, so a row does not depend on the
+rows before it.  Existing rows in the output file are skipped, so an
+interrupted sweep resumes where it stopped, and the resumed output is
+byte-identical to an uninterrupted one; rows are flushed as they are written
+so an interrupt preserves everything completed.  A rerun re-solves an
+output's first row and refuses an output written for another base.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ DEFAULT_MAX_GRID = 1_000_000
 
 _RESULT_COLUMNS = ("X_de", "X_ue", "payoff_de", "payoff_ue", "gap")
 
-# Relative difference between a stored first row's totals and a cold
+# Relative difference between a stored first row's totals and a
 # re-solve beyond which the output belongs to another base.
 _BASE_TOL = 1e-9
 
@@ -133,8 +131,8 @@ def _format_cell(value: float) -> str:
 def _check_base(
     path: Path, base: SemiSymmetricStructure, params: tuple[str, ...], row: dict
 ) -> None:
-    """Raise unless a cold solve of ``row``'s point on ``base`` gives back
-    the row's totals, as it does for the row that opens an output."""
+    """Raise unless a solve of ``row``'s point on ``base`` gives back the
+    row's totals, as it does for the row that opens an output."""
     try:
         values = tuple(float(row[p]) for p in params)
         stored = (float(row["X_de"]), float(row["X_ue"]))
@@ -196,7 +194,6 @@ def run_sweep(spec: SweepSpec, output) -> int:
     # the row's cell.
     axis_cells = [[(float(v), _format_cell(v)) for v in values] for values in axis_values]
     written = 0
-    previous = None
     with open(path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if header_needed:
@@ -206,9 +203,7 @@ def run_sweep(spec: SweepSpec, output) -> int:
             values, cells = zip(*combo)
             if cells in done:
                 continue
-            structure = _point_structure(spec.base, params, values)
-            de, ue, gap = _solve_both(structure, previous=previous)
-            previous = (structure, de, ue)
+            de, ue, gap = _solve_both(_point_structure(spec.base, params, values))
             results = (de.total, ue.total, de.payoff, ue.payoff, gap)
             writer.writerow(cells + tuple(_format_cell(v) for v in results))
             fh.flush()

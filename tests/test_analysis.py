@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conflictnet import (
+    BracketFailure,
     CaraProduction,
+    NonFiniteEvaluation,
     PiecewisePowerAffineProduction,
     PowerCost,
     PowerProduction,
@@ -463,10 +465,52 @@ def test_closed_form_preconditions():
         productions=dict(quad.productions),
         cost=PowerCost(1.0, 3.0),
     )
-    with pytest.raises(PreconditionViolation, match="quadratic"):
-        tullock_closed_form_total(cubic)
+    # Every power cost has the closed form kappa X^p = sum_k d_k r_k v_k
+    # (k-1)/k^2; only a production that is not a power function is refused.
+    assert tullock_closed_form_total(cubic) == pytest.approx(9.25 ** (1 / 3), rel=1e-12)
     with pytest.raises(PreconditionViolation, match="power"):
         tullock_closed_form_total(triangle_structure(RatioProduction(1.0)))
+
+
+ORACLE_STRUCTURE = SemiSymmetricStructure(
+    sizes=(2, 3, 4),
+    degrees={2: 2, 3: 3, 4: 1},
+    prizes={2: 5.0, 3: 72.0, 4: 100.0},
+    productions={
+        2: PowerProduction(2.0, 0.3), 3: PowerProduction(1.0, 0.7), 4: PowerProduction(0.5, 1.0)
+    },
+    cost=PowerCost(1.0, 2.0),
+)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kappa", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_closed_form_is_the_exact_total_for_every_power_cost(p, kappa, scale):
+    structure = SemiSymmetricStructure(
+        sizes=ORACLE_STRUCTURE.sizes,
+        degrees=dict(ORACLE_STRUCTURE.degrees),
+        prizes={k: v * scale for k, v in ORACLE_STRUCTURE.prizes.items()},
+        productions=dict(ORACLE_STRUCTURE.productions),
+        cost=PowerCost(kappa, p),
+    )
+    weight = sum(
+        structure.degrees[k] * structure.productions[k].r * (k - 1) / k**2 * v
+        for k, v in ORACLE_STRUCTURE.prizes.items()
+    )
+    log_total = (math.log(weight) + math.log(scale) - math.log(kappa)) / p
+    oracle = tullock_closed_form_total(structure)
+    if not -708.0 < log_total < 709.0:
+        # Past the float range the closed form is 0 or inf, and both
+        # solvers fail.
+        assert oracle in (0.0, math.inf)
+        for solve in (solve_de, solve_ue):
+            with pytest.raises((BracketFailure, NonFiniteEvaluation)):
+                solve(structure)
+        return
+    assert oracle == pytest.approx(math.exp(log_total), rel=1e-12, abs=0.0)
+    assert solve_de(structure).total == pytest.approx(oracle, rel=1e-9, abs=0.0)
+    assert solve_ue(structure).total == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("v", [1e-22, 1e22])

@@ -1267,6 +1267,18 @@ def test_random_grid_is_drawn_as_it_is_consumed():
         assert point == [float(np.exp(rng.uniform(lo, hi))) for _ in (2, 3)]
 
 
+@pytest.mark.parametrize("sizes", [(2,), (2, 3), (2, 3, 4)])
+def test_random_grid_drawn_in_chunks_equals_one_draw_per_size(sizes):
+    count = 2 * conflictnet.cli._GRID_CHUNK + 3
+    grid = list(conflictnet.cli._parse_grid_flag(f"random:{count}:seed=4", sizes))
+    rng = np.random.default_rng(4)
+    lo, hi = np.log(0.1), np.log(100.0)
+    reference = [
+        [float(np.exp(rng.uniform(lo, hi))) for _ in sizes] for _ in range(count)
+    ]
+    assert grid == reference
+
+
 def test_explicit_grid_points_of_the_wrong_size_are_input_errors(capsys):
     code, out, err = run_cli(
         capsys, "neutrality", "--example", "triangle", "--grid", "explicit:5,72;5"

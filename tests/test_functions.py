@@ -210,12 +210,10 @@ def test_cost_function_values_and_derivatives():
     cost = PowerCost(kappa=1.0, p=2.0)
     assert cost.c(3.0) == pytest.approx(4.5)
     assert cost.c_prime(3.0) == pytest.approx(3.0)
-    assert cost.is_unit_quadratic
 
     cubic = PowerCost(kappa=2.0, p=3.0)
     assert cubic.c(2.0) == pytest.approx(16.0 / 3.0)
     assert cubic.c_prime(2.0) == pytest.approx(8.0)
-    assert not cubic.is_unit_quadratic
 
     linear = PowerCost(kappa=0.7, p=1.0)
     assert linear.c_prime(5.0) == pytest.approx(0.7)

@@ -685,6 +685,17 @@ def test_battle_effort_where_the_square_of_the_rival_score_overflows(
     assert x > 0.0 and x == pytest.approx(reference, rel=1e-12)
 
 
+@pytest.mark.parametrize("pf", [
+    PowerProduction(1.0, 1.0), PowerProduction(1.0, 0.5), RatioProduction(1.0),
+    CaraProduction(1.0), PiecewisePowerAffineProduction(2.0, 0.5, 1.0),
+])
+def test_battle_effort_at_an_infinite_target_is_infinite(pf):
+    # S / lam = 1.4 / 3e-309 overflows, as it does where a bracket search
+    # on the total tries a total far below the root; g_inv alone gives NaN.
+    battle = Battle("b", (1, 2), 5e-300, pf)
+    assert _battle_effort(battle, 1.4, 3e-309) == math.inf
+
+
 def test_battle_effort_target_divides_before_it_multiplies():
     # v S = 1e300 * 1e10 overflows, while v S / lam = 1e300 does not.
     pf = PowerProduction(1.0, 0.5)

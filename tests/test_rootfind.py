@@ -154,7 +154,7 @@ def test_non_finite_target_is_rejected_before_any_evaluation(target):
         brent_increasing(g, target)
 
 
-@pytest.mark.parametrize("seed", [1.0, 1e-3, 1e3])
+@pytest.mark.parametrize("seed", [1.0, 1e-3, 1e3, 1e-100, 1e100])
 def test_no_point_is_evaluated_twice(seed):
     seen = []
 
@@ -212,3 +212,35 @@ def test_brent_handles_kinked_functions():
     for target in (0.5, 1.999, 2.0, 2.001, 50.0):
         x = brent_increasing(pf.h, target)
         assert pf.h(x) == pytest.approx(target, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1e-300, 1e-100, 1e100, 1e300])
+@pytest.mark.parametrize("root", [1e-300, 1.0, 1e300])
+def test_a_seed_far_from_the_root_gallops_to_it(seed, root):
+    # Doubling or halving took up to about 2,000 evaluations here.
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return x
+
+    assert brent_increasing(g, root, seed=seed) == pytest.approx(root, rel=1e-10, abs=0.0)
+    assert len(seen) <= 32
+
+
+def test_an_overflow_above_the_seed_counts_as_above_the_target():
+    def g(x):
+        if x > 1e10:
+            raise OverflowError("too large")
+        return x
+
+    assert brent_increasing(g, 5.0, seed=1e-3) == pytest.approx(5.0, rel=1e-10)
+    assert brent_increasing(g, 5e9, seed=1.0) == pytest.approx(5e9, rel=1e-10)
+
+
+def test_an_overflow_at_the_seed_is_raised():
+    def g(x):
+        raise OverflowError("forced")
+
+    with pytest.raises(OverflowError, match="forced"):
+        brent_increasing(g, 1.0)
