@@ -111,6 +111,44 @@ def test_prize_sweep_stays_within_its_evaluation_budget(tmp_path, monkeypatch, f
     assert sum(counts) <= round(PRIZE_SWEEP_BUDGETS[family] * 20)
 
 
+def count_gap_evaluations(monkeypatch, cold=False):
+    """Counter of every gap evaluation the structured solvers make; with
+    ``cold`` each root is bracketed from brent_increasing's default start
+    of 1 instead of the closed-form start."""
+    evals = [0]
+    brent = conflictnet.equilibrium.brent_increasing
+
+    def counting(g, target, rel_tol, seed=None):
+        def g_counted(x):
+            evals[0] += 1
+            return g(x)
+        return brent(g_counted, target, rel_tol, None if cold else seed)
+
+    monkeypatch.setattr(conflictnet.equilibrium, "brent_increasing", counting)
+    return evals
+
+
+def test_seeded_prize_sweep_needs_at_most_twelve_evaluations_per_row(tmp_path, monkeypatch):
+    # Along a prize axis of a power family the closed-form start is the
+    # root to rounding; a cold solve takes about 20 evaluations per row here.
+    evals = count_gap_evaluations(monkeypatch)
+    rows = run_sweep(simplex_prize_spec("power"), tmp_path / "rows.csv")
+    assert rows == 20
+    assert evals[0] <= 12 * rows
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_seeded_prize_sweep_evaluates_less_than_cold_solves(tmp_path, monkeypatch, family):
+    spec = simplex_prize_spec(family)
+    evals = count_gap_evaluations(monkeypatch)
+    run_sweep(spec, tmp_path / "seeded.csv")
+    seeded = evals[0]
+    monkeypatch.undo()
+    evals = count_gap_evaluations(monkeypatch, cold=True)
+    run_sweep(spec, tmp_path / "cold.csv")
+    assert seeded < evals[0]
+
+
 def test_resumed_seeded_sweep_equals_an_uninterrupted_one(tmp_path):
     spec = simplex_prize_spec("cara")
     whole = tmp_path / "whole.csv"
