@@ -43,8 +43,9 @@ __all__ = [
 ]
 
 # Relative total-effort gap below which the two regimes count as equal.  It
-# holds only because every DE/UE comparison solves at ``rootfind.REL_TOL``,
-# four orders tighter, so root-finding error cannot cross it.
+# holds only because every structured solve stops at ``rootfind.REL_TOL``,
+# four orders tighter, and no caller can loosen that, so root-finding error
+# cannot cross it.
 NEUTRALITY_TOL = 1e-6
 
 # Grid points of the curvature sample and the relative midpoint defect below
@@ -137,8 +138,9 @@ def classify_h(
 
 def _solve_both(ss: SemiSymmetricStructure) -> tuple[DEResult, UEResult, float]:
     """Both regimes' equilibria of ``ss`` and the relative gap of their
-    totals; every DE/UE comparison in the package solves through here, at
-    the root finder's own ``REL_TOL``."""
+    totals; every DE/UE comparison in the package solves through here.
+    Each solve stops at the root finder's ``REL_TOL``, the only tolerance a
+    structured solve has, and builds its own terms and closed-form start."""
     de = solve_de(ss)
     ue = solve_ue(ss)
     return de, ue, abs(de.total - ue.total) / abs(ue.total)

@@ -178,11 +178,6 @@ def _flag_network(args) -> ConflictNetwork:
     return _network(args.input, args.example, args.production, args.tullock, prizes)
 
 
-def _tolerance(args, name: str) -> dict:
-    """``--tol`` as the keyword ``name``, or no keyword when it is not given."""
-    return {} if args.tol is None else {name: args.tol}
-
-
 def _write_report(text: str, output: str | None) -> None:
     if output is not None:
         Path(output).write_text(text, encoding="utf-8")
@@ -299,14 +294,12 @@ def _cmd_solve(args) -> int:
     exit_code = EXIT_OK
     if method == "semisymmetric":
         if "de" in regimes:
-            report["de"] = _de_dict(solve_de(structure, **_tolerance(args, "rel_tol")))
+            report["de"] = _de_dict(solve_de(structure))
         if "ue" in regimes:
-            report["ue"] = _ue_dict(solve_ue(structure, **_tolerance(args, "rel_tol")))
+            report["ue"] = _ue_dict(solve_ue(structure))
     else:
         iter_cfg = IterationConfig(
-            initial="random" if args.seed is not None else "symmetric",
-            seed=args.seed,
-            **_tolerance(args, "tolerance"),
+            initial="random" if args.seed is not None else "symmetric", seed=args.seed
         )
         if "de" in regimes:
             outcome = solve_nash_iterative(network, iter_cfg)
@@ -534,12 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--seed", type=int,
         help="start iterative solves from a random profile drawn with this seed",
-    )
-    solve.add_argument(
-        "--tol", type=float,
-        help="solver tolerance (default 1e-10): the root finder's relative "
-        "stopping width for semi-symmetric solves; the largest effort change "
-        "between iterations, relative to the largest effort, for iterative solves",
     )
 
     compare = subs.add_parser("compare", help="compare the two regimes")

@@ -9,9 +9,11 @@ must equal ``sum_k d_k x_k``.  Under uniform effort (UE) the single effort x
 solves ``D C'(D x) = sum_k w_k / h_k(x)`` with ``D`` battles per player and
 ``w_k = d_k v_k (k-1) / k^2``.  At either equilibrium every participant of a
 size-k battle wins with probability exactly 1/k, which the payoff computation
-uses directly instead of re-evaluating the contest success function.  Both
-solvers, and the iterative engine's start, search from one closed-form start
-(:func:`_closed_form_start`), exact for power families, and keep no state.
+uses directly instead of re-evaluating the contest success function.  Each
+condition is solved in one place, :func:`_de_efforts` or :func:`_ue_effort`,
+by one root search from the closed-form start (:func:`_closed_form_start`),
+exact for power families, keeping no state; the structured solvers call them
+at ``REL_TOL`` and the iterative engine's start on one player's battles.
 """
 
 from __future__ import annotations
@@ -108,12 +110,41 @@ def _closed_form_start(terms, cost, count: int = 1) -> float:
     return max(start / count, _SMALLEST)
 
 
-def _uniform_gap(terms, count: int, cost):
-    """The uniform-effort first-order gap ``n C'(n x) - sum_b w_b / h_b(x)``.
+def _de_efforts(terms, cost, rel_tol: float) -> list[float]:
+    """Each term's effort at the discriminatory-effort root.
 
-    ``w_b = d_b t_b`` over :func:`_discriminatory_gap`'s terms, and ``count``
-    is the number ``n`` of battles the effort x is spent on.  The gap is
-    strictly increasing in x; where some ``h_b(x)`` underflows to 0 the
+    ``terms`` holds one ``(d_b, f_b, t_b)`` triple per battle or size class:
+    the number of such battles, their production and the target ``t_b = v_b
+    (k_b - 1) / k_b^2``, so that ``x_b(mu) = h_b^{-1}(t_b / C'(mu))``.  The
+    consistency gap ``mu - sum_b d_b x_b(mu)`` is strictly increasing in mu
+    and crosses zero exactly once; one Brent root from the closed-form start
+    gives mu.  Where ``C'(mu)`` underflows to 0 every target, and so every
+    effort, is beyond float range and the gap is ``-inf``.
+    """
+    c_prime = cost.c_prime
+    inverses = tuple((d, pf.h_inv, t) for d, pf, t in terms)
+
+    def gap(mu: float) -> float:
+        lam = c_prime(mu)
+        if lam == 0.0:
+            return -math.inf
+        acc = 0.0
+        for d, h_inv, t in inverses:
+            acc += d * h_inv(t / lam)
+        return mu - acc
+
+    mu = brent_increasing(gap, 0.0, rel_tol, _closed_form_start(terms, cost))
+    lam = c_prime(mu)
+    return [h_inv(t / lam) for _, h_inv, t in inverses]
+
+
+def _ue_effort(terms, count: int, cost, rel_tol: float) -> float:
+    """The uniform effort x spent on each of ``count`` battles.
+
+    It is the one root of the strictly increasing first-order gap ``n C'(n
+    x) - sum_b w_b / h_b(x)`` over :func:`_de_efforts`'s terms, with ``w_b =
+    d_b t_b`` and ``n = count``, searched from the closed-form start spread
+    over the ``n`` battles.  Where some ``h_b(x)`` underflows to 0 the
     marginal benefit is beyond float range and the gap is ``-inf``.
     """
     c_prime = cost.c_prime
@@ -128,53 +159,24 @@ def _uniform_gap(terms, count: int, cost):
             benefit += w / hx
         return count * c_prime(count * x) - benefit
 
-    return gap
-
-
-def _discriminatory_gap(terms, cost):
-    """The discriminatory-effort consistency gap ``mu - sum_b d_b x_b(mu)``.
-
-    ``terms`` holds one ``(d_b, f_b, t_b)`` triple per battle or size class:
-    the number of such battles, their production and the target ``t_b = v_b
-    (k_b - 1) / k_b^2``, so that ``x_b(mu) = h_b^{-1}(t_b / C'(mu))``.  The
-    gap is strictly increasing in mu; where ``C'(mu)`` underflows to 0 every
-    target, and so every effort, is beyond float range and the gap is
-    ``-inf``.
-    """
-    c_prime = cost.c_prime
-    inverses = tuple((d, pf.h_inv, t) for d, pf, t in terms)
-
-    def gap(mu: float) -> float:
-        lam = c_prime(mu)
-        if lam == 0.0:
-            return -math.inf
-        acc = 0.0
-        for d, h_inv, t in inverses:
-            acc += d * h_inv(t / lam)
-        return mu - acc
-
-    return gap
+    return brent_increasing(gap, 0.0, rel_tol, _closed_form_start(terms, cost, count))
 
 
 def _symmetric_payoff(ss: SemiSymmetricStructure, total: float) -> float:
     return ss.prize_term - ss.cost.c(total)
 
 
-def solve_de(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> DEResult:
+def solve_de(ss: SemiSymmetricStructure) -> DEResult:
     """Solve the discriminatory-effort equilibrium.
 
     Construction: for a candidate total mu, each size-k effort is
     ``h_k^{-1}(v_k (k-1) / (k^2 C'(mu)))`` in closed form; the consistency gap
     ``mu - sum_k d_k x_k(mu)`` is strictly increasing in mu and crosses zero
-    exactly once, so it is bracketed by a galloping search from the
-    closed-form start (see :func:`_closed_form_start`), which is the root
-    itself for power families, and solved by Brent's method.
+    exactly once, so one Brent root at the root finder's ``REL_TOL`` gives
+    mu (see :func:`_de_efforts`).
     """
     terms = _terms(ss)
-    gap = _discriminatory_gap(terms, ss.cost)
-    mu_root = brent_increasing(gap, 0.0, rel_tol, _closed_form_start(terms, ss.cost))
-    lam = ss.cost.c_prime(mu_root)
-    efforts = {k: pf.h_inv(t / lam) for k, (_, pf, t) in zip(ss.sizes, terms)}
+    efforts = dict(zip(ss.sizes, _de_efforts(terms, ss.cost, REL_TOL)))
     # Re-anchor the reported total on the final efforts so the accounting
     # identity total = sum_k d_k x_k holds to float precision.
     total = sum(ss.degrees[k] * efforts[k] for k in ss.sizes)
@@ -194,7 +196,7 @@ def solve_de(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> DEResult:
     )
 
 
-def solve_ue(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> UEResult:
+def solve_ue(ss: SemiSymmetricStructure) -> UEResult:
     """Solve the uniform-effort equilibrium.
 
     With a single effort level x in all battles, the first-order condition
@@ -202,15 +204,14 @@ def solve_ue(ss: SemiSymmetricStructure, rel_tol: float = REL_TOL) -> UEResult:
     ``sum_k w_k f_k'(x)/f_k(x) = D C'(D x)`` with ``w_k = d_k v_k (k-1)/k^2``
     and ``D`` the number of battles per player.  Since ``f_k'/f_k = 1/h_k``
     and every ``h_k`` is strictly increasing, ``D C'(D x) - sum_k w_k / h_k(x)``
-    is strictly increasing in x, so one Brent root gives the effort, whether
-    or not the production functions differ across sizes.  The search starts
-    from the closed-form start spread over the ``D`` battles, as in
-    :func:`solve_de`.
+    is strictly increasing in x, so one Brent root, to the root finder's
+    ``REL_TOL``, gives the effort, whether or not the production functions
+    differ across sizes.  The search starts from the closed-form start spread
+    over the ``D`` battles, as in :func:`solve_de`.
     """
     terms = _terms(ss)
     D = ss.total_degree
-    gap = _uniform_gap(terms, D, ss.cost)
-    effort = brent_increasing(gap, 0.0, rel_tol, _closed_form_start(terms, ss.cost, D))
+    effort = _ue_effort(terms, D, ss.cost, REL_TOL)
     total = D * effort
     lam = ss.cost.c_prime(total) * D
     benefit = sum(d * t * pf.f_prime(effort) / pf.f(effort) for d, pf, t in terms)

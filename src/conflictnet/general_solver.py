@@ -13,9 +13,10 @@ Equilibria are then computed by simultaneous best-response iteration; the
 sweep that ends it also certifies the profile it answered, by the largest
 payoff gain a switch to its responses would bring.  The iteration starts
 from each player's symmetric first-order solution: the efforts the player
-would exert if every rival mirrored it, one root of the structured
-engine's condition over the player's own battles.  On a semi-symmetric
-network that start is the equilibrium, and the first sweep certifies it.
+would exert if every rival mirrored it, which the structured engine's solve
+(``equilibrium._de_efforts`` or ``_ue_effort``) gives over the player's own
+battles.  On a semi-symmetric network that start is the equilibrium, and
+the first sweep certifies it.
 A brute-force grid oracle with its own shares provides an independent
 desk-scale cross-check.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _closed_form_start, _discriminatory_gap, _size_weight, _uniform_gap
+from .equilibrium import _de_efforts, _size_weight, _ue_effort
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
@@ -119,36 +120,25 @@ def _own_terms(network: ConflictNetwork, player: PlayerId):
 
 
 def _symmetric_de_start(network: ConflictNetwork) -> EffortProfile:
-    """Each player's discriminatory efforts when every rival mirrors it.
-
-    Battle b then takes ``h_b^{-1}(v_b (k_b - 1) / k_b^2 / C'(mu))``, and the
-    player's total mu is one root of the consistency gap the structured
-    engine solves, over the player's own battles.
-    """
+    """Each player's discriminatory efforts when every rival mirrors it:
+    the structured engine's solve over the player's own battles, in which
+    battle b takes ``h_b^{-1}(v_b (k_b - 1) / k_b^2 / C'(mu))``."""
     efforts = {}
     for p in network.players:
-        terms = _own_terms(network, p)
-        mu = brent_increasing(
-            _discriminatory_gap(terms, network.cost), 0.0, _INNER_REL_TOL,
-            _closed_form_start(terms, network.cost),
-        )
-        lam = network.cost.c_prime(mu)
-        for b, (_, pf, t) in zip(network.battles_of(p), terms):
-            efforts[(p, b.id)] = pf.h_inv(t / lam)
+        xs = _de_efforts(_own_terms(network, p), network.cost, _INNER_REL_TOL)
+        for b, x in zip(network.battles_of(p), xs):
+            efforts[(p, b.id)] = x
     return EffortProfile(efforts)
 
 
 def _symmetric_ue_start(network: ConflictNetwork) -> EffortProfile:
-    """Each player's uniform effort when every rival mirrors it: the root x
-    of ``n C'(n x) = sum_b v_b (k_b - 1) / k_b^2 / h_b(x)`` over its ``n``
-    battles, in all of them."""
+    """Each player's uniform effort when every rival mirrors it: the
+    structured engine's root x of ``n C'(n x) = sum_b v_b (k_b - 1) / k_b^2
+    / h_b(x)`` over its ``n`` battles, in all of them."""
     efforts = {}
     for p in network.players:
         terms = _own_terms(network, p)
-        x = brent_increasing(
-            _uniform_gap(terms, len(terms), network.cost), 0.0, _INNER_REL_TOL,
-            _closed_form_start(terms, network.cost, len(terms)),
-        )
+        x = _ue_effort(terms, len(terms), network.cost, _INNER_REL_TOL)
         for b in network.battles_of(p):
             efforts[(p, b.id)] = x
     return EffortProfile(efforts)

@@ -739,7 +739,6 @@ def test_validate_reports_bad_parameters_as_invalid(tmp_path, capsys, value):
     ("solve", "--v", "inf,1"),
     ("solve", "--f", "ratio:inf"),
     ("solve", "--f", "power:inf,0.5"),
-    ("solve", "--tol", "inf"),
     ("neutrality", "--grid", "explicit:inf,1"),
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_non_finite_flags_are_input_errors(capsys, argv):
@@ -796,12 +795,14 @@ def test_seed_is_a_solve_flag_only(capsys, command, flags):
 
 
 @pytest.mark.parametrize("command,flags", [
+    ("solve", ("--tol", "1e-7")),
     ("compare", ("--f", "power:1,0.5", "--v", "3,40,90", "--tol", "1e-2")),
     ("neutrality", ("--f", "power:1,0.5", "--grid", "random:50:seed=3", "--tol", "1e-3")),
-], ids=["compare", "neutrality"])
-def test_tol_is_a_solve_flag_only(tmp_path, capsys, command, flags):
-    # A loose tolerance once made these report the Tullock neutrality
-    # theorem false; comparisons solve at the root finder's own tolerance.
+], ids=["solve", "compare", "neutrality"])
+def test_no_subcommand_takes_tol(tmp_path, capsys, command, flags):
+    # A loose tolerance once made compare and neutrality report the Tullock
+    # neutrality theorem false; every structured solve stops at the root
+    # finder's own tolerance.
     out = tmp_path / "report.json"
     code, stdout, err = run_cli(
         capsys, command, "--example", "simplex", *flags, "--output", str(out)
@@ -811,34 +812,6 @@ def test_tol_is_a_solve_flag_only(tmp_path, capsys, command, flags):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "--tol" in errors[0]
     assert not out.exists()
-
-
-@pytest.mark.parametrize("method", ["semisymmetric", "iterative"])
-def test_solve_passes_tol_to_its_solver(capsys, monkeypatch, method):
-    seen = []
-
-    def recording(solver, read_tol):
-        def wrapped(*args, **kwargs):
-            seen.append(read_tol(*args, **kwargs))
-            return solver(*args, **kwargs)
-        return wrapped
-
-    for name in ("solve_de", "solve_ue"):
-        monkeypatch.setattr(conflictnet.cli, name, recording(
-            getattr(conflictnet.cli, name), lambda ss, rel_tol=None: rel_tol
-        ))
-    for name in ("solve_nash_iterative", "solve_nash_ue_iterative"):
-        monkeypatch.setattr(conflictnet.cli, name, recording(
-            getattr(conflictnet.cli, name), lambda network, cfg: cfg.tolerance
-        ))
-    report = run_json(
-        capsys, "solve", "--example", "triangle", "--f", "ratio:1",
-        "--method", method, "--tol", "1e-7",
-    )
-    assert report["method"] == method
-    assert seen == [1e-7, 1e-7]
-    if method == "iterative":
-        assert report["de"]["converged"] and report["ue"]["converged"]
 
 
 _CONFLICTING_PRODUCTIONS = {

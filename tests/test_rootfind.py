@@ -15,11 +15,10 @@ from conflictnet import (
     PowerProduction,
     RatioProduction,
     brent_increasing,
-    solve_de,
 )
 
 from conflictnet import rootfind
-from conftest import BENCHMARK_PRODUCTIONS, triangle_structure
+from conftest import BENCHMARK_PRODUCTIONS
 
 
 def closed_form_h_inverse(pf, y):
@@ -137,12 +136,9 @@ def test_tolerance_below_float_spacing_still_converges():
 
 
 def test_config_validation():
-    ss = triangle_structure(BENCHMARK_PRODUCTIONS["ratio"])
     for rel_tol in (0.0, math.inf):
         with pytest.raises(ValueError):
             brent_increasing(lambda x: x, 1.0, rel_tol)
-        with pytest.raises(ValueError):
-            solve_de(ss, rel_tol)
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
