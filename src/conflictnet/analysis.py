@@ -8,13 +8,14 @@ equivalent.  Each production family labels the curvature of its h
 analytically; sampled midpoint-convexity defects of h can veto that label,
 turning the verdict ``indeterminate``, but never replace it.
 
-``compare_regimes``, ``neutrality_check`` and the sweep's rows solve both
-regimes through one helper, so the relative gap ``|X_de - X_ue| / X_ue`` is
-computed in one place.  Each solve starts its root search from the
-closed-form start of :mod:`conflictnet.equilibrium` and keeps no state, so
-a grid point's answer does not depend on the points before it or on their
-order.  ``neutrality_check`` reads its prize grid one entry at a time, so a
-lazily drawn grid is never held whole.
+``compare_regimes`` solves both regimes in full; ``neutrality_check`` and
+the sweep's rows solve each grid point to its two totals only, through
+``equilibrium._solve_totals``.  Both measure the relative gap ``|X_de -
+X_ue| / X_ue`` through one helper.  Each solve starts its root search from
+the closed-form start of :mod:`conflictnet.equilibrium` and keeps no state,
+so a grid point's answer does not depend on the points before it or on
+their order.  ``neutrality_check`` reads its prize grid one entry at a
+time, so a lazily drawn grid is never held whole.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolation
-from .equilibrium import DEResult, UEResult, _terms, _tullock_total, solve_de, solve_ue
+from .equilibrium import (
+    DEResult, UEResult, _solve_totals, _terms, _tullock_total, solve_de, solve_ue
+)
 from .functions import PowerProduction, ProductionFunction
 from .network import SemiSymmetricStructure
 from .rootfind import _SMALLEST
@@ -136,14 +139,10 @@ def classify_h(
 # Regime comparison
 # ---------------------------------------------------------------------------
 
-def _solve_both(ss: SemiSymmetricStructure) -> tuple[DEResult, UEResult, float]:
-    """Both regimes' equilibria of ``ss`` and the relative gap of their
-    totals; every DE/UE comparison in the package solves through here.
-    Each solve stops at the root finder's ``REL_TOL``, the only tolerance a
-    structured solve has, and builds its own terms and closed-form start."""
-    de = solve_de(ss)
-    ue = solve_ue(ss)
-    return de, ue, abs(de.total - ue.total) / abs(ue.total)
+def _relative_gap(de_total: float, ue_total: float) -> float:
+    """Relative gap ``|X_de - X_ue| / X_ue`` of the two regimes' totals;
+    every DE/UE comparison in the package measures it here."""
+    return abs(de_total - ue_total) / abs(ue_total)
 
 
 _RECOMMENDATION = {"convex": "ue", "concave": "de", "linear": "indifferent"}
@@ -213,7 +212,9 @@ def compare_regimes(ss: SemiSymmetricStructure) -> ComparisonReport:
     effort orderings (they are mirror images, the prize terms being equal at
     symmetric profiles).
     """
-    de, ue, effort_gap = _solve_both(ss)
+    de = solve_de(ss)
+    ue = solve_ue(ss)
+    effort_gap = _relative_gap(de.total, ue.total)
     # Payoffs are prizes minus a cost that scales like effort squared, so
     # their gap is measured against the prize term, not the total.
     prize_term = ss.prize_term
@@ -336,10 +337,11 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
                 )
             prizes = dict(zip(structure.sizes, map(float, values)))
         point = structure.with_prizes(prizes)
-        de, ue, gap = _solve_both(point)
+        de_total, ue_total = _solve_totals(point)
+        gap = _relative_gap(de_total, ue_total)
         if gap > max_gap:
             max_gap = gap
-            worst = (prizes, de.total, ue.total)
+            worst = (prizes, de_total, ue_total)
     if grid_size == 0:
         raise ValueError("valuation grid must not be empty")
 

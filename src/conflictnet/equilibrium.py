@@ -12,8 +12,11 @@ size-k battle wins with probability exactly 1/k, which the payoff computation
 uses directly instead of re-evaluating the contest success function.  Each
 condition is solved in one place, :func:`_de_efforts` or :func:`_ue_effort`,
 by one root search from the closed-form start (:func:`_closed_form_start`),
-exact for power families, keeping no state; the structured solvers call them
-at ``REL_TOL`` and the iterative engine's start on one player's battles.
+exact for power families, keeping no state; each caller computes that start
+once and hands it in.  The structured solvers call them at ``REL_TOL``, the
+iterative engine's start on one player's battles, and prize grids through
+:func:`_solve_totals`, which shares one start between the two regimes and
+returns their totals alone.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import BracketFailure
 from .functions import _scaled_power
 from .network import SemiSymmetricStructure
 from .rootfind import _LARGEST, _SMALLEST, REL_TOL, brent_increasing
@@ -83,8 +87,8 @@ def _tullock_total(weight: float, cost) -> float:
     return _scaled_power(1.0 / cost.kappa**q, weight, q)
 
 
-def _closed_form_start(terms, cost, count: int = 1) -> float:
-    """Start of a symmetric root search over ``(d_b, f_b, t_b)`` terms.
+def _closed_form_start(terms, cost) -> float:
+    """Start total of a symmetric root search over ``(d_b, f_b, t_b)`` terms.
 
     With power production both regimes' totals are ``_tullock_total(sum_b
     d_b r_b t_b)``.  As ``h(x) >= x`` for concave f with f(0) = 0, every
@@ -92,8 +96,8 @@ def _closed_form_start(terms, cost, count: int = 1) -> float:
     the DE total is at least ``sum_b d_b h_b^{-1}(x_b)`` at the Tullock
     efforts ``x_b = t_b / C'(X_T)``.  The start takes each r_b as f_b's
     elasticity ``x_b / h_b(x_b)`` there (0 where ``h_b(x_b)`` leaves the
-    float range), clips the total to those bounds and spreads it over
-    ``count`` battles: the DE total for 1, the UE effort for ``D``.
+    float range) and clips the total to those bounds.  :func:`_de_efforts`
+    seeds at this total and :func:`_ue_effort` at its share per battle.
     """
     total = 0.0
     for d, _, t in terms:
@@ -107,19 +111,20 @@ def _closed_form_start(terms, cost, count: int = 1) -> float:
         weight += d * t * (x / hx if 0.0 < hx < math.inf else 0.0)
         lower += d * pf.h_inv(x)
     start = min(max(_tullock_total(weight, cost), lower), bound)
-    return max(start / count, _SMALLEST)
+    return max(start, _SMALLEST)
 
 
-def _de_efforts(terms, cost, rel_tol: float) -> list[float]:
+def _de_efforts(terms, cost, rel_tol: float, start: float) -> list[float]:
     """Each term's effort at the discriminatory-effort root.
 
     ``terms`` holds one ``(d_b, f_b, t_b)`` triple per battle or size class:
     the number of such battles, their production and the target ``t_b = v_b
     (k_b - 1) / k_b^2``, so that ``x_b(mu) = h_b^{-1}(t_b / C'(mu))``.  The
     consistency gap ``mu - sum_b d_b x_b(mu)`` is strictly increasing in mu
-    and crosses zero exactly once; one Brent root from the closed-form start
-    gives mu.  Where ``C'(mu)`` underflows to 0 every target, and so every
-    effort, is beyond float range and the gap is ``-inf``.
+    and crosses zero exactly once; one Brent root from ``start``, the
+    closed-form start of ``terms``, gives mu.  Where ``C'(mu)`` underflows
+    to 0 every target, and so every effort, is beyond float range and the
+    gap is ``-inf``.
     """
     c_prime = cost.c_prime
     inverses = tuple((d, pf.h_inv, t) for d, pf, t in terms)
@@ -133,33 +138,60 @@ def _de_efforts(terms, cost, rel_tol: float) -> list[float]:
             acc += d * h_inv(t / lam)
         return mu - acc
 
-    mu = brent_increasing(gap, 0.0, rel_tol, _closed_form_start(terms, cost))
+    mu = brent_increasing(gap, 0.0, rel_tol, start)
     lam = c_prime(mu)
     return [h_inv(t / lam) for _, h_inv, t in inverses]
 
 
-def _ue_effort(terms, count: int, cost, rel_tol: float) -> float:
+def _ue_effort(terms, count: int, cost, rel_tol: float, start: float) -> float:
     """The uniform effort x spent on each of ``count`` battles.
 
     It is the one root of the strictly increasing first-order gap ``n C'(n
     x) - sum_b w_b / h_b(x)`` over :func:`_de_efforts`'s terms, with ``w_b =
-    d_b t_b`` and ``n = count``, searched from the closed-form start spread
-    over the ``n`` battles.  Where some ``h_b(x)`` underflows to 0 the
-    marginal benefit is beyond float range and the gap is ``-inf``.
+    d_b t_b`` and ``n = count``, searched from the closed-form start total
+    ``start`` spread over the ``n`` battles.  Where some ``h_b(x)``
+    underflows to 0 the marginal benefit is beyond float range and the gap
+    is ``-inf``; where the total ``n x`` overflows the gap is ``+inf``, and
+    a root at that edge is an equilibrium past the float range.
+
+    Raises:
+        BracketFailure: the total at the root leaves the float range.
     """
     c_prime = cost.c_prime
     weighted_h = tuple((d * t, pf.h) for d, pf, t in terms)
 
     def gap(x: float) -> float:
+        total = count * x
+        if total == math.inf:
+            return math.inf
         benefit = 0.0
         for w, h in weighted_h:
             hx = h(x)
             if hx == 0.0:
                 return -math.inf
             benefit += w / hx
-        return count * c_prime(count * x) - benefit
+        return count * c_prime(total) - benefit
 
-    return brent_increasing(gap, 0.0, rel_tol, _closed_form_start(terms, cost, count))
+    x = brent_increasing(gap, 0.0, rel_tol, max(start / count, _SMALLEST))
+    # Brent stops with the root's bracket about rel_tol * x wide, so a root
+    # at the jump to +inf has its total overflow within twice that.
+    if count * x * (1.0 + 2.0 * rel_tol) == math.inf:
+        raise BracketFailure(
+            f"no upper bracket for target 0.0: g < target up to a total of {_LARGEST!r}"
+        )
+    return x
+
+
+def _solve_totals(ss: SemiSymmetricStructure) -> tuple[float, float]:
+    """The DE and UE totals of ``ss``, as :func:`solve_de` and :func:`solve_ue`
+    report them, from one set of terms and one closed-form start; no
+    residual, payoff or result is built."""
+    terms = _terms(ss)
+    D = ss.total_degree
+    start = _closed_form_start(terms, ss.cost)
+    efforts = _de_efforts(terms, ss.cost, REL_TOL, start)
+    de_total = sum(d * x for (d, _, _), x in zip(terms, efforts))
+    return de_total, D * _ue_effort(terms, D, ss.cost, REL_TOL, start)
 
 
 def _symmetric_payoff(ss: SemiSymmetricStructure, total: float) -> float:
@@ -176,7 +208,8 @@ def solve_de(ss: SemiSymmetricStructure) -> DEResult:
     mu (see :func:`_de_efforts`).
     """
     terms = _terms(ss)
-    efforts = dict(zip(ss.sizes, _de_efforts(terms, ss.cost, REL_TOL)))
+    start = _closed_form_start(terms, ss.cost)
+    efforts = dict(zip(ss.sizes, _de_efforts(terms, ss.cost, REL_TOL, start)))
     # Re-anchor the reported total on the final efforts so the accounting
     # identity total = sum_k d_k x_k holds to float precision.
     total = sum(ss.degrees[k] * efforts[k] for k in ss.sizes)
@@ -211,7 +244,7 @@ def solve_ue(ss: SemiSymmetricStructure) -> UEResult:
     """
     terms = _terms(ss)
     D = ss.total_degree
-    effort = _ue_effort(terms, D, ss.cost, REL_TOL)
+    effort = _ue_effort(terms, D, ss.cost, REL_TOL, _closed_form_start(terms, ss.cost))
     total = D * effort
     lam = ss.cost.c_prime(total) * D
     benefit = sum(d * t * pf.f_prime(effort) / pf.f(effort) for d, pf, t in terms)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _de_efforts, _size_weight, _ue_effort
+from .equilibrium import _closed_form_start, _de_efforts, _size_weight, _ue_effort
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
@@ -125,7 +125,9 @@ def _symmetric_de_start(network: ConflictNetwork) -> EffortProfile:
     battle b takes ``h_b^{-1}(v_b (k_b - 1) / k_b^2 / C'(mu))``."""
     efforts = {}
     for p in network.players:
-        xs = _de_efforts(_own_terms(network, p), network.cost, _INNER_REL_TOL)
+        terms = _own_terms(network, p)
+        start = _closed_form_start(terms, network.cost)
+        xs = _de_efforts(terms, network.cost, _INNER_REL_TOL, start)
         for b, x in zip(network.battles_of(p), xs):
             efforts[(p, b.id)] = x
     return EffortProfile(efforts)
@@ -138,7 +140,8 @@ def _symmetric_ue_start(network: ConflictNetwork) -> EffortProfile:
     efforts = {}
     for p in network.players:
         terms = _own_terms(network, p)
-        x = _ue_effort(terms, len(terms), network.cost, _INNER_REL_TOL)
+        start = _closed_form_start(terms, network.cost)
+        x = _ue_effort(terms, len(terms), network.cost, _INNER_REL_TOL, start)
         for b in network.battles_of(p):
             efforts[(p, b.id)] = x
     return EffortProfile(efforts)

@@ -4,13 +4,13 @@ A sweep spec names a base semi-symmetric structure, one or more parameter
 axes (per-size prizes ``v<k>``, power exponents ``r`` or ``r<k>``, cost
 parameters ``cost_p`` / ``cost_kappa``), and per-axis ranges.  Grid points
 are enumerated lexicographically in axis order, each built as it is solved
-in-process under both regimes (through ``analysis._solve_both``, the one
-DE/UE comparison), and written in that order.  Every point is solved on its
-own from the solvers' closed-form start, so a row does not depend on the
-rows before it.  Existing rows in the output file are skipped, so an
-interrupted sweep resumes where it stopped, and the resumed output is
-byte-identical to an uninterrupted one; rows are flushed as they are written
-so an interrupt preserves everything completed.  A rerun re-solves an
+in-process to both regimes' totals (through ``equilibrium._solve_totals``,
+with the DE/UE gap of ``analysis``), and written in that order.  Every
+point is solved on its own from the solvers' closed-form start, so a row
+does not depend on the rows before it.  Existing rows in the output file
+are skipped, so an interrupted sweep resumes where it stopped, and the
+resumed output is byte-identical to an uninterrupted one; rows are flushed
+as they are written so an interrupt preserves everything completed.  A rerun re-solves an
 output's first row and refuses an output written for another base.
 """
 
@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _solve_both
+from .analysis import _relative_gap
+from .equilibrium import _solve_totals, _symmetric_payoff
 from .functions import PowerCost, PowerProduction
 from .network import SemiSymmetricStructure
 
@@ -141,10 +142,9 @@ def _check_base(
         readable = False
     if not readable:
         raise ValueError(f"existing output {path}: cannot read its first row")
-    de, ue, _ = _solve_both(_point_structure(base, params, values))
+    totals = _solve_totals(_point_structure(base, params, values))
     if not all(
-        math.isclose(s, x, rel_tol=_BASE_TOL, abs_tol=0.0)
-        for s, x in zip(stored, (de.total, ue.total))
+        math.isclose(s, x, rel_tol=_BASE_TOL, abs_tol=0.0) for s, x in zip(stored, totals)
     ):
         raise ValueError(
             f"existing output {path} was written for another base (network, "
@@ -203,8 +203,10 @@ def run_sweep(spec: SweepSpec, output) -> int:
             values, cells = zip(*combo)
             if cells in done:
                 continue
-            de, ue, gap = _solve_both(_point_structure(spec.base, params, values))
-            results = (de.total, ue.total, de.payoff, ue.payoff, gap)
+            point = _point_structure(spec.base, params, values)
+            x_de, x_ue = _solve_totals(point)
+            payoffs = (_symmetric_payoff(point, x_de), _symmetric_payoff(point, x_ue))
+            results = (x_de, x_ue, *payoffs, _relative_gap(x_de, x_ue))
             writer.writerow(cells + tuple(_format_cell(v) for v in results))
             fh.flush()
             written += 1

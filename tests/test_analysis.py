@@ -9,7 +9,6 @@ import pytest
 from conflictnet import (
     BracketFailure,
     CaraProduction,
-    NonFiniteEvaluation,
     PiecewisePowerAffineProduction,
     PowerCost,
     PowerProduction,
@@ -394,18 +393,18 @@ def test_neutrality_streams_a_one_shot_grid_and_counts_what_it_read(monkeypatch)
     structure = triangle_structure(RatioProduction(1.0))
     points = [(5.0, 72.0), {2: 10.0, 3: 20.0}, (72.0, 5.0)]
     solved, solved_before_read = [], []
-    solve_de = analysis.solve_de
+    solve_totals = analysis._solve_totals
 
     def counting(*args, **kwargs):
         solved.append(1)
-        return solve_de(*args, **kwargs)
+        return solve_totals(*args, **kwargs)
 
     def one_shot():
         for point in points:
             solved_before_read.append(len(solved))
             yield point
 
-    monkeypatch.setattr(analysis, "solve_de", counting)
+    monkeypatch.setattr(analysis, "_solve_totals", counting)
     report = neutrality_check(structure, one_shot())
     # Each point is solved before the next is read.
     assert solved_before_read == [0, 1, 2]
@@ -505,12 +504,33 @@ def test_closed_form_is_the_exact_total_for_every_power_cost(p, kappa, scale):
         # solvers fail.
         assert oracle in (0.0, math.inf)
         for solve in (solve_de, solve_ue):
-            with pytest.raises((BracketFailure, NonFiniteEvaluation)):
+            with pytest.raises(BracketFailure):
                 solve(structure)
         return
     assert oracle == pytest.approx(math.exp(log_total), rel=1e-12, abs=0.0)
     assert solve_de(structure).total == pytest.approx(oracle, rel=1e-9, abs=0.0)
     assert solve_ue(structure).total == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("r,cost,prizes", [
+    # C'(inf) is NaN, as kappa^(1/(p-1)) underflows to 0.
+    (0.5, PowerCost(1e-300, 1.5), (5e300, 7e300, 9e300)),
+    # C'(inf) = kappa is finite, and the UE root lies where n x overflows.
+    (1.0, PowerCost(1e-300, 1.0), (2e8, 2e8, 2e8)),
+], ids=["nan-marginal-cost", "linear-cost"])
+def test_an_equilibrium_past_the_float_range_is_a_bracket_failure_in_both_regimes(
+    r, cost, prizes
+):
+    structure = SemiSymmetricStructure(
+        sizes=(2, 3, 4),
+        degrees={2: 2, 3: 3, 4: 1},
+        prizes=dict(zip((2, 3, 4), prizes)),
+        productions={k: PowerProduction(1.0, r) for k in (2, 3, 4)},
+        cost=cost,
+    )
+    for solve in (solve_de, solve_ue):
+        with pytest.raises(BracketFailure, match="no upper bracket"):
+            solve(structure)
 
 
 @pytest.mark.parametrize("v", [1e-22, 1e22])

@@ -908,7 +908,7 @@ def test_sweep_builds_each_point_when_it_solves_it(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(conflictnet.sweep, "SemiSymmetricStructure", counting)
-    monkeypatch.setattr(conflictnet.analysis, "solve_de", stop)
+    monkeypatch.setattr(conflictnet.sweep, "_solve_totals", stop)
     axes = (SweepAxis("v2", 1.0, 5.0, 20), SweepAxis("v3", 1.0, 5.0, 20))
     spec = SweepSpec(base=check_semi_symmetry(generate_triangle()), axes=axes)
     with pytest.raises(KeyboardInterrupt):

@@ -26,7 +26,6 @@ from conflictnet import (
     solve_de,
     solve_ue,
 )
-from conflictnet.analysis import _solve_both
 from conflictnet.sweep import SweepAxis, SweepSpec, _point_structure, run_sweep
 
 FAMILIES = {
@@ -68,6 +67,10 @@ def evaluations_of_each_root(monkeypatch, module, solve, argument):
     return counts
 
 
+def relative_gap(de, ue):
+    return abs(de.total - ue.total) / ue.total
+
+
 def simplex_prize_spec(family):
     base = check_semi_symmetry(generate_simplex(production=FAMILIES[family]))
     axes = (SweepAxis("v2", 0.1, 100.0, 5), SweepAxis("v3", 1.0, 1000.0, 4))
@@ -93,9 +96,10 @@ def test_seeded_sweep_rows_match_cold_solves(tmp_path, example, family, axes):
     params = tuple(axis.param for axis in spec.axes)
     for row in read_rows(out):
         values = tuple(float(row[p]) for p in params)
-        de, ue, gap = _solve_both(_point_structure(spec.base, params, values))
-        results = (de.total, ue.total, de.payoff, ue.payoff, gap)
-        assert tuple(float(row[c]) for c in RESULT_COLUMNS) == results
+        point = _point_structure(spec.base, params, values)
+        de, ue = solve_de(point), solve_ue(point)
+        results = (de.total, ue.total, de.payoff, ue.payoff, relative_gap(de, ue))
+        assert tuple(row[c] for c in RESULT_COLUMNS) == tuple(map(repr, results))
 
 
 # Gap evaluations per row of ``simplex_prize_spec`` (DE and UE together),
@@ -152,6 +156,29 @@ def test_seeded_prize_sweep_evaluates_less_than_cold_solves(tmp_path, monkeypatc
     assert seeded < evals[0]
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_grid_points_solve_totals_from_one_start_without_f(tmp_path, monkeypatch, family):
+    # A grid point needs neither the residuals nor the UE benefit, which
+    # are what call f and f'; and both regimes share one closed-form start.
+    calls = dict.fromkeys(("f", "f_prime", "start"), 0)
+    production = type(FAMILIES[family])
+    for name in ("f", "f_prime"):
+        def counting(self, x, name=name, method=getattr(production, name)):
+            calls[name] += 1
+            return method(self, x)
+        monkeypatch.setattr(production, name, counting)
+    start = conflictnet.equilibrium._closed_form_start
+
+    def counting_start(*args):
+        calls["start"] += 1
+        return start(*args)
+    monkeypatch.setattr(conflictnet.equilibrium, "_closed_form_start", counting_start)
+    spec = simplex_prize_spec(family)
+    assert run_sweep(spec, tmp_path / "rows.csv") == 20
+    assert neutrality_check(spec.base, iter(one_shot_points(20, sizes=3))).grid_size == 20
+    assert calls == {"f": 0, "f_prime": 0, "start": 40}
+
+
 def test_resumed_seeded_sweep_equals_an_uninterrupted_one(tmp_path):
     spec = simplex_prize_spec("cara")
     whole = tmp_path / "whole.csv"
@@ -164,9 +191,9 @@ def test_resumed_seeded_sweep_equals_an_uninterrupted_one(tmp_path):
     assert part.read_bytes() == whole.read_bytes()
 
 
-def one_shot_points(count):
+def one_shot_points(count, sizes=2):
     rng = np.random.default_rng(5)
-    return [tuple(float(v) for v in np.exp(rng.uniform(np.log(0.1), np.log(100.0), 2)))
+    return [tuple(float(v) for v in np.exp(rng.uniform(np.log(0.1), np.log(100.0), sizes)))
             for _ in range(count)]
 
 
@@ -175,14 +202,15 @@ def test_neutrality_on_a_one_shot_grid_keeps_its_verdict(family, neutral):
     structure = check_semi_symmetry(generate_triangle(production=FAMILIES[family]))
     points = one_shot_points(25)
     report = neutrality_check(structure, (point for point in points))
-    fresh = [
-        _solve_both(structure.with_prizes(dict(zip(structure.sizes, point))))[2]
-        for point in points
-    ]
-    worst = int(np.argmax(fresh))
+    fresh = []
+    for point in points:
+        solved = structure.with_prizes(dict(zip(structure.sizes, point)))
+        de, ue = solve_de(solved), solve_ue(solved)
+        fresh.append((relative_gap(de, ue), de.total, ue.total))
+    worst = int(np.argmax([gap for gap, _, _ in fresh]))
     assert report.neutral is neutral
     assert report.grid_size == len(points)
-    assert report.max_gap == fresh[worst]
+    assert (report.max_gap, report.worst_de_total, report.worst_ue_total) == fresh[worst]
     if not neutral:
         assert report.worst_prizes == dict(zip(structure.sizes, points[worst]))
 
