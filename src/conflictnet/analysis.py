@@ -10,11 +10,13 @@ turning the verdict ``indeterminate``, but never replace it.
 
 ``compare_regimes`` solves both regimes in full; ``neutrality_check`` and
 the sweep's rows solve each grid point to its two totals only, through
-``equilibrium._solve_totals``.  Both measure the relative gap ``|X_de -
-X_ue| / X_ue`` through one helper.  Each solve starts its root search from
-the closed-form start of :mod:`conflictnet.equilibrium` and keeps no state,
-so a grid point's answer does not depend on the points before it or on
-their order.  ``neutrality_check`` reads its prize grid one entry at a
+``equilibrium._solve_totals``, from terms filled into one template of the
+grid's base: no point builds or re-validates a structure, and a
+neutrality entry checks only its own prizes.  Both measure the relative
+gap ``|X_de - X_ue| / X_ue`` through one helper.  Each solve starts its
+root search from the closed-form start of :mod:`conflictnet.equilibrium`
+and keeps no state, so a grid point's answer does not depend on the points
+before it or on their order.  ``neutrality_check`` reads its prize grid one entry at a
 time, so a lazily drawn grid is never held whole.
 """
 
@@ -28,7 +30,8 @@ import numpy as np
 
 from .errors import PreconditionViolation
 from .equilibrium import (
-    DEResult, UEResult, _solve_totals, _terms, _tullock_total, solve_de, solve_ue
+    DEResult, UEResult, _grid_template, _point_terms, _solve_totals, _terms, _tullock_total,
+    solve_de, solve_ue,
 )
 from .functions import PowerProduction, ProductionFunction
 from .network import SemiSymmetricStructure
@@ -314,13 +317,15 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
     iterable, a one-shot generator included: entries are read and solved one
     at a time, and ``grid_size`` counts those read.  The structure's own
     prizes are irrelevant; only sizes, degrees, production functions, and
-    cost matter.  Neutral means every relative gap is at most
+    cost matter, and every entry's prizes must be positive and finite.
+    Neutral means every relative gap is at most
     ``NEUTRALITY_TOL``; power production functions achieve this for every
     grid, and for any other family some prize vector breaks it.
     """
     max_gap = -1.0
     worst = None
     grid_size = 0
+    sizes, count, cost = _grid_template(structure)
     for entry in valuation_grid:
         grid_size += 1
         if isinstance(entry, dict):
@@ -336,8 +341,11 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
                     f"prize vector {values} does not match sizes {structure.sizes}"
                 )
             prizes = dict(zip(structure.sizes, map(float, values)))
-        point = structure.with_prizes(prizes)
-        de_total, ue_total = _solve_totals(point)
+        point = [prizes[k] for k in structure.sizes]
+        for k, v in zip(structure.sizes, point):
+            if not 0 < v < math.inf:
+                raise ValueError(f"prize v_{k} must be positive and finite")
+        de_total, ue_total = _solve_totals(_point_terms(sizes, point), count, cost)
         gap = _relative_gap(de_total, ue_total)
         if gap > max_gap:
             max_gap = gap

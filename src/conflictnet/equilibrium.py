@@ -16,7 +16,10 @@ exact for power families, keeping no state; each caller computes that start
 once and hands it in.  The structured solvers call them at ``REL_TOL``, the
 iterative engine's start on one player's battles, and prize grids through
 :func:`_solve_totals`, which shares one start between the two regimes and
-returns their totals alone.
+returns their totals alone.  A grid builds no structure per point: it takes
+``(k, d_k, f_k)``, ``D`` and the cost once from its base
+(:func:`_grid_template`) and fills in each point's prizes
+(:func:`_point_terms`).
 """
 
 from __future__ import annotations
@@ -73,12 +76,25 @@ class UEResult:
     residual: float
 
 
+def _grid_template(ss: SemiSymmetricStructure):
+    """What every point of a prize grid over ``ss`` shares: ``(k, d_k,
+    f_k)`` per size in size order, the total degree ``D`` and the cost."""
+    sizes = tuple((k, ss.degrees[k], ss.productions[k]) for k in ss.sizes)
+    return sizes, ss.total_degree, ss.cost
+
+
 def _terms(ss: SemiSymmetricStructure):
     """``(d_k, f_k, t_k)`` per size: degree, production and the target
     ``t_k = v_k (k-1)/k^2``."""
     return tuple(
         (ss.degrees[k], ss.productions[k], ss.prizes[k] * _size_weight(k)) for k in ss.sizes
     )
+
+
+def _point_terms(sizes, prizes):
+    """:func:`_terms` of a grid point: the ``(k, d_k, f_k)`` of ``sizes``
+    (from :func:`_grid_template`) at the prizes ``v_k`` in the same order."""
+    return tuple((d, pf, v * _size_weight(k)) for (k, d, pf), v in zip(sizes, prizes))
 
 
 def _tullock_total(weight: float, cost) -> float:
@@ -182,20 +198,15 @@ def _ue_effort(terms, count: int, cost, rel_tol: float, start: float) -> float:
     return x
 
 
-def _solve_totals(ss: SemiSymmetricStructure) -> tuple[float, float]:
-    """The DE and UE totals of ``ss``, as :func:`solve_de` and :func:`solve_ue`
-    report them, from one set of terms and one closed-form start; no
-    residual, payoff or result is built."""
-    terms = _terms(ss)
-    D = ss.total_degree
-    start = _closed_form_start(terms, ss.cost)
-    efforts = _de_efforts(terms, ss.cost, REL_TOL, start)
+def _solve_totals(terms, count: int, cost) -> tuple[float, float]:
+    """The DE and UE totals, as :func:`solve_de` and :func:`solve_ue` report
+    them, of :func:`_point_terms` ``terms`` with ``count`` battles per player
+    and ``cost``, from one closed-form start; no structure, residual,
+    payoff or result is built."""
+    start = _closed_form_start(terms, cost)
+    efforts = _de_efforts(terms, cost, REL_TOL, start)
     de_total = sum(d * x for (d, _, _), x in zip(terms, efforts))
-    return de_total, D * _ue_effort(terms, D, ss.cost, REL_TOL, start)
-
-
-def _symmetric_payoff(ss: SemiSymmetricStructure, total: float) -> float:
-    return ss.prize_term - ss.cost.c(total)
+    return de_total, count * _ue_effort(terms, count, cost, REL_TOL, start)
 
 
 def solve_de(ss: SemiSymmetricStructure) -> DEResult:
@@ -224,7 +235,7 @@ def solve_de(ss: SemiSymmetricStructure) -> DEResult:
         efforts=efforts,
         marginal_cost=lam,
         total=total,
-        payoff=_symmetric_payoff(ss, total),
+        payoff=ss.prize_term - ss.cost.c(total),
         residuals=residuals,
     )
 
@@ -252,7 +263,7 @@ def solve_ue(ss: SemiSymmetricStructure) -> UEResult:
         effort=effort,
         marginal_cost=lam,
         total=total,
-        payoff=_symmetric_payoff(ss, total),
+        payoff=ss.prize_term - ss.cost.c(total),
         residual=abs(benefit - lam),
     )
 

@@ -3,15 +3,20 @@
 A sweep spec names a base semi-symmetric structure, one or more parameter
 axes (per-size prizes ``v<k>``, power exponents ``r`` or ``r<k>``, cost
 parameters ``cost_p`` / ``cost_kappa``), and per-axis ranges.  Grid points
-are enumerated lexicographically in axis order, each built as it is solved
-in-process to both regimes' totals (through ``equilibrium._solve_totals``,
-with the DE/UE gap of ``analysis``), and written in that order.  Every
-point is solved on its own from the solvers' closed-form start, so a row
-does not depend on the rows before it.  Existing rows in the output file
-are skipped, so an interrupted sweep resumes where it stopped, and the
-resumed output is byte-identical to an uninterrupted one; rows are flushed
-as they are written so an interrupt preserves everything completed.  A rerun re-solves an
-output's first row and refuses an output written for another base.
+are enumerated lexicographically in axis order, each filled in as it is
+solved in-process to both regimes' totals (through
+``equilibrium._solve_totals``, with the DE/UE gap of ``analysis``), and
+written in that order.  A point is not a structure: one template per grid
+holds the base's sizes, degrees, productions, cost and prizes, and a point
+replaces only its swept values.  The axis names and the grid's first and
+last points are validated before the output is touched; every value between
+them is then valid too.  Every point is solved on its own from the
+solvers' closed-form start, so a row does not depend on the rows before it.
+Existing rows in the output file are skipped, so an interrupted sweep
+resumes where it stopped, and the resumed output is byte-identical to an
+uninterrupted one; rows are flushed as they are written so an interrupt
+preserves everything completed.  A rerun re-solves an output's first row
+and refuses an output written for another base.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import _relative_gap
-from .equilibrium import _solve_totals, _symmetric_payoff
+from .equilibrium import _grid_template, _point_terms, _solve_totals
 from .functions import PowerCost, PowerProduction
 from .network import SemiSymmetricStructure
 
@@ -42,7 +47,8 @@ _BASE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept parameter with an inclusive linear range."""
+    """One swept parameter with an inclusive linear range of ``steps``
+    points (an ``int``, at least 1)."""
 
     param: str
     minimum: float
@@ -50,8 +56,13 @@ class SweepAxis:
     steps: int
 
     def __post_init__(self):
+        bounds = (self.minimum, self.maximum)
+        if any(isinstance(bound, bool) for bound in bounds):
+            raise ValueError(f"axis {self.param!r} range must be numbers, got {bounds!r}")
         if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
             raise ValueError(f"axis {self.param!r} range must be finite")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
+            raise ValueError(f"axis {self.param!r} steps must be an int, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"axis {self.param!r} needs at least 1 step")
         if self.steps > 1 and not self.maximum > self.minimum:
@@ -89,51 +100,83 @@ class SweepSpec:
         return total
 
 
-def _point_structure(
-    base: SemiSymmetricStructure, params: tuple[str, ...], values: tuple[float, ...]
-) -> SemiSymmetricStructure:
-    """``base`` with every swept parameter set, in axis order."""
-    prizes = dict(base.prizes)
-    productions = dict(base.productions)
-    cost = base.cost
-    for param, value in zip(params, values):
-        if param.startswith("v") and param[1:].isdigit():
-            k = int(param[1:])
-            if k not in prizes:
-                raise ValueError(f"sweep parameter {param!r}: no size-{k} battles")
-            prizes[k] = value
-        elif param == "r" or (param.startswith("r") and param[1:].isdigit()):
-            sizes = base.sizes if param == "r" else (int(param[1:]),)
-            for k in sizes:
-                if k not in productions:
-                    raise ValueError(f"sweep parameter {param!r}: no size-{k} battles")
-                pf = base.productions[k]
-                scale = pf.A if isinstance(pf, PowerProduction) else 1.0
-                productions[k] = PowerProduction(A=scale, r=value)
-        elif param == "cost_p":
-            cost = PowerCost(kappa=cost.kappa, p=value)
-        elif param == "cost_kappa":
-            cost = PowerCost(kappa=value, p=cost.p)
-        else:
-            raise ValueError(f"unknown sweep parameter {param!r}")
-    return SemiSymmetricStructure(
-        sizes=base.sizes,
-        degrees=dict(base.degrees),
-        prizes=prizes,
-        productions=productions,
-        cost=cost,
-    )
+def _axis_target(base: SemiSymmetricStructure, param: str):
+    """Where axis ``param`` writes its value: ``("v", i)`` for the prize of
+    the i-th size, ``("r", sizes)`` for the power exponent of those sizes,
+    or ``(param, ())`` for a cost parameter."""
+    if param in ("cost_p", "cost_kappa"):
+        return param, ()
+    if param == "r":
+        return "r", base.sizes
+    if param[:1] in ("v", "r") and param[1:].isdigit():
+        k = int(param[1:])
+        if k not in base.sizes:
+            raise ValueError(f"sweep parameter {param!r}: no size-{k} battles")
+        return ("v", base.sizes.index(k)) if param[0] == "v" else ("r", (k,))
+    raise ValueError(f"unknown sweep parameter {param!r}")
+
+
+class _Template:
+    """The points of a sweep over ``base``: built once per grid from the
+    base's ``(k, d_k, f_k)`` per size, total degree, cost and prizes, and
+    filled in per point with the swept values only.  Only
+    :meth:`check` validates; every other point lies between two checked
+    ones, and every parameter's constraint is an interval."""
+
+    def __init__(self, base: SemiSymmetricStructure, params: tuple[str, ...]):
+        self.base = base
+        self.targets = tuple(_axis_target(base, param) for param in params)
+        self.sizes, self.count, self.cost = _grid_template(base)
+        self.prizes = [base.prizes[k] for k in base.sizes]
+
+    def point(self, values: tuple[float, ...]):
+        """``(k, d_k, f_k)`` per size, prizes and cost with every swept
+        parameter set, in axis order."""
+        sizes, prizes, cost = self.sizes, self.prizes.copy(), self.cost
+        for (kind, where), value in zip(self.targets, values):
+            if kind == "v":
+                prizes[where] = value
+            elif kind == "r":
+                sizes = tuple(
+                    (k, d, PowerProduction(A=pf.A if isinstance(pf, PowerProduction) else 1.0,
+                                           r=value))
+                    if k in where else (k, d, pf)
+                    for k, d, pf in sizes
+                )
+            elif kind == "cost_p":
+                cost = PowerCost(kappa=cost.kappa, p=value)
+            else:
+                cost = PowerCost(kappa=value, p=cost.p)
+        return sizes, prizes, cost
+
+    def check(self, values: tuple[float, ...]) -> None:
+        """Raise as the structure at ``values`` does if a value is invalid."""
+        sizes, prizes, cost = self.point(values)
+        SemiSymmetricStructure(
+            sizes=self.base.sizes,
+            degrees=dict(self.base.degrees),
+            prizes={k: v for (k, _, _), v in zip(sizes, prizes)},
+            productions={k: pf for k, _, pf in sizes},
+            cost=cost,
+        )
+
+    def solve(self, values: tuple[float, ...]) -> tuple[float, ...]:
+        """The row's results at ``values``, in ``_RESULT_COLUMNS`` order."""
+        sizes, prizes, cost = self.point(values)
+        x_de, x_ue = _solve_totals(_point_terms(sizes, prizes), self.count, cost)
+        # SemiSymmetricStructure.prize_term, summed in its order.
+        prize_term = sum(d * v / k for (k, d, _), v in zip(sizes, prizes))
+        return (x_de, x_ue, prize_term - cost.c(x_de), prize_term - cost.c(x_ue),
+                _relative_gap(x_de, x_ue))
 
 
 def _format_cell(value: float) -> str:
     return repr(float(value))
 
 
-def _check_base(
-    path: Path, base: SemiSymmetricStructure, params: tuple[str, ...], row: dict
-) -> None:
-    """Raise unless a solve of ``row``'s point on ``base`` gives back the
-    row's totals, as it does for the row that opens an output."""
+def _check_base(path: Path, template: _Template, params: tuple[str, ...], row: dict) -> None:
+    """Raise unless a solve of ``row``'s point on the template's base gives
+    back the row's totals, as it does for the row that opens an output."""
     try:
         values = tuple(float(row[p]) for p in params)
         stored = (float(row["X_de"]), float(row["X_ue"]))
@@ -142,7 +185,8 @@ def _check_base(
         readable = False
     if not readable:
         raise ValueError(f"existing output {path}: cannot read its first row")
-    totals = _solve_totals(_point_structure(base, params, values))
+    template.check(values)
+    totals = template.solve(values)[:2]
     if not all(
         math.isclose(s, x, rel_tol=_BASE_TOL, abs_tol=0.0) for s, x in zip(stored, totals)
     ):
@@ -153,7 +197,7 @@ def _check_base(
 
 
 def _existing_keys(
-    path: Path, base: SemiSymmetricStructure, params: tuple[str, ...]
+    path: Path, template: _Template, params: tuple[str, ...]
 ) -> set[tuple[str, ...]]:
     if not path.exists() or path.stat().st_size == 0:
         return set()
@@ -168,7 +212,7 @@ def _existing_keys(
         keys = set()
         for row in reader:
             if not keys:
-                _check_base(path, base, params, row)
+                _check_base(path, template, params, row)
             keys.add(tuple(row[p] for p in params))
         return keys
 
@@ -182,12 +226,13 @@ def run_sweep(spec: SweepSpec, output) -> int:
     params = tuple(axis.param for axis in spec.axes)
     axis_values = [axis.values() for axis in spec.axes]
     # Every parameter's constraint is an interval and every axis value lies
-    # between its ends, so building the first and the last point checks the
-    # names, sizes and values of the whole grid before the output is touched.
+    # between its ends, so the template's names and the first and the last
+    # point check the whole grid before the output is touched.
+    template = _Template(spec.base, params)
     for end in (0, -1):
-        _point_structure(spec.base, params, tuple(float(v[end]) for v in axis_values))
+        template.check(tuple(float(v[end]) for v in axis_values))
     path = Path(output)
-    done = _existing_keys(path, spec.base, params)
+    done = _existing_keys(path, template, params)
     header_needed = not path.exists() or path.stat().st_size == 0
 
     # Each axis value is formatted once; its text is both the resume key and
@@ -203,10 +248,7 @@ def run_sweep(spec: SweepSpec, output) -> int:
             values, cells = zip(*combo)
             if cells in done:
                 continue
-            point = _point_structure(spec.base, params, values)
-            x_de, x_ue = _solve_totals(point)
-            payoffs = (_symmetric_payoff(point, x_de), _symmetric_payoff(point, x_ue))
-            results = (x_de, x_ue, *payoffs, _relative_gap(x_de, x_ue))
+            results = template.solve(values)
             writer.writerow(cells + tuple(_format_cell(v) for v in results))
             fh.flush()
             written += 1

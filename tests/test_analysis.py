@@ -384,6 +384,14 @@ def test_neutrality_entries_must_name_exactly_the_structure_sizes(entry):
         neutrality_check(triangle_structure(PowerProduction(1.0, 1.0)), [entry])
 
 
+@pytest.mark.parametrize("prize", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("mapping", [False, True], ids=["sequence", "mapping"])
+def test_neutrality_entries_must_hold_positive_finite_prizes(prize, mapping):
+    entry = {2: 1.0, 3: prize} if mapping else (1.0, prize)
+    with pytest.raises(ValueError, match=r"^prize v_3 must be positive and finite$"):
+        neutrality_check(triangle_structure(RatioProduction(1.0)), [(5.0, 72.0), entry])
+
+
 def test_neutrality_rejects_empty_grid():
     with pytest.raises(ValueError, match="empty"):
         neutrality_check(triangle_structure(PowerProduction(1.0, 1.0)), [])

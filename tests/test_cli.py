@@ -485,10 +485,21 @@ def test_sweep_grid_cap(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("bounds", [(1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
-def test_sweep_axis_rejects_non_finite_bounds(bounds):
-    with pytest.raises(ValueError, match="'v2' range must be finite"):
-        SweepAxis("v2", *bounds, 3)
+@pytest.mark.parametrize("bounds,steps,message", [
+    pytest.param((1.0, math.inf), 3, "range must be finite", id="bounds0"),
+    pytest.param((-math.inf, 1.0), 3, "range must be finite", id="bounds1"),
+    pytest.param((math.nan, 1.0), 3, "range must be finite", id="bounds2"),
+    # The library rejects what the CLI's field checks reject before it.
+    pytest.param((True, 2.0), 3, r"range must be numbers, got \(True, 2.0\)", id="min-bool"),
+    pytest.param((0.5, True), 3, r"range must be numbers, got \(0.5, True\)", id="max-bool"),
+    pytest.param((1.0, 2.0), 2.5, "steps must be an int, got 2.5", id="steps-float"),
+    pytest.param((1.0, 2.0), 2.0, "steps must be an int, got 2.0", id="steps-integral-float"),
+    pytest.param((1.0, 2.0), True, "steps must be an int, got True", id="steps-bool"),
+    pytest.param((1.0, 2.0), 0, "needs at least 1 step", id="steps-zero"),
+])
+def test_sweep_axis_rejects_non_finite_bounds(bounds, steps, message):
+    with pytest.raises(ValueError, match=f"axis 'v2' {message}"):
+        SweepAxis("v2", *bounds, steps)
 
 
 def test_sweep_axis_overflowing_to_infinity_is_an_input_error(tmp_path, capsys):

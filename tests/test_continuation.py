@@ -19,6 +19,7 @@ from conflictnet import (
     PowerCost,
     PowerProduction,
     RatioProduction,
+    SemiSymmetricStructure,
     check_semi_symmetry,
     generate_simplex,
     generate_triangle,
@@ -26,7 +27,7 @@ from conflictnet import (
     solve_de,
     solve_ue,
 )
-from conflictnet.sweep import SweepAxis, SweepSpec, _point_structure, run_sweep
+from conflictnet.sweep import SweepAxis, SweepSpec, run_sweep
 
 FAMILIES = {
     "ratio": RatioProduction(1.0),
@@ -71,6 +72,28 @@ def relative_gap(de, ue):
     return abs(de.total - ue.total) / ue.total
 
 
+def point_structure(base, params, values):
+    """``base`` with every swept parameter set, in axis order, built as a
+    validated structure: the reference a sweep row is compared against."""
+    prizes, productions, cost = dict(base.prizes), dict(base.productions), base.cost
+    for param, value in zip(params, values):
+        if param.startswith("v"):
+            prizes[int(param[1:])] = value
+        elif param.startswith("r"):
+            for k in base.sizes if param == "r" else (int(param[1:]),):
+                pf = base.productions[k]
+                scale = pf.A if isinstance(pf, PowerProduction) else 1.0
+                productions[k] = PowerProduction(A=scale, r=value)
+        elif param == "cost_p":
+            cost = PowerCost(kappa=cost.kappa, p=value)
+        else:
+            cost = PowerCost(kappa=value, p=cost.p)
+    return SemiSymmetricStructure(
+        sizes=base.sizes, degrees=dict(base.degrees), prizes=prizes,
+        productions=productions, cost=cost,
+    )
+
+
 def simplex_prize_spec(family):
     base = check_semi_symmetry(generate_simplex(production=FAMILIES[family]))
     axes = (SweepAxis("v2", 0.1, 100.0, 5), SweepAxis("v3", 1.0, 1000.0, 4))
@@ -84,6 +107,8 @@ def simplex_prize_spec(family):
     ("triangle", "ratio", (("cost_p", 1.0, 4.0, 7),)),
     ("simplex", "piecewise", (("cost_kappa", 0.01, 100.0, 9),)),
     ("triangle", "power", (("cost_kappa", 0.5, 5.0, 3), ("cost_p", 1.5, 3.0, 4))),
+    ("simplex", "cara", (("r3", 0.2, 1.0, 5), ("v4", 0.5, 50.0, 4))),
+    ("triangle", "power", (("v2", 1.0, 30.0, 3), ("r", 0.5, 1.0, 2), ("r2", 0.3, 0.9, 4))),
 ])
 def test_seeded_sweep_rows_match_cold_solves(tmp_path, example, family, axes):
     network = EXAMPLES[example](production=FAMILIES[family])
@@ -96,7 +121,7 @@ def test_seeded_sweep_rows_match_cold_solves(tmp_path, example, family, axes):
     params = tuple(axis.param for axis in spec.axes)
     for row in read_rows(out):
         values = tuple(float(row[p]) for p in params)
-        point = _point_structure(spec.base, params, values)
+        point = point_structure(spec.base, params, values)
         de, ue = solve_de(point), solve_ue(point)
         results = (de.total, ue.total, de.payoff, ue.payoff, relative_gap(de, ue))
         assert tuple(row[c] for c in RESULT_COLUMNS) == tuple(map(repr, results))
@@ -159,8 +184,15 @@ def test_seeded_prize_sweep_evaluates_less_than_cold_solves(tmp_path, monkeypatc
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_grid_points_solve_totals_from_one_start_without_f(tmp_path, monkeypatch, family):
     # A grid point needs neither the residuals nor the UE benefit, which
-    # are what call f and f'; and both regimes share one closed-form start.
-    calls = dict.fromkeys(("f", "f_prime", "start"), 0)
+    # are what call f and f'; both regimes share one closed-form start; and
+    # no point builds a structure: only the sweep's two grid ends do.
+    calls = dict.fromkeys(("f", "f_prime", "start", "structure"), 0)
+    validate = SemiSymmetricStructure.__post_init__
+
+    def counting_structure(self):
+        calls["structure"] += 1
+        validate(self)
+
     production = type(FAMILIES[family])
     for name in ("f", "f_prime"):
         def counting(self, x, name=name, method=getattr(production, name)):
@@ -174,9 +206,11 @@ def test_grid_points_solve_totals_from_one_start_without_f(tmp_path, monkeypatch
         return start(*args)
     monkeypatch.setattr(conflictnet.equilibrium, "_closed_form_start", counting_start)
     spec = simplex_prize_spec(family)
+    monkeypatch.setattr(SemiSymmetricStructure, "__post_init__", counting_structure)
     assert run_sweep(spec, tmp_path / "rows.csv") == 20
+    assert calls == {"f": 0, "f_prime": 0, "start": 20, "structure": 2}
     assert neutrality_check(spec.base, iter(one_shot_points(20, sizes=3))).grid_size == 20
-    assert calls == {"f": 0, "f_prime": 0, "start": 40}
+    assert calls == {"f": 0, "f_prime": 0, "start": 40, "structure": 2}
 
 
 def test_resumed_seeded_sweep_equals_an_uninterrupted_one(tmp_path):
