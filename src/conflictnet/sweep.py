@@ -12,11 +12,15 @@ replaces only its swept values.  The axis names and the grid's first and
 last points are validated before the output is touched; every value between
 them is then valid too.  Every point is solved on its own from the
 solvers' closed-form start, so a row does not depend on the rows before it.
-Existing rows in the output file are skipped, so an interrupted sweep
-resumes where it stopped, and the resumed output is byte-identical to an
-uninterrupted one; rows are flushed as they are written so an interrupt
-preserves everything completed.  A rerun re-solves an output's first row
-and refuses an output written for another base.
+Rows go through the output file's write buffer, with no flush per row; an
+exception or Ctrl-C closes the file, which writes every completed row, and a
+hard kill loses at most one buffer of rows (a few kilobytes).  Existing rows
+in the output file are skipped, so an interrupted sweep resumes where it
+stopped; a rerun first drops an unterminated last line, a row cut
+mid-write, so the resumed output is byte-identical to an uninterrupted one.
+A rerun re-solves an output's first row and refuses, leaving it untouched,
+an output written for another base.  An output that cannot seek, such as a
+pipe, holds no rows to resume and is only appended to.
 """
 
 from __future__ import annotations
@@ -174,6 +178,12 @@ def _format_cell(value: float) -> str:
     return repr(float(value))
 
 
+def _line(cells) -> str:
+    """One CSV line: the bytes ``csv.writer`` writes for these cells, none
+    of which holds a comma, a quote or a line break."""
+    return ",".join(cells) + "\r\n"
+
+
 def _check_base(path: Path, template: _Template, params: tuple[str, ...], row: dict) -> None:
     """Raise unless a solve of ``row``'s point on the template's base gives
     back the row's totals, as it does for the row that opens an output."""
@@ -196,25 +206,49 @@ def _check_base(path: Path, template: _Template, params: tuple[str, ...], row: d
         )
 
 
-def _existing_keys(
-    path: Path, template: _Template, params: tuple[str, ...]
-) -> set[tuple[str, ...]]:
-    if not path.exists() or path.stat().st_size == 0:
-        return set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(
-            c not in reader.fieldnames for c in params + _RESULT_COLUMNS
-        ):
-            raise ValueError(
-                f"existing output {path} lacks a column of the sweep's rows"
-            )
-        keys = set()
-        for row in reader:
-            if not keys:
-                _check_base(path, template, params, row)
-            keys.add(tuple(row[p] for p in params))
-        return keys
+def _existing_rows(
+    path: Path, template: _Template, params: tuple[str, ...], header: str
+) -> tuple[set[tuple[str, ...]], int, int]:
+    """``(keys, kept, cut)`` of the output at ``path``: the axis cells of its
+    rows, the byte length of its whole lines, and the byte length of an
+    unterminated last line, which was cut mid-write and is neither a key nor
+    kept.  A cut header counts as an empty output.  Raises, having written
+    nothing, when the output lacks a column or was written for another base."""
+    kept, tail = 0, b""
+
+    def whole_lines(fh):
+        nonlocal kept, tail
+        for raw in fh:
+            if not raw.endswith(b"\n"):
+                tail = raw
+                return
+            kept += len(raw)
+            yield raw.decode("utf-8")
+
+    keys = set()
+    with open(path, "rb") as fh:
+        reader = csv.DictReader(whole_lines(fh))
+        try:
+            if reader.fieldnames is None and header.encode().startswith(tail):
+                return keys, 0, len(tail)
+            if reader.fieldnames is None or any(
+                c not in reader.fieldnames for c in params + _RESULT_COLUMNS
+            ):
+                raise ValueError(f"existing output {path} lacks a column of the sweep's rows")
+            for row in reader:
+                if not keys:
+                    _check_base(path, template, params, row)
+                keys.add(tuple(row[p] for p in params))
+            if not keys and tail:
+                # A first row with all its cells but no line break may be
+                # another base's; one cut in an earlier cell has fewer cells.
+                cells = next(csv.reader([tail.decode("utf-8", "replace")]), [])
+                if len(cells) == len(reader.fieldnames):
+                    _check_base(path, template, params, dict(zip(reader.fieldnames, cells)))
+        except csv.Error as exc:
+            # A line break other than \r\n inside a line, for one.
+            raise ValueError(f"existing output {path} is not a sweep's CSV: {exc}") from None
+    return keys, kept, len(tail)
 
 
 def run_sweep(spec: SweepSpec, output) -> int:
@@ -232,24 +266,28 @@ def run_sweep(spec: SweepSpec, output) -> int:
     for end in (0, -1):
         template.check(tuple(float(v[end]) for v in axis_values))
     path = Path(output)
-    done = _existing_keys(path, template, params)
-    header_needed = not path.exists() or path.stat().st_size == 0
+    header = _line(params + _RESULT_COLUMNS)
 
     # Each axis value is formatted once; its text is both the resume key and
     # the row's cell.
     axis_cells = [[(float(v), _format_cell(v)) for v in values] for values in axis_values]
     written = 0
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if header_needed:
-            writer.writerow(params + _RESULT_COLUMNS)
-            fh.flush()
+    with open(path, "ab") as fh:
+        # Opened for appending, a file stands at its end: a nonzero position
+        # is an earlier run's output.  A pipe or a terminal holds none.
+        done, kept, cut = (
+            _existing_rows(path, template, params, header)
+            if fh.seekable() and fh.tell() else (set(), 0, 0)
+        )
+        if cut:
+            fh.truncate(kept)
+        if not kept:
+            fh.write(header.encode())
         for combo in itertools.product(*axis_cells):
             values, cells = zip(*combo)
             if cells in done:
                 continue
             results = template.solve(values)
-            writer.writerow(cells + tuple(_format_cell(v) for v in results))
-            fh.flush()
+            fh.write(_line(cells + tuple(_format_cell(v) for v in results)).encode())
             written += 1
     return written

@@ -14,6 +14,8 @@ Regenerate after a change that is meant to move outputs::
 
 For each file that changes, the script prints the largest relative change of
 any number that moved, and every exit code or line of text that changed.
+With ``--check`` it compares the corpus with a fresh render and writes
+nothing: it prints the same summary and exits 1 if any file would change.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -186,10 +189,12 @@ def describe_change(old: str, new: str) -> list[str]:
     return notes
 
 
-def regenerate(directory: Path) -> int:
+def regenerate(directory: Path, write: bool = True) -> int:
     """Rewrite the corpus, working in ``directory``; returns the number of
-    files that changed."""
-    CORPUS.mkdir(exist_ok=True)
+    files that changed.  With ``write`` false, only count and describe
+    them."""
+    if write:
+        CORPUS.mkdir(exist_ok=True)
     names = set()
     changed = 0
     home = os.getcwd()
@@ -206,17 +211,31 @@ def regenerate(directory: Path) -> int:
             print(f"{path.name}: " + ("new" if old is None else "changed"))
             for note in [] if old is None else describe_change(old, new):
                 print(f"  {note}")
-            path.write_bytes(new.encode())
+            if write:
+                path.write_bytes(new.encode())
     finally:
         os.chdir(home)
     for stale in sorted(CORPUS.glob("*.txt")):
         if stale.stem not in names:
             changed += 1
             print(f"{stale.name}: removed")
-            stale.unlink()
+            if write:
+                stale.unlink()
     return changed
 
 
-if __name__ == "__main__":
+def run_script(argv: list[str]) -> int:
+    """Regenerate the corpus, or with ``--check`` only compare it; the exit
+    code is 1 when a check finds a file that would change."""
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: golden_corpus.py [--check]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as scratch:
-        print(f"{regenerate(Path(scratch))} corpus files changed")
+        changed = regenerate(Path(scratch), write=not check)
+    print(f"{changed} corpus files changed" + (" (nothing written)" if check else ""))
+    return 1 if check and changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run_script(sys.argv[1:]))
