@@ -60,6 +60,10 @@ COST_POWERS = (1, 2, 3)
 NETWORK = "net.json"
 SWEEP_SPEC = "sweep.json"
 SWEEP_OUTPUT = "sweep.csv"
+EXPONENT_SPEC = "exponent_sweep.json"
+EXPONENT_OUTPUT = "exponent_sweep.csv"
+# The CSV file each sweep spec writes.
+SWEEP_OUTPUTS = {SWEEP_SPEC: SWEEP_OUTPUT, EXPONENT_SPEC: EXPONENT_OUTPUT}
 
 # Runs made on every network.
 RUNS = (
@@ -78,7 +82,8 @@ UNSCALED_RUNS = (
     ("neutrality", "--grid", "random:10:seed=3"),
     ("validate", NETWORK),
 )
-# The prize sweep runs at every prize scale with the quadratic cost only.
+# The prize sweep runs at every prize scale with the quadratic cost only;
+# the exponent sweep also at the example's own prizes only.
 SWEEP_COST_POWER = 2
 
 
@@ -113,6 +118,19 @@ def sweep_spec(example: str, scale: str) -> dict:
     }
 
 
+def exponent_sweep_spec() -> dict:
+    """A 2x2 grid over the power exponent of every size and the cost
+    exponent; it replaces every size's production with a power function."""
+    return {
+        "network": NETWORK,
+        "output": EXPONENT_OUTPUT,
+        "axes": [
+            {"param": "r", "min": 0.3, "max": 1.0, "steps": 2},
+            {"param": "cost_p", "min": 1.5, "max": 3.0, "steps": 2},
+        ],
+    }
+
+
 def _run(argv: tuple[str, ...]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -122,7 +140,8 @@ def _run(argv: tuple[str, ...]) -> str:
         f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
     )
     if argv[0] == "sweep":
-        text += f"--- {SWEEP_OUTPUT}\n{Path(SWEEP_OUTPUT).read_bytes().decode()}"
+        output = SWEEP_OUTPUTS[argv[1]]
+        text += f"--- {output}\n{Path(output).read_bytes().decode()}"
     return text
 
 
@@ -133,11 +152,15 @@ def render(example: str, family: str, scale: str, p: int) -> str:
         dumps_sorted(network_to_dict(network(example, family, scale, p))), encoding="utf-8"
     )
     Path(SWEEP_SPEC).write_text(json.dumps(sweep_spec(example, scale)), encoding="utf-8")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(SWEEP_OUTPUT)
+    Path(EXPONENT_SPEC).write_text(json.dumps(exponent_sweep_spec()), encoding="utf-8")
+    for output in SWEEP_OUTPUTS.values():
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(output)
     runs = RUNS + (UNSCALED_RUNS if scale == "1" else ())
     if p == SWEEP_COST_POWER:
         runs += (("sweep", SWEEP_SPEC),)
+        if scale == "1":
+            runs += (("sweep", EXPONENT_SPEC),)
     parts = []
     # The test suite turns RuntimeWarnings into errors; so does a
     # regeneration, so that both record the same thing.
