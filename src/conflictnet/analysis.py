@@ -10,14 +10,15 @@ turning the verdict ``indeterminate``, but never replace it.
 
 ``compare_regimes`` solves both regimes in full; ``neutrality_check`` and
 the sweep's rows solve each grid point to its two totals only, through
-``equilibrium._solve_totals``, from terms filled into one template of the
-grid's base: no point builds or re-validates a structure, and a
-neutrality entry checks only its own prizes.  Both measure the relative
-gap ``|X_de - X_ue| / X_ue`` through one helper.  Each solve starts its
-root search from the closed-form start of :mod:`conflictnet.equilibrium`
-and keeps no state, so a grid point's answer does not depend on the points
-before it or on their order.  ``neutrality_check`` reads its prize grid one entry at a
-time, so a lazily drawn grid is never held whole.
+``equilibrium._solve_totals``, from the base's ``(k, d_k, f_k)`` per size
+and the point's prizes in size order: no point builds or re-validates a
+structure, and a neutrality entry checks only its own prizes, by the
+structure's prize rule.  Both measure the relative gap ``|X_de - X_ue| /
+X_ue`` through one helper.  Each solve starts its root search from the
+closed-form start of :mod:`conflictnet.equilibrium` and keeps no state, so
+a grid point's answer does not depend on the points before it or on their
+order.  ``neutrality_check`` reads its prize grid one entry at a time, so a
+lazily drawn grid is never held whole.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolation
 from .equilibrium import (
-    DEResult, UEResult, _grid_template, _point_terms, _solve_totals, _terms, _tullock_total,
-    solve_de, solve_ue,
+    DEResult, UEResult, _solve_totals, solve_de, solve_ue, tullock_closed_form_total,
 )
 from .functions import PowerProduction, ProductionFunction
-from .network import SemiSymmetricStructure
+from .network import SemiSymmetricStructure, _check_prize
 from .rootfind import _SMALLEST
 
 __all__ = [
@@ -312,8 +311,9 @@ class NeutralityReport:
 def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> NeutralityReport:
     """Test whether DE and UE totals coincide across a grid of prize vectors.
 
-    Each grid entry assigns one prize per battle size (a mapping keyed by
-    size, or a sequence ordered by ascending size).  The grid may be any
+    Each grid entry assigns one prize per battle size: a mapping keyed by
+    size (an integer or its digits, each size once), or a sequence, not a
+    string, ordered by ascending size.  The grid may be any
     iterable, a one-shot generator included: entries are read and solved one
     at a time, and ``grid_size`` counts those read.  The structure's own
     prizes are irrelevant; only sizes, degrees, production functions, and
@@ -325,63 +325,40 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
     max_gap = -1.0
     worst = None
     grid_size = 0
-    sizes, count, cost = _grid_template(structure)
+    sizes = structure.sizes
+    classes, count, cost = structure.size_classes, structure.total_degree, structure.cost
     for entry in valuation_grid:
         grid_size += 1
+        if isinstance(entry, (str, bytes)):
+            raise ValueError(f"prize vector {entry!r} is text, not a prize per size")
         if isinstance(entry, dict):
-            prizes = {int(k): float(v) for k, v in entry.items()}
-            if sorted(prizes) != list(structure.sizes):
-                raise ValueError(
-                    f"prize sizes {sorted(prizes)} do not match sizes {structure.sizes}"
-                )
+            named = [int(k) if isinstance(k, str) and k.isdecimal() else k for k in entry]
+            if len(named) != len(sizes) or set(named) != set(sizes):
+                raise ValueError(f"prize sizes {named} do not match sizes {sizes}")
+            by_size = dict(zip(named, entry.values()))
+            point = [float(by_size[k]) for k in sizes]
         else:
-            values = list(entry)
-            if len(values) != len(structure.sizes):
-                raise ValueError(
-                    f"prize vector {values} does not match sizes {structure.sizes}"
-                )
-            prizes = dict(zip(structure.sizes, map(float, values)))
-        point = [prizes[k] for k in structure.sizes]
-        for k, v in zip(structure.sizes, point):
-            if not 0 < v < math.inf:
-                raise ValueError(f"prize v_{k} must be positive and finite")
-        de_total, ue_total = _solve_totals(_point_terms(sizes, point), count, cost)
+            point = list(entry)
+            if len(point) != len(sizes):
+                raise ValueError(f"prize vector {point} does not match sizes {sizes}")
+            point = [float(v) for v in point]
+        for k, v in zip(sizes, point):
+            _check_prize(k, v)
+        de_total, ue_total = _solve_totals(classes, point, count, cost)
         gap = _relative_gap(de_total, ue_total)
         if gap > max_gap:
             max_gap = gap
-            worst = (prizes, de_total, ue_total)
+            worst = (point, de_total, ue_total)
     if grid_size == 0:
         raise ValueError("valuation grid must not be empty")
 
-    prizes, de_total, ue_total = worst
+    point, de_total, ue_total = worst
     return NeutralityReport(
         neutral=max_gap <= NEUTRALITY_TOL,
         max_gap=max_gap,
-        worst_prizes=prizes,
+        worst_prizes=dict(zip(sizes, point)),
         worst_de_total=de_total,
         worst_ue_total=ue_total,
         grid_size=grid_size,
     )
 
-
-# ---------------------------------------------------------------------------
-# Power-family closed form
-# ---------------------------------------------------------------------------
-
-def tullock_closed_form_total(ss: SemiSymmetricStructure) -> float:
-    """Per-player total effort in closed form for power families.
-
-    With ``f_k(x) = A_k x^{r_k}`` and cost ``C(X) = kappa X^p / p`` the DE
-    and UE totals coincide at the X with ``kappa X^p = sum_k d_k r_k v_k
-    (k-1)/k^2``, computed as the structured solvers' start computes it.
-
-    Raises:
-        PreconditionViolation: a production function is not a power function.
-    """
-    terms = _terms(ss)
-    for k, (_, pf, _) in zip(ss.sizes, terms):
-        if not isinstance(pf, PowerProduction):
-            raise PreconditionViolation(
-                f"closed form requires power production functions, size {k} has {pf.family!r}"
-            )
-    return _tullock_total(sum(d * pf.r * t for d, pf, t in terms), ss.cost)

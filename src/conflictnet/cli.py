@@ -189,24 +189,16 @@ def _write_report(text: str, output: str | None) -> None:
 # Report rendering
 # ---------------------------------------------------------------------------
 
-def _de_dict(de: DEResult) -> dict:
-    return {
-        "efforts": {str(k): v for k, v in sorted(de.efforts.items())},
-        "total": de.total,
-        "marginal_cost": de.marginal_cost,
-        "payoff": de.payoff,
-        "residuals": {str(k): v for k, v in sorted(de.residuals.items())},
-    }
-
-
-def _ue_dict(ue: UEResult) -> dict:
-    return {
-        "effort": ue.effort,
-        "total": ue.total,
-        "marginal_cost": ue.marginal_cost,
-        "payoff": ue.payoff,
-        "residual": ue.residual,
-    }
+def _result_dict(result: DEResult | UEResult) -> dict:
+    """Every field of a structured solve's result; a per-size map is keyed
+    by the size's text, in size order."""
+    report = {}
+    for field in fields(result):
+        value = getattr(result, field.name)
+        report[field.name] = (
+            {str(k): v for k, v in sorted(value.items())} if isinstance(value, dict) else value
+        )
+    return report
 
 
 def _outcome_dict(outcome: SolveOutcome, network: ConflictNetwork) -> dict:
@@ -294,9 +286,9 @@ def _cmd_solve(args) -> int:
     exit_code = EXIT_OK
     if method == "semisymmetric":
         if "de" in regimes:
-            report["de"] = _de_dict(solve_de(structure))
+            report["de"] = _result_dict(solve_de(structure))
         if "ue" in regimes:
-            report["ue"] = _ue_dict(solve_ue(structure))
+            report["ue"] = _result_dict(solve_ue(structure))
     else:
         iter_cfg = IterationConfig(
             initial="random" if args.seed is not None else "symmetric", seed=args.seed

@@ -13,13 +13,13 @@ uses directly instead of re-evaluating the contest success function.  Each
 condition is solved in one place, :func:`_de_efforts` or :func:`_ue_effort`,
 by one root search from the closed-form start (:func:`_closed_form_start`),
 exact for power families, keeping no state; each caller computes that start
-once and hands it in.  The structured solvers call them at ``REL_TOL``, the
-iterative engine's start on one player's battles, and prize grids through
-:func:`_solve_totals`, which shares one start between the two regimes and
-returns their totals alone.  A grid builds no structure per point: it takes
-``(k, d_k, f_k)``, ``D`` and the cost once from its base
-(:func:`_grid_template`) and fills in each point's prizes
-(:func:`_point_terms`).
+once and hands it in.  Both search over ``(d_b, f_b, t_b)`` terms, which
+only :func:`_terms` builds.  The structured solvers call them at
+``REL_TOL``, the iterative engine's start on one player's battles, and
+prize grids through :func:`_solve_totals`, which takes a point's
+``(k, d_k, f_k)`` per size and prizes, shares one start between the two
+regimes and returns their totals alone, so a grid point builds no
+structure.
 """
 
 from __future__ import annotations
@@ -27,17 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BracketFailure
-from .functions import _scaled_power
+from .errors import BracketFailure, PreconditionViolation
+from .functions import PowerProduction, _scaled_power
 from .network import SemiSymmetricStructure
 from .rootfind import _LARGEST, _SMALLEST, REL_TOL, brent_increasing
 
-__all__ = ["DEResult", "UEResult", "solve_de", "solve_ue", "reverse_valuations"]
-
-
-def _size_weight(k: int) -> float:
-    """Marginal-benefit weight (k-1)/k^2 of a size-k battle at symmetry."""
-    return (k - 1) / k**2
+__all__ = [
+    "DEResult", "UEResult", "solve_de", "solve_ue", "reverse_valuations",
+    "tullock_closed_form_total",
+]
 
 
 @dataclass(frozen=True)
@@ -76,25 +74,12 @@ class UEResult:
     residual: float
 
 
-def _grid_template(ss: SemiSymmetricStructure):
-    """What every point of a prize grid over ``ss`` shares: ``(k, d_k,
-    f_k)`` per size in size order, the total degree ``D`` and the cost."""
-    sizes = tuple((k, ss.degrees[k], ss.productions[k]) for k in ss.sizes)
-    return sizes, ss.total_degree, ss.cost
-
-
-def _terms(ss: SemiSymmetricStructure):
-    """``(d_k, f_k, t_k)`` per size: degree, production and the target
-    ``t_k = v_k (k-1)/k^2``."""
-    return tuple(
-        (ss.degrees[k], ss.productions[k], ss.prizes[k] * _size_weight(k)) for k in ss.sizes
-    )
-
-
-def _point_terms(sizes, prizes):
-    """:func:`_terms` of a grid point: the ``(k, d_k, f_k)`` of ``sizes``
-    (from :func:`_grid_template`) at the prizes ``v_k`` in the same order."""
-    return tuple((d, pf, v * _size_weight(k)) for (k, d, pf), v in zip(sizes, prizes))
+def _terms(sizes, prizes):
+    """``(d_k, f_k, t_k)`` per ``(k, d_k, f_k)`` of ``sizes`` at the prize
+    ``v_k`` in the same place of ``prizes``: degree, production and the
+    target ``t_k = v_k (k-1)/k^2``, the prize times the size-k
+    marginal-benefit weight at symmetry."""
+    return tuple((d, pf, v * ((k - 1) / k**2)) for (k, d, pf), v in zip(sizes, prizes))
 
 
 def _tullock_total(weight: float, cost) -> float:
@@ -198,11 +183,12 @@ def _ue_effort(terms, count: int, cost, rel_tol: float, start: float) -> float:
     return x
 
 
-def _solve_totals(terms, count: int, cost) -> tuple[float, float]:
+def _solve_totals(sizes, prizes, count: int, cost) -> tuple[float, float]:
     """The DE and UE totals, as :func:`solve_de` and :func:`solve_ue` report
-    them, of :func:`_point_terms` ``terms`` with ``count`` battles per player
-    and ``cost``, from one closed-form start; no structure, residual,
-    payoff or result is built."""
+    them, of the ``(k, d_k, f_k)`` per size in ``sizes`` at ``prizes`` in
+    the same order, with ``count`` battles per player and ``cost``, from one
+    closed-form start; no structure, residual, payoff or result is built."""
+    terms = _terms(sizes, prizes)
     start = _closed_form_start(terms, cost)
     efforts = _de_efforts(terms, cost, REL_TOL, start)
     de_total = sum(d * x for (d, _, _), x in zip(terms, efforts))
@@ -218,7 +204,7 @@ def solve_de(ss: SemiSymmetricStructure) -> DEResult:
     exactly once, so one Brent root at the root finder's ``REL_TOL`` gives
     mu (see :func:`_de_efforts`).
     """
-    terms = _terms(ss)
+    terms = _terms(ss.size_classes, [ss.prizes[k] for k in ss.sizes])
     start = _closed_form_start(terms, ss.cost)
     efforts = dict(zip(ss.sizes, _de_efforts(terms, ss.cost, REL_TOL, start)))
     # Re-anchor the reported total on the final efforts so the accounting
@@ -253,7 +239,7 @@ def solve_ue(ss: SemiSymmetricStructure) -> UEResult:
     differ across sizes.  The search starts from the closed-form start spread
     over the ``D`` battles, as in :func:`solve_de`.
     """
-    terms = _terms(ss)
+    terms = _terms(ss.size_classes, [ss.prizes[k] for k in ss.sizes])
     D = ss.total_degree
     effort = _ue_effort(terms, D, ss.cost, REL_TOL, _closed_form_start(terms, ss.cost))
     total = D * effort
@@ -302,3 +288,22 @@ def reverse_valuations(
         k: (k**2 / (k - 1)) * structure.productions[k].h(targets[k]) * lam
         for k in structure.sizes
     }
+
+
+def tullock_closed_form_total(ss: SemiSymmetricStructure) -> float:
+    """Per-player total effort in closed form for power families.
+
+    With ``f_k(x) = A_k x^{r_k}`` and cost ``C(X) = kappa X^p / p`` the DE
+    and UE totals coincide at the X with ``kappa X^p = sum_k d_k r_k v_k
+    (k-1)/k^2``, computed as the structured solvers' start computes it.
+
+    Raises:
+        PreconditionViolation: a production function is not a power function.
+    """
+    for k, _, pf in ss.size_classes:
+        if not isinstance(pf, PowerProduction):
+            raise PreconditionViolation(
+                f"closed form requires power production functions, size {k} has {pf.family!r}"
+            )
+    terms = _terms(ss.size_classes, [ss.prizes[k] for k in ss.sizes])
+    return _tullock_total(sum(d * pf.r * t for d, pf, t in terms), ss.cost)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _closed_form_start, _de_efforts, _size_weight, _ue_effort
+from .equilibrium import _closed_form_start, _de_efforts, _terms, _ue_effort
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
@@ -113,10 +113,10 @@ class SolveOutcome:
 # ---------------------------------------------------------------------------
 
 def _own_terms(network: ConflictNetwork, player: PlayerId):
-    """The structured engine's ``(1, f_b, t_b)`` terms over ``player``'s battles."""
-    return tuple(
-        (1, b.production, b.prize * _size_weight(b.size)) for b in network.battles_of(player)
-    )
+    """The structured engine's terms over ``player``'s battles, each one
+    battle of its own size, production and prize."""
+    battles = network.battles_of(player)
+    return _terms([(b.size, 1, b.production) for b in battles], [b.prize for b in battles])
 
 
 def _symmetric_de_start(network: ConflictNetwork) -> EffortProfile:

@@ -229,6 +229,12 @@ def payoff(network: ConflictNetwork, profile: EffortProfile, player: PlayerId) -
 # Semi-symmetry
 # ---------------------------------------------------------------------------
 
+def _check_prize(k: int, v: float) -> None:
+    """Raise unless ``v`` is a valid size-k prize: positive and finite."""
+    if not 0 < v < math.inf:
+        raise ValueError(f"prize v_{k} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SemiSymmetricStructure:
     """Size-indexed summary of a semi-symmetric conflict network.
@@ -254,8 +260,7 @@ class SemiSymmetricStructure:
                 raise ValueError(f"battle size must be >= 2, got {k}")
             if self.degrees.get(k, 0) < 1:
                 raise ValueError(f"degree d_{k} must be >= 1")
-            if not 0 < self.prizes.get(k, 0.0) < math.inf:
-                raise ValueError(f"prize v_{k} must be positive and finite")
+            _check_prize(k, self.prizes.get(k, 0.0))
             if k not in self.productions:
                 raise ValueError(f"missing production function for size {k}")
 
@@ -263,6 +268,11 @@ class SemiSymmetricStructure:
     def total_degree(self) -> int:
         """Number of battles each player participates in."""
         return sum(self.degrees[k] for k in self.sizes)
+
+    @property
+    def size_classes(self) -> tuple:
+        """``(k, d_k, f_k)`` per battle size, in size order."""
+        return tuple((k, self.degrees[k], self.productions[k]) for k in self.sizes)
 
     @property
     def prize_term(self) -> float:

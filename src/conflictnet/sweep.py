@@ -6,12 +6,14 @@ parameters ``cost_p`` / ``cost_kappa``), and per-axis ranges.  Grid points
 are enumerated lexicographically in axis order, each filled in as it is
 solved in-process to both regimes' totals (through
 ``equilibrium._solve_totals``, with the DE/UE gap of ``analysis``), and
-written in that order.  A point is not a structure: one template per grid
-holds the base's sizes, degrees, productions, cost and prizes, and a point
-replaces only its swept values.  The axis names and the grid's first and
-last points are validated before the output is touched; every value between
-them is then valid too.  Every point is solved on its own from the
-solvers' closed-form start, so a row does not depend on the rows before it.
+written in that order.  A point is not a structure: it is the base's
+``(k, d_k, f_k)`` per size, prizes and cost with its swept values
+replaced.  The axis names and the grid's first and last points are
+validated before the output is touched, the swept exponents and cost
+parameters by their constructors and the prizes by the structure's prize
+rule; every value between them is then valid too.  Every point is solved
+on its own from the solvers' closed-form start, so a row does not depend on
+the rows before it.
 Rows go through the output file's write buffer, with no flush per row; an
 exception or Ctrl-C closes the file, which writes every completed row, and a
 hard kill loses at most one buffer of rows (a few kilobytes).  Existing rows
@@ -34,9 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import _relative_gap
-from .equilibrium import _grid_template, _point_terms, _solve_totals
+from .equilibrium import _solve_totals
 from .functions import PowerCost, PowerProduction
-from .network import SemiSymmetricStructure
+from .network import SemiSymmetricStructure, _check_prize
 
 __all__ = ["SweepAxis", "SweepSpec", "run_sweep", "DEFAULT_MAX_GRID"]
 
@@ -121,16 +123,15 @@ def _axis_target(base: SemiSymmetricStructure, param: str):
 
 
 class _Template:
-    """The points of a sweep over ``base``: built once per grid from the
-    base's ``(k, d_k, f_k)`` per size, total degree, cost and prizes, and
-    filled in per point with the swept values only.  Only
-    :meth:`check` validates; every other point lies between two checked
-    ones, and every parameter's constraint is an interval."""
+    """The points of a sweep over ``base``: its ``(k, d_k, f_k)`` per size,
+    total degree, cost and prizes, filled in per point with the swept
+    values only.  Only :meth:`check` validates; every other point lies
+    between two checked ones, and every parameter's constraint is an
+    interval."""
 
     def __init__(self, base: SemiSymmetricStructure, params: tuple[str, ...]):
-        self.base = base
         self.targets = tuple(_axis_target(base, param) for param in params)
-        self.sizes, self.count, self.cost = _grid_template(base)
+        self.sizes, self.count, self.cost = base.size_classes, base.total_degree, base.cost
         self.prizes = [base.prizes[k] for k in base.sizes]
 
     def point(self, values: tuple[float, ...]):
@@ -154,20 +155,17 @@ class _Template:
         return sizes, prizes, cost
 
     def check(self, values: tuple[float, ...]) -> None:
-        """Raise as the structure at ``values`` does if a value is invalid."""
-        sizes, prizes, cost = self.point(values)
-        SemiSymmetricStructure(
-            sizes=self.base.sizes,
-            degrees=dict(self.base.degrees),
-            prizes={k: v for (k, _, _), v in zip(sizes, prizes)},
-            productions={k: pf for k, _, pf in sizes},
-            cost=cost,
-        )
+        """Raise as the structure at ``values`` does if a value is invalid:
+        :meth:`point` builds the swept productions and cost, which check
+        themselves, and only the prizes are left."""
+        sizes, prizes, _ = self.point(values)
+        for (k, _, _), v in zip(sizes, prizes):
+            _check_prize(k, v)
 
     def solve(self, values: tuple[float, ...]) -> tuple[float, ...]:
         """The row's results at ``values``, in ``_RESULT_COLUMNS`` order."""
         sizes, prizes, cost = self.point(values)
-        x_de, x_ue = _solve_totals(_point_terms(sizes, prizes), self.count, cost)
+        x_de, x_ue = _solve_totals(sizes, prizes, self.count, cost)
         # SemiSymmetricStructure.prize_term, summed in its order.
         prize_term = sum(d * v / k for (k, d, _), v in zip(sizes, prizes))
         return (x_de, x_ue, prize_term - cost.c(x_de), prize_term - cost.c(x_ue),

@@ -378,10 +378,25 @@ def test_size_indexed_powers_are_neutral_on_the_simplex_structure():
     assert report.neutral
 
 
-@pytest.mark.parametrize("entry", [{2: 1.0}, {2: 1.0, 3: 2.0, 4: 5.0}])
+@pytest.mark.parametrize("entry", [
+    {2: 1.0}, {2: 1.0, 3: 2.0, 4: 5.0}, {2.7: 5.0, 3: 72.0}, {2: 5.0, "2": 6.0, 3: 72.0},
+])
 def test_neutrality_entries_must_name_exactly_the_structure_sizes(entry):
     with pytest.raises(ValueError, match="do not match sizes"):
         neutrality_check(triangle_structure(PowerProduction(1.0, 1.0)), [entry])
+
+
+def test_neutrality_entries_may_name_sizes_by_their_digits():
+    structure = triangle_structure(RatioProduction(1.0))
+    by_digits = neutrality_check(structure, [{"2": 5.0, "3": 72.0}])
+    assert by_digits == neutrality_check(structure, [(5.0, 72.0)])
+    assert by_digits.worst_prizes == {2: 5.0, 3: 72.0}
+
+
+@pytest.mark.parametrize("entry", ["57", b"57"], ids=["str", "bytes"])
+def test_a_text_neutrality_entry_is_not_read_as_prizes(entry):
+    with pytest.raises(ValueError, match="is text, not a prize per size"):
+        neutrality_check(triangle_structure(RatioProduction(1.0)), [entry])
 
 
 @pytest.mark.parametrize("prize", [0.0, -1.0, math.inf, math.nan])

@@ -897,7 +897,12 @@ def test_bad_sweep_axes_are_input_errors_and_write_no_rows(tmp_path, capsys, axe
     ({**_V2_AXIS, "param": "v9"}, "no size-9 battles"),
     ({**_V2_AXIS, "param": "bogus"}, "unknown sweep parameter 'bogus'"),
     ({"param": "r", "min": 0.5, "max": 1.5, "steps": 3}, "exponent r must lie in (0, 1]"),
-], ids=["missing-size", "unknown-param", "last-value-invalid"])
+    ({"param": "v3", "min": -1, "max": 5, "steps": 3}, "prize v_3 must be positive and finite"),
+    ({"param": "cost_p", "min": 0.5, "max": 3, "steps": 3}, "exponent p must be >= 1"),
+    ({"param": "cost_kappa", "min": 0, "max": 2, "steps": 3},
+     "scale kappa must be positive and finite"),
+], ids=["missing-size", "unknown-param", "last-value-invalid", "first-prize-invalid",
+        "first-cost-exponent-invalid", "first-cost-scale-invalid"])
 def test_sweep_parameters_the_base_rejects_write_no_file(tmp_path, capsys, axis, message):
     output = tmp_path / "out.csv"
     spec = {"example": "triangle", "axes": [_V2_AXIS, axis], "output": str(output)}

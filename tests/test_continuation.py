@@ -185,7 +185,7 @@ def test_seeded_prize_sweep_evaluates_less_than_cold_solves(tmp_path, monkeypatc
 def test_grid_points_solve_totals_from_one_start_without_f(tmp_path, monkeypatch, family):
     # A grid point needs neither the residuals nor the UE benefit, which
     # are what call f and f'; both regimes share one closed-form start; and
-    # no point builds a structure: only the sweep's two grid ends do.
+    # no point builds a structure, nor does the check of the grid's ends.
     calls = dict.fromkeys(("f", "f_prime", "start", "structure"), 0)
     validate = SemiSymmetricStructure.__post_init__
 
@@ -208,9 +208,9 @@ def test_grid_points_solve_totals_from_one_start_without_f(tmp_path, monkeypatch
     spec = simplex_prize_spec(family)
     monkeypatch.setattr(SemiSymmetricStructure, "__post_init__", counting_structure)
     assert run_sweep(spec, tmp_path / "rows.csv") == 20
-    assert calls == {"f": 0, "f_prime": 0, "start": 20, "structure": 2}
+    assert calls == {"f": 0, "f_prime": 0, "start": 20, "structure": 0}
     assert neutrality_check(spec.base, iter(one_shot_points(20, sizes=3))).grid_size == 20
-    assert calls == {"f": 0, "f_prime": 0, "start": 40, "structure": 2}
+    assert calls == {"f": 0, "f_prime": 0, "start": 40, "structure": 0}
 
 
 def test_resumed_seeded_sweep_equals_an_uninterrupted_one(tmp_path):
