@@ -336,14 +336,14 @@ def neutrality_check(structure: SemiSymmetricStructure, valuation_grid) -> Neutr
             if len(named) != len(sizes) or set(named) != set(sizes):
                 raise ValueError(f"prize sizes {named} do not match sizes {sizes}")
             by_size = dict(zip(named, entry.values()))
-            point = [float(by_size[k]) for k in sizes]
+            point = [by_size[k] for k in sizes]
         else:
             point = list(entry)
             if len(point) != len(sizes):
                 raise ValueError(f"prize vector {point} does not match sizes {sizes}")
-            point = [float(v) for v in point]
         for k, v in zip(sizes, point):
             _check_prize(k, v)
+        point = [float(v) for v in point]
         de_total, ue_total = _solve_totals(classes, point, count, cost)
         gap = _relative_gap(de_total, ue_total)
         if gap > max_gap:

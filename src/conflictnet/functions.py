@@ -14,9 +14,11 @@ starts from.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'``
 nonincreasing (concavity) on the positive axis, which makes ``h`` strictly
 increasing with ``h(0+) = 0`` and ``h -> +inf``.
 
-A family's name and parameters live only in its frozen dataclass: the
-``family`` class variable names it, and its fields, in order, are the
-``params`` of its spec and the positional values of a CLI ``--f`` flag.
+A family's name and parameters live only in its frozen dataclass, as the
+cost's do: the ``family`` class variable names it, and its fields, in
+order, are the ``params`` of its spec and the positional values of a CLI
+``--f`` flag.  One spec reader serves both; it checks names only (a field
+with a default may be left out) and leaves every value to the class.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -422,6 +424,7 @@ class PowerCost:
 
     kappa: float = 1.0
     p: float = 2.0
+    family: ClassVar[str] = "power"
 
     def __post_init__(self):
         if not 0 < self.kappa < math.inf:
@@ -439,9 +442,7 @@ class PowerCost:
             return self.kappa * total
         return _scaled_power(self.kappa, total, self.p - 1.0)
 
-    def to_spec(self) -> dict:
-        """JSON-serializable ``{"family", "params"}`` description."""
-        return {"family": "power", "params": {"kappa": self.kappa, "p": self.p}}
+    to_spec = ProductionFunction.to_spec
 
 
 # ---------------------------------------------------------------------------
@@ -523,33 +524,33 @@ _PRODUCTION_FAMILIES = {
 }
 
 
+def _from_spec(kind: str, families: dict, spec: dict):
+    """The ``families[family]`` instance a ``{"family", "params"}`` mapping
+    describes, its params read as floats; a field with a default may be left out."""
+    family = spec.get("family")
+    if family not in families:
+        raise ValueError(f"unknown {kind} family {family!r}; expected one of {sorted(families)}")
+    cls = families[family]
+    params = spec.get("params", {})
+    given, missing = {}, []
+    for field in fields(cls):
+        if field.name in params:
+            given[field.name] = params[field.name]
+        elif field.default is MISSING:
+            missing.append(field.name)
+    if missing:
+        raise ValueError(f"{kind} family {family!r} missing params {missing}")
+    extra = [n for n in params if n not in given]
+    if extra:
+        raise ValueError(f"{kind} family {family!r} got unknown params {extra}")
+    return cls(**{n: float(v) for n, v in given.items()})
+
+
 def production_from_spec(spec: dict) -> ProductionFunction:
     """Build a production function from a ``{"family", "params"}`` mapping."""
-    family = spec.get("family")
-    if family not in _PRODUCTION_FAMILIES:
-        known = sorted(_PRODUCTION_FAMILIES)
-        raise ValueError(f"unknown production family {family!r}; expected one of {known}")
-    cls = _PRODUCTION_FAMILIES[family]
-    names = [f.name for f in fields(cls)]
-    params = spec.get("params", {})
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ValueError(f"production family {family!r} missing params {missing}")
-    extra = [n for n in params if n not in names]
-    if extra:
-        raise ValueError(f"production family {family!r} got unknown params {extra}")
-    return cls(**{n: float(params[n]) for n in names})
+    return _from_spec("production", _PRODUCTION_FAMILIES, spec)
 
 
 def cost_from_spec(spec: dict) -> PowerCost:
     """Build a cost function from a ``{"family", "params"}`` mapping."""
-    family = spec.get("family")
-    if family != "power":
-        raise ValueError(f"unknown cost family {family!r}; expected 'power'")
-    params = spec.get("params", {})
-    extra = [n for n in params if n not in ("kappa", "p")]
-    if extra:
-        raise ValueError(f"cost family 'power' got unknown params {extra}")
-    return PowerCost(
-        kappa=float(params.get("kappa", 1.0)), p=float(params.get("p", 2.0))
-    )
+    return _from_spec("cost", {PowerCost.family: PowerCost}, spec)

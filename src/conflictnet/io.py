@@ -16,8 +16,8 @@ ids are strings or integers, no two player ids print alike (``1`` and
 ``"1"``), battle ids are strings, and prizes and parameters are JSON
 numbers.  Every rule on values (positive finite prizes, distinct
 participants, known players, parameter domains) belongs to the constructor
-that builds the part.  Both kinds of failure raise
-`SchemaViolation` at the JSON pointer of the part that broke the rule.
+that builds the part, as in every reader of specs.  Both kinds of failure
+raise `SchemaViolation` at the JSON pointer of the part that broke the rule.
 
 Serialization sorts object keys so reports and fixtures are diffable;
 battle order is preserved because it is part of the input's identity.

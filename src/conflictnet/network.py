@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -65,7 +66,7 @@ class Battle:
             raise FieldError(
                 "participants", f"battle {self.id!r} lists a participant twice"
             )
-        if not 0 < self.prize < math.inf:
+        if not _is_prize(self.prize):
             raise FieldError(
                 "prize",
                 f"battle {self.id!r} prize must be positive and finite, got {self.prize}",
@@ -229,9 +230,14 @@ def payoff(network: ConflictNetwork, profile: EffortProfile, player: PlayerId) -
 # Semi-symmetry
 # ---------------------------------------------------------------------------
 
+def _is_prize(v) -> bool:
+    """A valid prize: a real number, not a bool, positive and finite."""
+    return isinstance(v, Real) and not isinstance(v, bool) and 0 < v < math.inf
+
+
 def _check_prize(k: int, v: float) -> None:
-    """Raise unless ``v`` is a valid size-k prize: positive and finite."""
-    if not 0 < v < math.inf:
+    """Raise unless ``v`` is a valid size-k prize."""
+    if not _is_prize(v):
         raise ValueError(f"prize v_{k} must be positive and finite")
 
 

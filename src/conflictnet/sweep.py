@@ -8,12 +8,13 @@ solved in-process to both regimes' totals (through
 ``equilibrium._solve_totals``, with the DE/UE gap of ``analysis``), and
 written in that order.  A point is not a structure: it is the base's
 ``(k, d_k, f_k)`` per size, prizes and cost with its swept values
-replaced.  The axis names and the grid's first and last points are
-validated before the output is touched, the swept exponents and cost
-parameters by their constructors and the prizes by the structure's prize
-rule; every value between them is then valid too.  Every point is solved
-on its own from the solvers' closed-form start, so a row does not depend on
-the rows before it.
+replaced.  A `SweepAxis` checks its own values: a string name, bounds
+that are finite numbers, not bools, and an ``int`` of steps.  The axis
+names and the grid's ends are validated before the output is touched, the
+swept exponents and cost parameters by their constructors and the prizes
+by the structure's prize rule; every value between them is then valid
+too.  Every point is solved on its own from the solvers' closed-form
+start, so a row does not depend on the rows before it.
 Rows go through the output file's write buffer, with no flush per row; an
 exception or Ctrl-C closes the file, which writes every completed row, and a
 hard kill loses at most one buffer of rows (a few kilobytes).  Existing rows
@@ -30,7 +31,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -62,11 +65,16 @@ class SweepAxis:
     steps: int
 
     def __post_init__(self):
+        if not isinstance(self.param, str):
+            raise ValueError(f"axis parameter must be a string, got {self.param!r}")
         bounds = (self.minimum, self.maximum)
-        if any(isinstance(bound, bool) for bound in bounds):
+        if not all(isinstance(bound, Real) and not isinstance(bound, bool) for bound in bounds):
             raise ValueError(f"axis {self.param!r} range must be numbers, got {bounds!r}")
-        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
+        # Compared, not converted: float() of an int past the float range raises.
+        if not all(abs(bound) <= sys.float_info.max for bound in bounds):
             raise ValueError(f"axis {self.param!r} range must be finite")
+        object.__setattr__(self, "minimum", float(self.minimum))
+        object.__setattr__(self, "maximum", float(self.maximum))
         if isinstance(self.steps, bool) or not isinstance(self.steps, int):
             raise ValueError(f"axis {self.param!r} steps must be an int, got {self.steps!r}")
         if self.steps < 1:

@@ -399,7 +399,7 @@ def test_a_text_neutrality_entry_is_not_read_as_prizes(entry):
         neutrality_check(triangle_structure(RatioProduction(1.0)), [entry])
 
 
-@pytest.mark.parametrize("prize", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("prize", [0.0, -1.0, math.inf, math.nan, True, "5"])
 @pytest.mark.parametrize("mapping", [False, True], ids=["sequence", "mapping"])
 def test_neutrality_entries_must_hold_positive_finite_prizes(prize, mapping):
     entry = {2: 1.0, 3: prize} if mapping else (1.0, prize)

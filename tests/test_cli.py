@@ -492,6 +492,7 @@ def test_sweep_grid_cap(tmp_path, capsys):
     # The library rejects what the CLI's field checks reject before it.
     pytest.param((True, 2.0), 3, r"range must be numbers, got \(True, 2.0\)", id="min-bool"),
     pytest.param((0.5, True), 3, r"range must be numbers, got \(0.5, True\)", id="max-bool"),
+    pytest.param(("1", 2.0), 3, "range must be numbers", id="min-string"),
     pytest.param((1.0, 2.0), 2.5, "steps must be an int, got 2.5", id="steps-float"),
     pytest.param((1.0, 2.0), 2.0, "steps must be an int, got 2.0", id="steps-integral-float"),
     pytest.param((1.0, 2.0), True, "steps must be an int, got True", id="steps-bool"),
@@ -500,6 +501,11 @@ def test_sweep_grid_cap(tmp_path, capsys):
 def test_sweep_axis_rejects_non_finite_bounds(bounds, steps, message):
     with pytest.raises(ValueError, match=f"axis 'v2' {message}"):
         SweepAxis("v2", *bounds, steps)
+
+
+def test_sweep_axis_parameter_must_be_a_string():
+    with pytest.raises(ValueError, match="axis parameter must be a string, got 5"):
+        SweepAxis(5, 1.0, 2.0, 3)
 
 
 def test_sweep_axis_overflowing_to_infinity_is_an_input_error(tmp_path, capsys):
@@ -829,6 +835,7 @@ _CONFLICTING_PRODUCTIONS = {
     "f-and-tullock": {"f": "ratio:1", "tullock": "r2=0.5,r3=0.5"},
     "tullock-size-missing-from-network": {"tullock": "r2=0.5,r3=0.5,r9=1"},
     "tullock-misses-a-network-size": {"tullock": "r2=0.5"},
+    "tullock-size-twice": {"tullock": "r2=0.5,r2=0.7,r3=1"},
 }
 
 
@@ -872,6 +879,7 @@ _V2_AXIS = {"param": "v2", "min": 1, "max": 5, "steps": 3}
 
 
 @pytest.mark.parametrize("axes,index", [
+    ([{**_V2_AXIS, "log": True}], 0),
     ([{**_V2_AXIS, "param": 3}], 0),
     ([{**_V2_AXIS, "steps": 2.7}], 0),
     ([{**_V2_AXIS, "steps": True}], 0),
@@ -882,7 +890,7 @@ _V2_AXIS = {"param": "v2", "min": 1, "max": 5, "steps": 3}
     ([_V2_AXIS, "v3"], 1),
     ([{"param": "v3", "min": 10, "max": 20, "steps": 2}, _V2_AXIS,
       {"param": "v3", "min": 30, "max": 40, "steps": 2}], 2),
-], ids=["param-int", "steps-float", "steps-bool", "min-string", "max-bool",
+], ids=["unknown-key", "param-int", "steps-float", "steps-bool", "min-string", "max-bool",
         "min-past-float-range", "steps-missing", "axis-string", "param-twice"])
 def test_bad_sweep_axes_are_input_errors_and_write_no_rows(tmp_path, capsys, axes, index):
     output = tmp_path / "out.csv"
@@ -914,22 +922,24 @@ def test_sweep_parameters_the_base_rejects_write_no_file(tmp_path, capsys, axis,
 
 def test_sweep_builds_each_point_when_it_solves_it(tmp_path, monkeypatch):
     built = []
-    structure = conflictnet.sweep.SemiSymmetricStructure
+    point = conflictnet.sweep._Template.point
 
-    def counting(*args, **kwargs):
-        built.append(1)
-        return structure(*args, **kwargs)
+    def counting(self, values):
+        built.append(values)
+        return point(self, values)
 
     def stop(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(conflictnet.sweep, "SemiSymmetricStructure", counting)
+    monkeypatch.setattr(conflictnet.sweep._Template, "point", counting)
     monkeypatch.setattr(conflictnet.sweep, "_solve_totals", stop)
     axes = (SweepAxis("v2", 1.0, 5.0, 20), SweepAxis("v3", 1.0, 5.0, 20))
     spec = SweepSpec(base=check_semi_symmetry(generate_triangle()), axes=axes)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(spec, tmp_path / "out.csv")
-    assert len(built) < 10
+    # The grid's two ends are checked and the first row is built; a sweep
+    # that built its 400 points up front would count them all.
+    assert len(built) <= 3
 
 
 @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])

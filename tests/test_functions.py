@@ -261,6 +261,11 @@ def test_spec_parsing_rejects_unknown_families_and_params():
         production_from_spec({"family": "ratio", "params": {"c": 1, "z": 2}})
     with pytest.raises(ValueError, match="unknown cost family"):
         cost_from_spec({"family": "exp", "params": {}})
+    # A field with a default may be left out.
+    assert cost_from_spec({"family": "power", "params": {"p": 3}}) == PowerCost(1.0, 3.0)
+    # The family class variable is no parameter.
+    with pytest.raises(ValueError, match="unknown params"):
+        cost_from_spec({"family": "power", "params": {"kappa": 1, "family": 1}})
 
 
 # ---------------------------------------------------------------------------
