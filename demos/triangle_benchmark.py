@@ -31,7 +31,7 @@ for label, production in PRODUCTIONS:
     result = compare_regimes(structure)
     relation = {"<": ">", ">": "<", "=": "="}[result.ordering]  # UE side on the left
     print(
-        f"{label:<24}{result.curvature.verdict:<14}"
+        f"{label:<24}{result.verdict:<14}"
         f"{result.ue.total:>10.6g}   {relation}  {result.de.total:>10.6g}  "
         f"{result.recommendation}"
     )

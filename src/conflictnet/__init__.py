@@ -10,9 +10,7 @@ regimes, and probes when the regimes are exactly equivalent.
 
 from .analysis import (
     ComparisonReport,
-    CurvatureVerdict,
     NeutralityReport,
-    classify_h,
     compare_regimes,
     neutrality_check,
     tullock_closed_form_total,
@@ -35,8 +33,6 @@ from .functions import (
     PowerProduction,
     ProductionFunction,
     RatioProduction,
-    ValidityReport,
-    validate_production,
 )
 from .general_solver import (
     IterationConfig,
@@ -76,7 +72,6 @@ __all__ = [
     "ComparisonReport",
     "ConflictNetError",
     "ConflictNetwork",
-    "CurvatureVerdict",
     "DEResult",
     "DimensionTooLarge",
     "EffortProfile",
@@ -99,12 +94,10 @@ __all__ = [
     "UEResult",
     "UnknownExample",
     "UnknownPlayer",
-    "ValidityReport",
     "best_response",
     "brent_increasing",
     "brute_force_nash",
     "check_semi_symmetry",
-    "classify_h",
     "compare_regimes",
     "dump_network",
     "generate_example",
@@ -122,6 +115,5 @@ __all__ = [
     "solve_nash_ue_iterative",
     "solve_ue",
     "tullock_closed_form_total",
-    "validate_production",
     "winning_probabilities",
 ]

@@ -1,12 +1,11 @@
-"""Curvature classification and regime comparison.
+"""Regime comparison and neutrality.
 
 The curvature of the inverse semi-elasticity ``h = f / f'`` decides how the
 two effort regimes compare: convex h means discriminatory effort (DE) yields
 at most the uniform-effort (UE) total and at least the UE payoff, concave h
 the reverse, and linear h (exactly the power families) makes the regimes
-equivalent.  Each production family labels the curvature of its h
-analytically; sampled midpoint-convexity defects of h can veto that label,
-turning the verdict ``indeterminate``, but never replace it.
+equivalent.  The curvature verdict is the shared production family's own
+analytic label, ``h_curvature()``; no h is sampled to check it.
 
 ``compare_regimes`` solves both regimes in full; ``neutrality_check`` and
 the sweep's rows solve each grid point to its two totals only, through
@@ -23,24 +22,17 @@ lazily drawn grid is never held whole.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .equilibrium import (
     DEResult, UEResult, _solve_totals, solve_de, solve_ue, tullock_closed_form_total,
 )
-from .functions import PowerProduction, ProductionFunction
+from .functions import PowerProduction
 from .network import SemiSymmetricStructure, _check_prize
-from .rootfind import _SMALLEST
 
 __all__ = [
-    "CurvatureVerdict",
     "ComparisonReport",
     "NeutralityReport",
-    "classify_h",
     "compare_regimes",
     "neutrality_check",
     "tullock_closed_form_total",
@@ -52,90 +44,6 @@ __all__ = [
 # four orders tighter, and no caller can loosen that, so root-finding error
 # cannot cross it.
 NEUTRALITY_TOL = 1e-6
-
-# Grid points of the curvature sample and the relative midpoint defect below
-# which h counts as flat.
-CURVATURE_SAMPLES = 128
-CURVATURE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CurvatureVerdict:
-    """Curvature of h with the sampled evidence against it.
-
-    ``verdict`` is one of ``"convex"``, ``"concave"``, ``"linear"`` or
-    ``"indeterminate"``: the family's analytic label, or ``indeterminate``
-    where the sampled defects contradict it.  ``max_signed_defect`` is the
-    extreme sampled midpoint defect ``h(m) - (h(a) + h(b))/2`` (negative for
-    convex h).
-    """
-
-    verdict: str
-    max_signed_defect: float
-
-
-def classify_h(
-    pf: ProductionFunction, domain: tuple[float, float] = (1e-2, 1e1)
-) -> CurvatureVerdict:
-    """Classify the curvature of h on a positive interval.
-
-    The verdict is the family's analytic label (``pf.h_curvature()``) unless
-    the sampled defects veto it.  Midpoint-convexity defects
-    ``h((a+b)/2) - (h(a)+h(b))/2`` are sampled on a log-spaced grid of
-    ``CURVATURE_SAMPLES`` points, over adjacent grid points (local curvature)
-    and over chords from each point to the one half the grid away (curvature
-    at scale): at most 319 evaluations of h and none of f or its
-    derivatives.  A pair
-    is dropped when h is not finite at either end or at its midpoint.  A
-    defect of either sign beyond ``CURVATURE_TOL`` relative to the chord
-    vetoes a linear label, and one of the wrong sign vetoes a convex or
-    concave label; a vetoed verdict is ``indeterminate``.  A defect-free
-    sample never turns a convex or concave label into linear.
-
-    Args:
-        pf: production function (validated).
-        domain: positive interval to sample.
-    """
-    lo, hi = domain
-    if not 0 < lo < hi < math.inf:
-        raise ValueError(f"domain must be a finite positive interval, got {domain}")
-
-    xs = np.geomspace(lo, hi, CURVATURE_SAMPLES)
-    h_vals = np.array([pf.h(float(x)) for x in xs])
-    n, half = CURVATURE_SAMPLES, CURVATURE_SAMPLES // 2
-    left = np.concatenate([np.arange(n - 1), np.arange(n - half)])
-    right = np.concatenate([np.arange(1, n), np.arange(half, n)])
-    keep = np.isfinite(h_vals[left]) & np.isfinite(h_vals[right])
-    left, right = left[keep], right[keep]
-    # Halving each term first cannot overflow and rounds like (a + b) / 2.
-    mids = 0.5 * xs[left] + 0.5 * xs[right]
-    chords = 0.5 * h_vals[left] + 0.5 * h_vals[right]
-    mid_vals = np.array([pf.h(float(m)) for m in mids])
-    keep = np.isfinite(mid_vals)
-    defects = mid_vals[keep] - chords[keep]
-    rel = defects / np.maximum(np.abs(chords[keep]), 1e-300)
-
-    max_signed = float(defects[np.argmax(np.abs(rel))]) if rel.size else 0.0
-    has_pos = bool(np.any(rel > CURVATURE_TOL))
-    has_neg = bool(np.any(rel < -CURVATURE_TOL))
-    if has_pos and has_neg:
-        sampled = "mixed"
-    elif has_pos:
-        sampled = "concave"
-    elif has_neg:
-        sampled = "convex"
-    else:
-        sampled = "flat"
-
-    analytic = pf.h_curvature()
-    compatible = {
-        "linear": {"flat"},
-        "convex": {"convex", "flat"},
-        "concave": {"concave", "flat"},
-    }[analytic]
-    verdict = analytic if sampled in compatible else "indeterminate"
-    return CurvatureVerdict(verdict=verdict, max_signed_defect=max_signed)
-
 
 # ---------------------------------------------------------------------------
 # Regime comparison
@@ -163,7 +71,7 @@ class ComparisonReport:
     """Side-by-side DE and UE solution of one semi-symmetric structure."""
 
     structure: SemiSymmetricStructure
-    curvature: CurvatureVerdict | None
+    curvature: str | None  # the common production's h_curvature() label
     de: DEResult
     ue: UEResult
     ordering: str  # "<", "=", ">" comparing the DE total with the UE total
@@ -176,7 +84,7 @@ class ComparisonReport:
     def verdict(self) -> str:
         """The curvature verdict, or ``"heterogeneous"`` when the sizes
         share no production function."""
-        return self.curvature.verdict if self.curvature else "heterogeneous"
+        return self.curvature or "heterogeneous"
 
     def to_dict(self) -> dict:
         """JSON-ready summary with deterministic key order when dumped."""
@@ -208,7 +116,7 @@ def compare_regimes(ss: SemiSymmetricStructure) -> ComparisonReport:
     """Solve both regimes and check the ordering the curvature of h predicts.
 
     A curvature-based prediction needs one shared production function across
-    battle sizes; with heterogeneous functions the report abstains unless all
+    battle sizes, and reads its label ``h_curvature()``; with heterogeneous functions the report abstains unless all
     of them are power functions, in which case the regimes are equivalent and
     equality is the prediction.  Payoff orderings are checked alongside
     effort orderings (they are mirror images, the prize terms being equal at
@@ -235,19 +143,8 @@ def compare_regimes(ss: SemiSymmetricStructure) -> ComparisonReport:
     curvature = None
     predicted: set[str] | None = None
     if common is not None:
-        # A corner effort of 0 has no curvature to sample around.
-        # The sample stays within the positive floats, so efforts at either
-        # end of the float range are sampled up to that end.
-        span = [x for x in [*de.efforts.values(), ue.effort] if x > 0]
-        lo = max(min(span) / 2.0, _SMALLEST)
-        hi = min(max(span) * 2.0, sys.float_info.max)
-        if hi / lo < 1e2:
-            # lo * hi leaves the float range once efforts pass 1e+-154.
-            center = math.sqrt(lo) * math.sqrt(hi)
-            lo = max(center / 10.0, _SMALLEST)
-            hi = min(center * 10.0, sys.float_info.max)
-        curvature = classify_h(common, domain=(lo, hi))
-        predicted = _PREDICTED_ORDERINGS.get(curvature.verdict)
+        curvature = common.h_curvature()
+        predicted = _PREDICTED_ORDERINGS[curvature]
     elif all_power:
         predicted = {"="}
 
@@ -262,7 +159,7 @@ def compare_regimes(ss: SemiSymmetricStructure) -> ComparisonReport:
         consistent = ordering in predicted and payoff_ok
 
     recommendation = (
-        _RECOMMENDATION.get(curvature.verdict) if curvature is not None
+        _RECOMMENDATION[curvature] if curvature is not None
         else ("indifferent" if all_power else None)
     )
     return ComparisonReport(

@@ -9,10 +9,11 @@ bracketed search: in closed form for ratio, cara, linear power and the affine
 piecewise branch, and for power with ``r < 1`` by a monotone Newton
 iteration on the log of the own-to-rival score ratio; none squares a score.
 Each family also labels the curvature of its ``h`` analytically
-(:meth:`ProductionFunction.h_curvature`), the label the regime comparison
-starts from.  All families satisfy ``f(0) = 0``, ``f' > 0`` and ``f'``
-nonincreasing (concavity) on the positive axis, which makes ``h`` strictly
-increasing with ``h(0+) = 0`` and ``h -> +inf``.
+(:meth:`ProductionFunction.h_curvature`), and that label is the regime
+comparison's verdict: nothing samples ``h`` to check it.  All families
+satisfy ``f(0) = 0``, ``f' > 0`` and ``f'`` nonincreasing (concavity) on the
+positive axis, which makes ``h`` strictly increasing with ``h(0+) = 0`` and
+``h -> +inf``; a user-written family is trusted to do the same.
 
 A family's name and parameters live only in its frozen dataclass, as the
 cost's do: the ``family`` class variable names it, and its fields, in
@@ -29,9 +30,7 @@ from abc import ABC, abstractmethod
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
 
-import numpy as np
-
-from .errors import NoConvergence, NonFiniteEvaluation
+from .errors import NoConvergence
 
 __all__ = [
     "ProductionFunction",
@@ -40,8 +39,6 @@ __all__ = [
     "CaraProduction",
     "PiecewisePowerAffineProduction",
     "PowerCost",
-    "ValidityReport",
-    "validate_production",
     "production_from_spec",
     "cost_from_spec",
 ]
@@ -443,75 +440,6 @@ class PowerCost:
         return _scaled_power(self.kappa, total, self.p - 1.0)
 
     to_spec = ProductionFunction.to_spec
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-_VALIDATION_GRID = np.geomspace(1e-3, 1e2, 64)
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Outcome of the sampled production-function checks.
-
-    ``checks`` maps check name to pass/fail.
-    """
-
-    checks: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def failures(self) -> list[str]:
-        return [name for name, ok in self.checks.items() if not ok]
-
-
-def validate_production(pf: ProductionFunction) -> ValidityReport:
-    """Check the maintained assumptions of a production function on a grid.
-
-    The grid is fixed: 64 log-spaced points on ``[1e-3, 1e2]``.  Checks:
-    ``f(0) = 0``, ``f' > 0`` wherever ``h`` is finite, ``f'`` nonincreasing
-    along the grid (``f_prime_nonincreasing``: concavity, which for a C1
-    production needs no second derivative, so a kink such as the piecewise
-    family's is checked like any other point), strict monotonicity of ``h``,
-    and ``h`` at the smallest grid point being negligible relative to ``h``
-    at the largest finite one (a finite stand-in for ``h(0+) = 0``, failed
-    when no ``h`` is finite).
-
-    An infinite ``h`` from float overflow at the top of the grid is tolerated
-    and excluded from the ``f'`` and monotonicity checks: ``h = f / f'``
-    overflows before ``f'`` underflows to 0 in every family.
-
-    Raises:
-        NonFiniteEvaluation: if ``f`` or ``f'`` is NaN or infinite, or ``h``
-            is NaN, at a grid point.
-    """
-    grid = _VALIDATION_GRID
-
-    f_vals = np.array([pf.f(float(x)) for x in grid])
-    fp_vals = np.array([pf.f_prime(float(x)) for x in grid])
-    for x, fv, fpv in zip(grid, f_vals, fp_vals):
-        if not math.isfinite(fv) or not math.isfinite(fpv):
-            raise NonFiniteEvaluation(
-                f"{pf.family}: non-finite f or f' at grid point {float(x)!r}"
-            )
-
-    h_vals = np.array([pf.h(float(x)) for x in grid])
-    if np.any(np.isnan(h_vals)):
-        raise NonFiniteEvaluation(f"{pf.family}: NaN h value on grid")
-    finite = np.isfinite(h_vals)
-
-    checks: dict = {}
-    checks["f0_zero"] = pf.f(0.0) == 0.0
-    checks["f_prime_positive"] = bool(np.all(fp_vals[finite] > 0))
-    checks["f_prime_nonincreasing"] = bool(np.all(np.diff(fp_vals) <= 0))
-    checks["h_strictly_increasing"] = bool(np.all(np.diff(h_vals[finite]) > 0))
-    h_hi = h_vals[finite][-1] if finite.any() else math.nan
-    checks["h_vanishes_at_zero"] = bool(h_vals[0] <= 1e-3 * h_hi)
-    return ValidityReport(checks=checks)
 
 
 # ---------------------------------------------------------------------------

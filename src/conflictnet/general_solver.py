@@ -218,6 +218,10 @@ def _best_response_discriminatory(
 
     def consistency_gap(total: float) -> float:
         lam = network.cost.c_prime(total)
+        if lam == 0.0:
+            # Every battle's effort is beyond float range, as in
+            # equilibrium._de_efforts.
+            return -math.inf
         acc = floor_total
         for b, s in active:
             acc += _battle_effort(b, s, lam)

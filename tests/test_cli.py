@@ -115,8 +115,7 @@ def test_compare_samples_curvature_away_from_a_corner_effort(capsys, family):
 
 @pytest.mark.parametrize("prizes", ["1e300,3e300", "1e-300,1e300"])
 def test_compare_ratio_past_the_overflow_of_its_derivatives(capsys, prizes):
-    # Efforts near 1e100 put (x + c)^3 and (x + c)^4 beyond the float range
-    # on the classify_h grid.
+    # Efforts near 1e100 put (x + c)^3 and (x + c)^4 beyond the float range.
     code, out, err = run_cli(
         capsys, "compare", "--example", "triangle", "--f", "ratio:1", "--v", prizes
     )

@@ -30,6 +30,7 @@ def test_benchmark_wrap_points_resolve_except_the_known_stale_ones():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert sorted(tracing.Tracer().absent) == [
+        "conflictnet.analysis.classify_h",
         "conflictnet.equilibrium.invert_h",
         "conflictnet.equilibrium.solve_increasing",
         "conflictnet.rootfind.solve_increasing",

@@ -1,4 +1,4 @@
-"""Production and cost family behavior, derivatives, and validation."""
+"""Production and cost family behavior, derivatives, and assumptions."""
 
 import math
 
@@ -7,13 +7,11 @@ import pytest
 
 from conflictnet import (
     CaraProduction,
-    NonFiniteEvaluation,
     PiecewisePowerAffineProduction,
     PowerCost,
     PowerProduction,
     ProductionFunction,
     RatioProduction,
-    validate_production,
 )
 from conflictnet.functions import cost_from_spec, production_from_spec
 
@@ -25,6 +23,18 @@ GRID = np.geomspace(1e-3, 1e2, 64)
 
 def finite_difference(fun, x, step=1e-6):
     return (fun(x + step) - fun(x - step)) / (2 * step)
+
+
+def assert_maintained_assumptions(pf):
+    """On ``GRID``: f(0) = 0, f' > 0, f' nonincreasing (concavity) and h
+    strictly increasing."""
+    xs = [float(x) for x in GRID]
+    slopes = [pf.f_prime(x) for x in xs]
+    hs = [pf.h(x) for x in xs]
+    assert pf.f(0.0) == 0.0
+    assert all(fp > 0 for fp in slopes)
+    assert all(b <= a for a, b in zip(slopes, slopes[1:]))
+    assert all(b > a for a, b in zip(hs, hs[1:]))
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
@@ -49,8 +59,7 @@ def test_h_equals_f_over_f_prime(name):
 
 def test_power_sqrt_family_h_is_twice_x():
     pf = PowerProduction(A=2.0, r=0.5)
-    report = validate_production(pf)
-    assert report.passed
+    assert_maintained_assumptions(pf)
     for x in GRID:
         assert pf.h(float(x)) == pytest.approx(2.0 * float(x), rel=1e-12)
 
@@ -61,8 +70,7 @@ def test_linear_power_h_at_one():
 
 def test_ratio_family_h_is_x_times_one_plus_x():
     pf = RatioProduction(c=1.0)
-    report = validate_production(pf)
-    assert report.passed
+    assert_maintained_assumptions(pf)
     for x in GRID:
         x = float(x)
         assert pf.h(x) == pytest.approx(x * (1.0 + x), rel=1e-12)
@@ -96,81 +104,15 @@ def test_piecewise_branches_and_h():
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
-def test_validation_passes_for_benchmark_families(name):
-    report = validate_production(BENCHMARK_PRODUCTIONS[name])
-    assert report.passed, report.failures()
+def test_benchmark_families_meet_the_maintained_assumptions(name):
+    assert_maintained_assumptions(BENCHMARK_PRODUCTIONS[name])
 
 
-def test_validation_h_monotone_for_random_powers():
+def test_random_powers_meet_the_maintained_assumptions():
     rng = np.random.default_rng(11)
     for _ in range(10):
         pf = PowerProduction(A=float(rng.uniform(0.2, 5)), r=float(rng.uniform(0.05, 1)))
-        report = validate_production(pf)
-        assert report.passed
-
-
-class _BrokenProduction(ProductionFunction):
-    family = "broken"
-
-    def f(self, x):
-        return math.nan
-
-    def f_prime(self, x):
-        return 1.0
-
-    def h(self, x):
-        return x
-
-    def h_inv(self, y):
-        return y
-
-    def g_inv(self, rivals, target, excess):
-        return excess
-
-    def to_spec(self):
-        return {"family": "broken", "params": {}}
-
-
-def test_validation_raises_on_non_finite_values():
-    with pytest.raises(NonFiniteEvaluation):
-        validate_production(_BrokenProduction())
-
-
-class _ConvexProduction(_BrokenProduction):
-    """f = x^2: increasing with h = x / 2 increasing, but convex."""
-
-    family = "convex"
-
-    def f(self, x):
-        return x * x
-
-    def f_prime(self, x):
-        return 2.0 * x
-
-    def h(self, x):
-        return 0.5 * x
-
-
-def test_validation_fails_a_convex_production_on_its_slope_alone():
-    assert validate_production(_ConvexProduction()).failures() == ["f_prime_nonincreasing"]
-
-
-@pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
-def test_validation_reads_only_f_f_prime_and_h(monkeypatch, name):
-    # f at 0 and on the 64-point grid, f' and h on the grid; nothing else.
-    pf = BENCHMARK_PRODUCTIONS[name]
-    methods = ("f", "f_prime", "h", "h_inv", "g_inv", "h_curvature", "to_spec")
-    calls = dict.fromkeys(methods, 0)
-    for method in methods:
-        original = getattr(type(pf), method)
-
-        def counting(self, *args, method=method, original=original):
-            calls[method] += 1
-            return original(self, *args)
-
-        monkeypatch.setattr(type(pf), method, counting)
-    assert validate_production(pf).passed
-    assert calls == {**dict.fromkeys(methods, 0), "f": 65, "f_prime": 64, "h": 64}
+        assert_maintained_assumptions(pf)
 
 
 def test_production_interface_is_two_derivatives_h_and_its_inverse():

@@ -215,6 +215,20 @@ def test_corner_best_response_under_linear_cost():
     assert response["t"] == pytest.approx(math.sqrt(5.0) - 1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "cost", [PowerCost(1e-320), PowerCost(1.0, 1e308)], ids=["kappa1e-320", "p1e308"]
+)
+def test_iterative_de_best_response_where_marginal_cost_underflows(cost):
+    # C' underflows to 0 at small totals, where every battle's effort is
+    # beyond float range: the consistency gap is -inf there, as in the
+    # structured solver, not a division by 0.  The solve may or may not
+    # converge in 20 sweeps.
+    base = generate_triangle(production=PowerProduction(1.0, 1.0))
+    net = ConflictNetwork(players=base.players, battles=base.battles, cost=cost)
+    out = solve_nash_iterative(net, IterationConfig(max_iterations=20))
+    assert out.iterations <= 20
+
+
 # ---------------------------------------------------------------------------
 # Iterative solvers
 # ---------------------------------------------------------------------------
