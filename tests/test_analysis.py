@@ -1,7 +1,9 @@
 """Curvature classification, regime comparison, neutrality, closed form."""
 
+import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from conflictnet import (
     solve_ue,
     tullock_closed_form_total,
 )
-from conflictnet import analysis, rootfind
+from conflictnet import analysis, cli, rootfind
 from conflictnet.cli import main
 
 from conftest import BENCHMARK_PRODUCTIONS, random_structure, triangle_structure
@@ -156,6 +158,111 @@ def test_compare_regimes_h_call_budget(monkeypatch, example, name, scale):
     assert report.verdict == pf.h_curvature()
     # The most is 66, for ratio and cara on the simplex at prizes x1e300.
     assert calls["h"] <= 66
+
+
+class _RatioLabelledConcave(RatioProduction):
+    def h_curvature(self):
+        return "concave"
+
+
+class _CaraLabelledLinear(CaraProduction):
+    def h_curvature(self):
+        return "linear"
+
+
+class _PiecewiseLabelledLinear(PiecewisePowerAffineProduction):
+    def h_curvature(self):
+        return "linear"
+
+
+class _RatioWithConcaveKink(RatioProduction):
+    """Labelled convex, but h = x (x + 1) - 0.3 max(0, x - 1) bends down at 1."""
+
+    def h(self, x):
+        return super().h(x) - 0.3 * max(0.0, x - 1.0)
+
+
+# Wrong labels, and the domains on which the sample shows them wrong.  They
+# keep the label check above honest: a sample that admitted every label
+# would pass it whatever the families claim.
+HOLD_ONE = {(1e-2, 1e1), (0.5, 2.0), (1e-6, 1e6)}
+MISLABELLED_PRODUCTIONS = {
+    "mislabelled-ratio-c1": (_RatioLabelledConcave(1.0), set(CURVATURE_DOMAINS)),
+    "mislabelled-cara-a0.01": (_CaraLabelledLinear(0.01), set(CURVATURE_DOMAINS)),
+    # On (1e-6, 1e-3) only chords longer than adjacent pairs see this
+    # curvature above the 1e-9 tolerance.
+    "mislabelled-cara-a0.001": (_CaraLabelledLinear(0.001), set(CURVATURE_DOMAINS)),
+    # h is linear on either side of the kink at 1, so only the three
+    # domains that hold a kink see it.
+    "mislabelled-piecewise-s1": (_PiecewiseLabelledLinear(2.0, 0.5, 1.0), HOLD_ONE),
+    "kinked-ratio-c1": (_RatioWithConcaveKink(1.0), HOLD_ONE),
+}
+
+
+@pytest.mark.parametrize("domain", CURVATURE_DOMAINS, ids=str)
+@pytest.mark.parametrize("name", sorted(MISLABELLED_PRODUCTIONS))
+def test_sampled_defects_reject_a_wrong_label_where_they_see_it(name, domain):
+    pf, rejected_on = MISLABELLED_PRODUCTIONS[name]
+    admitted = sampled_curvature(pf, domain=domain) in COMPATIBLE[pf.h_curvature()]
+    assert admitted is (domain not in rejected_on)
+
+
+def _effort_span(report):
+    """The domain the sampled check of h used to cover: the positive DE and
+    UE efforts, widened by 2 each way and to at least two decades."""
+    span = [x for x in [*report.de.efforts.values(), report.ue.effort] if x > 0]
+    lo = max(min(span) / 2.0, rootfind._SMALLEST)
+    hi = min(max(span) * 2.0, sys.float_info.max)
+    if hi / lo < 1e2:
+        center = math.sqrt(lo) * math.sqrt(hi)
+        lo = max(center / 10.0, rootfind._SMALLEST)
+        hi = min(center * 10.0, sys.float_info.max)
+    return lo, hi
+
+
+@pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+@pytest.mark.parametrize("family", ["ratio:1", "power:2,0.5", "cara:1", "piecewise:2,0.5,1"])
+@pytest.mark.parametrize("example", ["triangle", "simplex"])
+def test_compare_reports_match_all_pairs_reference(monkeypatch, capsys, example, family, fmt):
+    # The report prints the family's label.  It prints the same bytes as a
+    # report whose verdict is that label where the all-pairs sample over the
+    # equilibrium's effort span admits it, and "indeterminate" where not.
+    reports = []
+
+    def recording(structure):
+        reports.append(compare_regimes(structure))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "compare_regimes", recording)
+    argv = ["compare", "--example", example, "--f", family, "--format", fmt]
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    report = reports[0]
+    pf = report.structure.common_production()
+    label = pf.h_curvature()
+    sampled = sampled_curvature(pf, domain=_effort_span(report))
+    reference = dataclasses.replace(
+        report, curvature=label if sampled in COMPATIBLE[label] else "indeterminate"
+    )
+    monkeypatch.setattr(cli, "compare_regimes", lambda structure: reference)
+    assert main(argv) == 0
+    assert got == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_PRODUCTIONS))
+@pytest.mark.parametrize("example", ["triangle", "simplex"])
+def test_compare_regimes_orders_totals_as_the_label_predicts(example, name):
+    pf = CURVATURE_PRODUCTIONS[name]
+    if example == "triangle":
+        network = generate_triangle(production=pf)
+    else:
+        network = generate_simplex(production=pf)
+    report = compare_regimes(check_semi_symmetry(network))
+    assert report.verdict == pf.h_curvature()
+    assert report.theorem_consistent is True
+    assert report.ordering in {
+        "convex": {"<", "="}, "concave": {">", "="}, "linear": {"="},
+    }[report.verdict]
 
 
 def test_compare_with_overflowing_h_is_convex_without_warnings(capsys):
