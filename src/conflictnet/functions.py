@@ -28,6 +28,7 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import ClassVar
 
 from .errors import NoConvergence
@@ -102,7 +103,13 @@ class ProductionFunction(ABC):
         return {"family": self.family, "params": params}
 
 
+# The smallest positive normal float.
+_MIN_NORMAL = sys.float_info.min
+
+
 def _check_h_target(y: float) -> None:
+    """Raise for a negative or NaN ``h`` target; each ``h_inv`` tests the
+    target inline and calls this only where the test fails."""
     if not y >= 0:
         raise ValueError(f"h target must be non-negative, got {y!r}")
 
@@ -158,6 +165,19 @@ def _power_g_inv(A: float, r: float, rivals: float, target: float, excess: float
     )
 
 
+def _power_slope(A: float, r: float, x: float) -> float:
+    """``f'(x) = A r x**(r - 1)`` of ``f(x) = A x**r`` at ``x > 0``.
+
+    Where ``x**(r - 1)`` alone overflows (a subnormal ``x`` with ``r`` near
+    0) it divides by ``x**(1 - r)`` instead, which is at least ``x``; every
+    other value is the plain product.
+    """
+    try:
+        return A * r * x ** (r - 1.0)
+    except OverflowError:
+        return A * r / x ** (1.0 - r)
+
+
 @dataclass(frozen=True)
 class PowerProduction(ProductionFunction):
     """Tullock family ``f(x) = A * x**r`` with ``A > 0`` and ``r in (0, 1]``.
@@ -182,13 +202,14 @@ class PowerProduction(ProductionFunction):
     def f_prime(self, x):
         if x == 0.0:
             return self.A if self.r == 1.0 else math.inf
-        return self.A * self.r * x ** (self.r - 1.0)
+        return _power_slope(self.A, self.r, x)
 
     def h(self, x):
         return x / self.r
 
     def h_inv(self, y):
-        _check_h_target(y)
+        if not y >= 0.0:
+            _check_h_target(y)
         return self.r * y
 
     def g_inv(self, rivals, target, excess):
@@ -227,7 +248,8 @@ class RatioProduction(ProductionFunction):
     def h_inv(self, y):
         # Positive root of x^2 + c x - c y = 0, written so that nothing
         # cancels; y / c underflowing to 0 leaves x = y, exact to first order.
-        _check_h_target(y)
+        if not y >= 0.0:
+            _check_h_target(y)
         t = y / self.c
         if t < math.inf:
             return y / (0.5 + math.sqrt(0.25 + t))
@@ -281,9 +303,10 @@ class CaraProduction(ProductionFunction):
             return math.inf
 
     def h_inv(self, y):
-        _check_h_target(y)
+        if not y >= 0.0:
+            _check_h_target(y)
         z = self.alpha * y
-        if z < sys.float_info.min:
+        if z < _MIN_NORMAL:
             # alpha y is subnormal only where log1p(alpha y) / alpha = y to
             # float precision.
             return y
@@ -339,15 +362,28 @@ class PiecewisePowerAffineProduction(ProductionFunction):
         if not 0 < self.s < math.inf:
             raise ValueError(f"breakpoint s must be positive and finite, got {self.s}")
 
-    @property
+    # The affine branch's constants are computed once per instance, on first
+    # use: cached in the instance's __dict__, they are not fields, so
+    # equality, hashing and the spec see A, r and s only.
+    @cached_property
     def slope(self) -> float:
         """Affine-branch slope ``a``."""
         return self.A * self.r * self.s ** (self.r - 1.0)
 
-    @property
+    @cached_property
     def intercept(self) -> float:
         """Affine-branch intercept ``b`` (nonnegative since ``r <= 1``)."""
         return self.A * self.s**self.r * (1.0 - self.r)
+
+    @cached_property
+    def _h_kink(self) -> float:
+        """``h(s) = s / r``, where ``h_inv`` changes branch."""
+        return self.s / self.r
+
+    @cached_property
+    def _h_shift(self) -> float:
+        """``b / a``, the affine branch's ``h(x) - x``."""
+        return self.intercept / self.slope
 
     def f(self, x):
         if x <= self.s:
@@ -359,18 +395,19 @@ class PiecewisePowerAffineProduction(ProductionFunction):
             return self.slope
         if x == 0.0:
             return self.A if self.r == 1.0 else math.inf
-        return self.A * self.r * x ** (self.r - 1.0)
+        return _power_slope(self.A, self.r, x)
 
     def h(self, x):
         if x <= self.s:
             return x / self.r
-        return x + self.intercept / self.slope
+        return x + self._h_shift
 
     def h_inv(self, y):
-        _check_h_target(y)
-        if y <= self.s / self.r:
+        if not y >= 0.0:
+            _check_h_target(y)
+        if y <= self._h_kink:
             return self.r * y
-        return y - self.intercept / self.slope
+        return y - self._h_shift
 
     def g_inv(self, rivals, target, excess):
         # Past G(s) the affine branch solves (a x + b + S)^2 = a t, written

@@ -6,9 +6,9 @@ strictly monotone scalar functions, all solved by one bracketed method
 across the float range, then Brent's method (Brent 1973) with a purely
 relative stopping rule, whose bisection fallback needs nothing beyond
 monotonicity and therefore tolerates kinks in piecewise production
-functions.  Both stages evaluate through one function, and Brent starts from
-the values the bracket search found at the bracket's ends, so no point is
-evaluated twice.
+functions.  Both stages are one loop in that one function, which evaluates
+and guards one point per pass, and Brent starts from the values the bracket
+search found at the bracket's ends, so no point is evaluated twice.
 Inverting ``h`` needs no root find: every production family has a
 closed-form ``h_inv``, so a structured solve is one call of this solver.
 """
@@ -33,43 +33,6 @@ _SMALLEST = math.ulp(0.0)
 _LARGEST = sys.float_info.max
 
 
-def _expand_bracket(phi, target, seed):
-    """Find a < b <= 2a with phi(a) <= 0 <= phi(b) by galloping from the seed.
-
-    Returns ``(a, phi(a), b, phi(b))``, one of which may be an exact zero.
-    The search steps by a factor of 2 and then squares the factor at every
-    step (4, 16, 256, ...), ending at the largest or smallest positive
-    float, so a root 1e300 away takes about 10 steps, not 1000; then it
-    bisects geometrically down to a factor of 2.
-    """
-    a = b = seed
-    fa = fb = phi(seed)
-    rising = fa < 0.0
-    step, end = (2.0, _LARGEST) if rising else (0.5, _SMALLEST)
-    while fb != 0.0 and (fb < 0.0) == rising:
-        if b == end:
-            raise BracketFailure(
-                f"no upper bracket for target {target!r}: g < target up to {b!r}"
-                if rising
-                else f"no lower bracket for target {target!r}: g > target down to {b!r}"
-            )
-        a, fa = b, fb
-        b *= step
-        if not _SMALLEST <= b <= _LARGEST:
-            b = end
-        fb = phi(b)
-        step *= step
-    lo, flo, hi, fhi = (a, fa, b, fb) if a < b else (b, fb, a, fa)
-    while hi / 2.0 > lo and flo != 0.0 and fhi != 0.0:
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        fmid = phi(mid)
-        if fmid < 0.0:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return lo, flo, hi, fhi
-
-
 def brent_increasing(
     g: Callable[[float], float],
     target: float,
@@ -80,8 +43,9 @@ def brent_increasing(
 
     The caller is responsible for the range of ``g`` covering the target.
     Deterministic for a fixed tolerance: bracket by a galloping search from
-    the seed (1.0 unless given) through the whole positive float range, then
-    take inverse quadratic and secant steps, falling back to bisection
+    the seed (1.0 unless given) through the whole positive float range,
+    bisect that bracket geometrically down to a factor of 2, then take
+    inverse quadratic and secant steps, falling back to bisection
     whenever they stall (infinite values force bisection), until the bracket
     half-width drops to ``0.5 * rel_tol * |x|`` or to float spacing: the same
     relative accuracy at every scale.  An overflow of ``g`` to +inf, or an
@@ -104,7 +68,18 @@ def brent_increasing(
     if not 0 < seed < math.inf:
         raise ValueError(f"bracket seed must be positive and finite, got {seed!r}")
 
-    def phi(x):
+    inf = math.inf
+    # Brent's floor of two machine epsilons keeps a tolerance finer than
+    # float spacing from stalling the bracket one ulp wide.
+    floor_tol = 2.0 * sys.float_info.epsilon
+    half_tol = 0.5 * rel_tol
+    limit = MAX_ITERATIONS
+    # Each pass evaluates g at x once, then picks the next x by stage: the
+    # gallop (0) from the seed, the geometric bisection (1) of its bracket
+    # [a, b], and Brent's steps (2), which count against the limit.
+    stage, rising, steps = 0, None, 0
+    x = seed
+    while True:
         try:
             y = g(x)
         except OverflowError:
@@ -112,31 +87,76 @@ def brent_increasing(
             # past the target; at or below it the overflow is the caller's.
             if x <= seed:
                 raise
-            y = math.inf
-        if math.isnan(y):
+            y = inf
+        if -inf < y < inf:
+            fx = y - target
+            if fx == 0.0:
+                return x
+        elif y > 0.0:
+            fx = 1e300
+        elif y < 0.0:
+            fx = -1e300
+        else:
             raise NonFiniteEvaluation(f"function returned NaN at x={x!r}")
-        if math.isinf(y):
-            return math.copysign(1e300, y)
-        return y - target
 
-    a, fa, b, fb = _expand_bracket(phi, target, seed)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(MAX_ITERATIONS):
-        if abs(fc) < abs(fb):
+        if stage == 2:
+            a, fa, b, fb = b, fb, x, fx
+            if (fb > 0.0) == (fc > 0.0):
+                c, fc = a, fa
+                d = e = b - a
+        elif stage == 0:
+            # Step by a factor of 2, then square the factor at every step
+            # (4, 16, 256, ...), ending at the largest or smallest positive
+            # float, so a root 1e300 away takes about 10 steps, not 1000.
+            if rising is None:
+                rising = fx < 0.0
+                factor, end = (2.0, _LARGEST) if rising else (0.5, _SMALLEST)
+            if (fx < 0.0) == rising:
+                if x == end:
+                    raise BracketFailure(
+                        f"no upper bracket for target {target!r}: g < target up to {x!r}"
+                        if rising
+                        else f"no lower bracket for target {target!r}: g > target down to {x!r}"
+                    )
+                a, fa = x, fx
+                x *= factor
+                if not _SMALLEST <= x <= _LARGEST:
+                    x = end
+                factor *= factor
+                continue
+            a, fa, b, fb = (a, fa, x, fx) if a < x else (x, fx, a, fa)
+            stage = 1
+        elif fx < 0.0:
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+
+        if stage == 1:
+            # Bisect geometrically down to a factor of 2, then start Brent
+            # from the values at the bracket's ends.
+            if b / 2.0 > a:
+                x = math.sqrt(a) * math.sqrt(b)
+                continue
+            c, fc = a, fa
+            d = e = b - a
+            stage = 2
+
+        if steps == limit:
+            raise NoConvergence(
+                f"bracket [{min(b, c)!r}, {max(b, c)!r}] for target {target!r} still "
+                f"open after {limit} iterations"
+            )
+        steps += 1
+        # fb and fc have opposite signs, so |fc| < |fb| is a sign test.
+        if (fc < -fb) if fb < 0.0 else (-fc < fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        # Brent's floor of two machine epsilons keeps a tolerance finer than
-        # float spacing from stalling the bracket one ulp wide.
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * rel_tol * abs(b)
+        # b > 0, so b is |b|.
+        tol = floor_tol * b + half_tol * b
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
+        if -tol <= m <= tol:
             return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
+        if -tol < e < tol or abs(fa) <= abs(fb):
             d = e = m
         else:
             s = fb / fa
@@ -157,19 +177,7 @@ def brent_increasing(
                 d = p / q
             else:
                 d = e = m
-        a, fa = b, fb
-        if abs(d) > tol:
-            b += d
-        elif m > 0.0:
-            b += tol
+        if -tol <= d <= tol:
+            x = b + tol if m > 0.0 else b - tol
         else:
-            b -= tol
-        fb = phi(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-    raise NoConvergence(
-        f"bracket [{min(b, c)!r}, {max(b, c)!r}] for target {target!r} still "
-        f"open after {MAX_ITERATIONS} iterations"
-    )
-
+            x = b + d

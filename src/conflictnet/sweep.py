@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import _relative_gap
 from .equilibrium import _solve_totals
 from .functions import PowerCost, PowerProduction
@@ -82,8 +80,23 @@ class SweepAxis:
         if self.steps > 1 and not self.maximum > self.minimum:
             raise ValueError(f"axis {self.param!r} range is empty")
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.minimum, self.maximum, self.steps)
+    def values(self) -> list[float]:
+        """The axis's ``steps`` evenly spaced values, ``minimum + i * (maximum
+        - minimum) / (steps - 1)`` with the last one exactly ``maximum``:
+        the floats ``numpy.linspace`` gives, by its arithmetic."""
+        lo, steps = self.minimum, self.steps
+        if steps == 1:
+            return [lo]
+        div = steps - 1
+        delta = self.maximum - lo
+        step = delta / div
+        if step == 0.0:
+            # A step below the smallest float: scale each fraction instead.
+            values = [float(i) / div * delta + lo for i in range(div)]
+        else:
+            values = [float(i) * step + lo for i in range(div)]
+        values.append(self.maximum)
+        return values
 
 
 @dataclass(frozen=True)
@@ -180,10 +193,6 @@ class _Template:
                 _relative_gap(x_de, x_ue))
 
 
-def _format_cell(value: float) -> str:
-    return repr(float(value))
-
-
 def _line(cells) -> str:
     """One CSV line: the bytes ``csv.writer`` writes for these cells, none
     of which holds a comma, a quote or a line break."""
@@ -270,13 +279,13 @@ def run_sweep(spec: SweepSpec, output) -> int:
     # point check the whole grid before the output is touched.
     template = _Template(spec.base, params)
     for end in (0, -1):
-        template.check(tuple(float(v[end]) for v in axis_values))
+        template.check(tuple(v[end] for v in axis_values))
     path = Path(output)
     header = _line(params + _RESULT_COLUMNS)
 
     # Each axis value is formatted once; its text is both the resume key and
     # the row's cell.
-    axis_cells = [[(float(v), _format_cell(v)) for v in values] for values in axis_values]
+    axis_cells = [[(v, repr(v)) for v in values] for values in axis_values]
     written = 0
     with open(path, "ab") as fh:
         # Opened for appending, a file stands at its end: a nonzero position
@@ -294,6 +303,6 @@ def run_sweep(spec: SweepSpec, output) -> int:
             if cells in done:
                 continue
             results = template.solve(values)
-            fh.write(_line(cells + tuple(_format_cell(v) for v in results)).encode())
+            fh.write(_line(cells + tuple(map(repr, results))).encode())
             written += 1
     return written

@@ -7,15 +7,18 @@ the seed), geometric bisection of the galloped bracket, secant, inverse
 quadratic and both bisection fallbacks of Brent's step (a stalled step and
 a rejected interpolation), an exact zero at the seed and at a gallop step,
 and an ``OverflowError``, a +inf and a NaN met by a Brent step rather than
-by the bracket search.  A change that keeps these traces keeps every
-solve's output bit for bit.
+by the bracket search.  One ``g`` is -inf below a point, met at the seed,
+in the gallop and in the bisection, and one is the structured DE gap of the
+``triangle`` example with ``ratio:1`` production, searched from its
+closed-form start.  A change that keeps these traces keeps every solve's
+output bit for bit.
 """
 
 import math
 
 import pytest
 
-from conflictnet import brent_increasing
+from conflictnet import RatioProduction, brent_increasing
 
 
 def _overflow_above(limit):
@@ -33,6 +36,22 @@ def _overflow_between(lo, hi):
         return x
     return g
 
+
+def _triangle_ratio_de_gap():
+    # mu - sum_k d_k h_inv(t_k / C'(mu)) with C'(mu) = mu (quadratic cost),
+    # d = (2, 1) and t = (1.25, 16.0) at the triangle's prizes (5, 72).
+    h_inv = RatioProduction(1.0).h_inv
+
+    def gap(mu):
+        acc = 0.0
+        for d, t in ((2, 1.25), (1, 16.0)):
+            acc += d * h_inv(t / mu)
+        return mu - acc
+    return gap
+
+
+# The closed-form start of that gap's root search.
+_TRIANGLE_RATIO_START = float.fromhex("0x1.276d14b93ccbbp+1")
 
 # name: (g, target, keyword arguments)
 CASES = {
@@ -55,6 +74,8 @@ CASES = {
     # The first Brent step lands on 3.2; the bracket search never does.
     "nan-in-brent-step": (lambda x: math.nan if 3.0 < x < 3.5 else x, 3.2, {}),
     "overflow-below-seed-in-brent-step": (_overflow_between(3.0, 3.5), 3.2, {"seed": 10.0}),
+    "neg-inf-below-a-point": (lambda x: -math.inf if x < 3.0 else x, 3.2, {}),
+    "triangle-ratio-de-gap": (_triangle_ratio_de_gap(), 0.0, {"seed": _TRIANGLE_RATIO_START}),
 }
 
 # name: (the points evaluated, in order; the root, or the exception raised)
@@ -164,6 +185,18 @@ EXPECTED = {
         ["0x1.4000000000000p+3", "0x1.4000000000000p+2", "0x1.4000000000000p+0",
          "0x1.4000000000001p+1", "0x1.999999999999ap+1"],
         "OverflowError: forced",
+    ),
+    "neg-inf-below-a-point": (
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.0000000000000p+3",
+         "0x1.0000000000001p+2", "0x1.6a09e667f3bcdp+1", "0x1.ffffffff920c6p+1",
+         "0x1.b504f333c2e4ap+1", "0x1.999999999999ap+1"],
+        "0x1.999999999999ap+1",
+    ),
+    "triangle-ratio-de-gap": (
+        ["0x1.276d14b93ccbbp+1", "0x1.276d14b93ccbbp+2", "0x1.6016464d363b0p+1",
+         "0x1.57f7232d45322p+1", "0x1.57923a23d5fdcp+1", "0x1.579233e1d9522p+1",
+         "0x1.579233e18f89fp+1"],
+        "0x1.579233e1d9522p+1",
     ),
 }
 

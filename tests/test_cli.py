@@ -22,6 +22,7 @@ from conflictnet import (
     NoConvergence,
     NonFiniteEvaluation,
     PowerCost,
+    PowerProduction,
     SchemaViolation,
     check_semi_symmetry,
     dump_network,
@@ -143,6 +144,24 @@ def test_solver_failures_exit_with_code_two(capsys, monkeypatch, failure):
     code, _, err = run_cli(capsys, "solve", "--example", "triangle", "--regime", "de")
     assert code == 2
     assert "forced" in err
+
+
+def test_power_battle_with_a_subnormal_exponent_solves(tmp_path, capsys):
+    # Battle d's f'(x) = A r x**(r - 1) at a subnormal effort overflowed in
+    # x**(r - 1), and the OverflowError's errno text was the error message.
+    doc = network_to_dict(generate_triangle(production=PowerProduction(A=1.0, r=1.0)))
+    for battle in doc["battles"]:
+        if battle["id"] == "d":
+            battle["production"] = {"family": "power", "params": {"A": 1.0, "r": 1e-320}}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    for command in ("solve", "compare"):
+        code, _, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 0, err
+    # The iterative engine meets its g_inv Newton cap instead: a named failure.
+    code, _, err = run_cli(capsys, "solve", "--input", str(path), "--method", "iterative")
+    assert code == 2
+    assert "Newton steps" in err and "out of range" not in err
 
 
 @pytest.mark.parametrize(
@@ -505,6 +524,18 @@ def test_sweep_axis_rejects_non_finite_bounds(bounds, steps, message):
 def test_sweep_axis_parameter_must_be_a_string():
     with pytest.raises(ValueError, match="axis parameter must be a string, got 5"):
         SweepAxis(5, 1.0, 2.0, 3)
+
+
+@pytest.mark.parametrize("bounds,steps", [
+    ((2.0, 2.0), 1), ((1.0, 10.0), 1), ((1.0, 10.0), 2), ((0.1, 0.7), 5),
+    ((1e-3, 7.3), 1000), ((-9.5, -0.25), 5), ((-3.0, 7.1), 1000), ((-1.0, 1.0), 2),
+    ((1e-300, 1e300), 5), ((1e-300, 1e300), 1000), ((0.0, 5e-324), 3),
+])
+def test_sweep_axis_values_are_numpys_linspace(bounds, steps):
+    values = SweepAxis("v2", *bounds, steps).values()
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in values] == [
+        v.hex() for v in np.linspace(*bounds, steps).tolist()]
 
 
 def test_sweep_axis_overflowing_to_infinity_is_an_input_error(tmp_path, capsys):

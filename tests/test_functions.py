@@ -1,6 +1,7 @@
 """Production and cost family behavior, derivatives, and assumptions."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def test_piecewise_branches_and_h():
     assert pf.f_prime(0.999999) == pytest.approx(pf.f_prime(1.000001), rel=1e-5)
     assert pf.h(0.5) == pytest.approx(1.0)
     assert pf.h(1.5) == pytest.approx(2.5)
+    # The affine branch's constants are cached on first use, out of sight of
+    # equality, hashing, the spec and pickling.
+    fresh = PiecewisePowerAffineProduction(A=2.0, r=0.5, s=1.0)
+    assert "slope" in vars(pf) and "slope" not in vars(fresh)
+    assert pf == fresh and hash(pf) == hash(fresh)
+    assert pf.to_spec() == {"family": "piecewise_power_affine",
+                            "params": {"A": 2.0, "r": 0.5, "s": 1.0}}
+    assert pickle.loads(pickle.dumps(pf)) == pf
+
+
+@pytest.mark.parametrize("pf", [PowerProduction(A=1.0, r=1e-320),
+                                PiecewisePowerAffineProduction(A=1.0, r=1e-320, s=1.0)],
+                         ids=["power", "piecewise"])
+def test_power_slope_at_a_subnormal_effort_with_a_tiny_exponent(pf):
+    # x**(r - 1) alone overflows here, but f'(x) = A r / x**(1 - r), with
+    # x**(1 - r) = x to float precision, does not.
+    for x in (1e-320, 5e-324):
+        assert pf.f_prime(x) == pf.r / x
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
