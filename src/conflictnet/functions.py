@@ -103,13 +103,8 @@ class ProductionFunction(ABC):
         return {"family": self.family, "params": params}
 
 
-# The smallest positive normal float.
-_MIN_NORMAL = sys.float_info.min
-
-
 def _check_h_target(y: float) -> None:
-    """Raise for a negative or NaN ``h`` target; each ``h_inv`` tests the
-    target inline and calls this only where the test fails."""
+    # Each h_inv tests its target inline and calls this only to raise.
     if not y >= 0:
         raise ValueError(f"h target must be non-negative, got {y!r}")
 
@@ -166,12 +161,8 @@ def _power_g_inv(A: float, r: float, rivals: float, target: float, excess: float
 
 
 def _power_slope(A: float, r: float, x: float) -> float:
-    """``f'(x) = A r x**(r - 1)`` of ``f(x) = A x**r`` at ``x > 0``.
-
-    Where ``x**(r - 1)`` alone overflows (a subnormal ``x`` with ``r`` near
-    0) it divides by ``x**(1 - r)`` instead, which is at least ``x``; every
-    other value is the plain product.
-    """
+    """``A r x**(r - 1)`` at ``x > 0``; where ``x**(r - 1)`` alone overflows,
+    at a subnormal ``x`` with ``r`` near 0, ``A r / x**(1 - r)``."""
     try:
         return A * r * x ** (r - 1.0)
     except OverflowError:
@@ -306,7 +297,7 @@ class CaraProduction(ProductionFunction):
         if not y >= 0.0:
             _check_h_target(y)
         z = self.alpha * y
-        if z < _MIN_NORMAL:
+        if z < sys.float_info.min:
             # alpha y is subnormal only where log1p(alpha y) / alpha = y to
             # float precision.
             return y
@@ -376,13 +367,11 @@ class PiecewisePowerAffineProduction(ProductionFunction):
         return self.A * self.s**self.r * (1.0 - self.r)
 
     @cached_property
-    def _h_kink(self) -> float:
-        """``h(s) = s / r``, where ``h_inv`` changes branch."""
+    def _h_kink(self) -> float:  # h(s), where h_inv changes branch
         return self.s / self.r
 
     @cached_property
-    def _h_shift(self) -> float:
-        """``b / a``, the affine branch's ``h(x) - x``."""
+    def _h_shift(self) -> float:  # h(x) - x on the affine branch
         return self.intercept / self.slope
 
     def f(self, x):

@@ -81,22 +81,17 @@ class SweepAxis:
             raise ValueError(f"axis {self.param!r} range is empty")
 
     def values(self) -> list[float]:
-        """The axis's ``steps`` evenly spaced values, ``minimum + i * (maximum
-        - minimum) / (steps - 1)`` with the last one exactly ``maximum``:
-        the floats ``numpy.linspace`` gives, by its arithmetic."""
-        lo, steps = self.minimum, self.steps
-        if steps == 1:
+        """``minimum + i * (maximum - minimum) / (steps - 1)`` for each ``i``,
+        the last one exactly ``maximum``: ``numpy.linspace``'s floats, by its
+        arithmetic, which scales each fraction of the range where the step
+        underflows to 0."""
+        lo, div = self.minimum, self.steps - 1
+        if not div:
             return [lo]
-        div = steps - 1
         delta = self.maximum - lo
         step = delta / div
-        if step == 0.0:
-            # A step below the smallest float: scale each fraction instead.
-            values = [float(i) / div * delta + lo for i in range(div)]
-        else:
-            values = [float(i) * step + lo for i in range(div)]
-        values.append(self.maximum)
-        return values
+        values = [i * step + lo if step else i / div * delta + lo for i in range(div)]
+        return values + [self.maximum]
 
 
 @dataclass(frozen=True)
