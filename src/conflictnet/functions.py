@@ -359,7 +359,7 @@ class PiecewisePowerAffineProduction(ProductionFunction):
     @cached_property
     def slope(self) -> float:
         """Affine-branch slope ``a``."""
-        return self.A * self.r * self.s ** (self.r - 1.0)
+        return _power_slope(self.A, self.r, self.s)
 
     @cached_property
     def intercept(self) -> float:

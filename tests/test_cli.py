@@ -158,6 +158,10 @@ def test_power_battle_with_a_subnormal_exponent_solves(tmp_path, capsys):
     for command in ("solve", "compare"):
         code, _, err = run_cli(capsys, command, "--input", str(path))
         assert code == 0, err
+        # The piecewise family's slope is the same power at its kink.
+        code, _, err = run_cli(
+            capsys, command, "--example", "triangle", "--f", "piecewise:1,1e-320,1e-320")
+        assert code == 0, err
     # The iterative engine meets its g_inv Newton cap instead: a named failure.
     code, _, err = run_cli(capsys, "solve", "--input", str(path), "--method", "iterative")
     assert code == 2

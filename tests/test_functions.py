@@ -120,6 +120,8 @@ def test_power_slope_at_a_subnormal_effort_with_a_tiny_exponent(pf):
     # x**(1 - r) = x to float precision, does not.
     for x in (1e-320, 5e-324):
         assert pf.f_prime(x) == pf.r / x
+    # The affine branch's slope is f' at the kink s.
+    assert PiecewisePowerAffineProduction(A=1.0, r=1e-320, s=5e-324).slope == 1e-320 / 5e-324
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
