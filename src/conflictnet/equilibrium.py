@@ -11,15 +11,15 @@ solves ``D C'(D x) = sum_k w_k / h_k(x)`` with ``D`` battles per player and
 size-k battle wins with probability exactly 1/k, which the payoff computation
 uses directly instead of re-evaluating the contest success function.  Each
 condition is solved in one place, :func:`_de_efforts` or :func:`_ue_effort`,
-by one root search from the closed-form start (:func:`_closed_form_start`),
-exact for power families, keeping no state; each caller computes that start
-once and hands it in.  Both search over ``(d_b, f_b, t_b)`` terms, which
-only :func:`_terms` builds.  The structured solvers call them at
-``REL_TOL``, the iterative engine's start on one player's battles, and
-prize grids through :func:`_solve_totals`, which takes a point's
-``(k, d_k, f_k)`` per size and prizes, shares one start between the two
-regimes and returns their totals alone, so a grid point builds no
-structure.
+by one root search from a start its caller hands in, keeping no state.  Both
+work from the ``(d_b, f_b, t_b)`` terms of :func:`_terms`, the DE root with
+``h_b^{-1}`` for ``f_b`` (:func:`_h_inverses`).  The structured solvers, the
+iterative engine's start on one player's battles and prize grids start
+them at :func:`_closed_form_start`, exact for power families; grids call
+:func:`_solve_totals`, which takes a point's ``(k, d_k, f_k)`` per size and
+prizes, shares one start between the two regimes and returns their totals
+alone, so a grid point builds no structure.  The iterative DE best response
+is the same DE root over per-battle maps: one consistency gap for both.
 """
 
 from __future__ import annotations
@@ -115,40 +115,42 @@ def _closed_form_start(terms, cost) -> float:
     return max(start, _SMALLEST)
 
 
-def _de_efforts(terms, cost, rel_tol: float, start: float) -> list[float]:
+def _de_efforts(terms, cost, rel_tol: float, start: float, offset: float = 0.0) -> list[float]:
     """Each term's effort at the discriminatory-effort root.
 
-    ``terms`` holds one ``(d_b, f_b, t_b)`` triple per battle or size class:
-    the number of such battles, their production and the target ``t_b = v_b
-    (k_b - 1) / k_b^2``, so that ``x_b(mu) = h_b^{-1}(t_b / C'(mu))``.  The
-    consistency gap ``mu - sum_b d_b x_b(mu)`` is strictly increasing in mu
-    and crosses zero exactly once; one Brent root from ``start``, the
-    closed-form start of ``terms``, gives mu.  Where ``C'(mu)`` underflows
-    to 0 every target, and so every effort, is beyond float range and the
-    gap is ``-inf``.
+    ``terms`` holds ``(d_b, inverse_b, t_b)`` per battle or size class, with
+    effort ``x_b = inverse_b(t_b / lam)`` at marginal cost lam.  The gap
+    ``mu - offset - sum_b d_b x_b(C'(mu))``, ``offset`` being effort outside
+    the terms, is strictly increasing in mu and crosses zero exactly once;
+    one Brent root from ``start`` gives mu.  Where ``C'(mu)`` underflows to
+    0 every effort is beyond float range and the gap is ``-inf``.
     """
     c_prime = cost.c_prime
-    inverses = tuple((d, pf.h_inv, t) for d, pf, t in terms)
 
     def gap(mu: float) -> float:
         lam = c_prime(mu)
         if lam == 0.0:
             return -math.inf
-        acc = 0.0
-        for d, h_inv, t in inverses:
-            acc += d * h_inv(t / lam)
+        acc = offset
+        for d, inverse, t in terms:
+            acc += d * inverse(t / lam)
         return mu - acc
 
     mu = brent_increasing(gap, 0.0, rel_tol, start)
     lam = c_prime(mu)
-    return [h_inv(t / lam) for _, h_inv, t in inverses]
+    return [inverse(t / lam) for _, inverse, t in terms]
+
+
+def _h_inverses(terms):
+    """:func:`_de_efforts`'s ``(d_k, h_k^{-1}, t_k)`` of ``(d_k, f_k, t_k)`` terms."""
+    return [(d, pf.h_inv, t) for d, pf, t in terms]
 
 
 def _ue_effort(terms, count: int, cost, rel_tol: float, start: float) -> float:
     """The uniform effort x spent on each of ``count`` battles.
 
     It is the one root of the strictly increasing first-order gap ``n C'(n
-    x) - sum_b w_b / h_b(x)`` over :func:`_de_efforts`'s terms, with ``w_b =
+    x) - sum_b w_b / h_b(x)`` over :func:`_terms`' terms, with ``w_b =
     d_b t_b`` and ``n = count``, searched from the closed-form start total
     ``start`` spread over the ``n`` battles.  Where some ``h_b(x)``
     underflows to 0 the marginal benefit is beyond float range and the gap
@@ -190,7 +192,7 @@ def _solve_totals(sizes, prizes, count: int, cost) -> tuple[float, float]:
     closed-form start; no structure, residual, payoff or result is built."""
     terms = _terms(sizes, prizes)
     start = _closed_form_start(terms, cost)
-    efforts = _de_efforts(terms, cost, REL_TOL, start)
+    efforts = _de_efforts(_h_inverses(terms), cost, REL_TOL, start)
     de_total = sum(d * x for (d, _, _), x in zip(terms, efforts))
     return de_total, count * _ue_effort(terms, count, cost, REL_TOL, start)
 
@@ -206,7 +208,7 @@ def solve_de(ss: SemiSymmetricStructure) -> DEResult:
     """
     terms = _terms(ss.size_classes, [ss.prizes[k] for k in ss.sizes])
     start = _closed_form_start(terms, ss.cost)
-    efforts = dict(zip(ss.sizes, _de_efforts(terms, ss.cost, REL_TOL, start)))
+    efforts = dict(zip(ss.sizes, _de_efforts(_h_inverses(terms), ss.cost, REL_TOL, start)))
     # Re-anchor the reported total on the final efforts so the accounting
     # identity total = sum_k d_k x_k holds to float precision.
     total = sum(ss.degrees[k] * efforts[k] for k in ss.sizes)

@@ -371,8 +371,8 @@ class PiecewisePowerAffineProduction(ProductionFunction):
         return self.s / self.r
 
     @cached_property
-    def _h_shift(self) -> float:  # h(x) - x on the affine branch
-        return self.intercept / self.slope
+    def _h_shift(self) -> float:  # h(x) - x = b / a = s (1 - r) / r on the affine branch
+        return self.intercept / self.slope if self.slope else self.s * ((1.0 - self.r) / self.r)
 
     def f(self, x):
         if x <= self.s:
@@ -401,12 +401,17 @@ class PiecewisePowerAffineProduction(ProductionFunction):
     def g_inv(self, rivals, target, excess):
         # Past G(s) the affine branch solves (a x + b + S)^2 = a t, written
         # as s plus its excess over the kink.
-        score = self.A * self.s**self.r + rivals
+        A, r, s = self.A, self.r, self.s
+        score = A * s**r + rivals
         a = self.slope
-        kink = score * (score / a)
+        # G(s) = score^2 / a.  Where a underflowed, G(s) is score^2 s^(1 - r)
+        # / (A r), and the excess takes a as score^2 / G(s).
+        kink = score * (score / a) if a else score * (score / A) * (s ** (1.0 - r) / r)
         if target <= kink:
-            return _power_g_inv(self.A, self.r, rivals, target, excess)
-        return self.s + (target - kink) / (math.sqrt(a) * math.sqrt(target) + score)
+            return _power_g_inv(A, r, rivals, target, excess)
+        if a:
+            return s + (target - kink) / (math.sqrt(a) * math.sqrt(target) + score)
+        return s + math.sqrt(kink) * (math.sqrt(target) - math.sqrt(kink)) / score
 
     def h_curvature(self):
         return "linear" if self.r == 1.0 else "concave"

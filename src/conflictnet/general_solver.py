@@ -4,11 +4,13 @@ The structured solvers in :mod:`conflictnet.equilibrium` exploit
 semi-symmetry; this module makes no structural assumption.  Payoffs are
 concave in own efforts, so a player's best response is a monotone search on
 the player's total: for a candidate marginal cost each battle's effort solves
-its own first-order condition, and a scalar root find closes the total, on
-the contest share and marginal of :mod:`conflictnet.network`.  The battle
-condition is inverted by each family's :meth:`ProductionFunction.g_inv`
-without a bracketed search, so the root on the total is the only inner root
-find.
+its own first-order condition, on the contest share and marginal of
+:mod:`conflictnet.network`.  Under DE that search is the structured
+engine's DE root over per-battle maps (:func:`_battle_effort`); the UE
+best response keeps its own gap, as its marginal benefit is not of the
+structured UE gap's form ``w / h(x)``.  Each family's ``g_inv`` inverts the
+battle condition without a bracketed search, so the root on the total is
+the only inner root find.
 Equilibria are then computed by simultaneous best-response iteration; the
 sweep that ends it also certifies the profile it answered, by the largest
 payoff gain a switch to its responses would bring.  The iteration starts
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _closed_form_start, _de_efforts, _terms, _ue_effort
+from .equilibrium import _closed_form_start, _de_efforts, _h_inverses, _terms, _ue_effort
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
 from .network import marginal_benefit, payoff, rival_score
@@ -127,7 +129,7 @@ def _symmetric_de_start(network: ConflictNetwork) -> EffortProfile:
     for p in network.players:
         terms = _own_terms(network, p)
         start = _closed_form_start(terms, network.cost)
-        xs = _de_efforts(terms, network.cost, _INNER_REL_TOL, start)
+        xs = _de_efforts(_h_inverses(terms), network.cost, _INNER_REL_TOL, start)
         for b, x in zip(network.battles_of(p), xs):
             efforts[(p, b.id)] = x
     return EffortProfile(efforts)
@@ -174,35 +176,40 @@ def _contested(
     return active, tuple(degenerate)
 
 
-def _battle_effort(battle: Battle, rivals: float, lam: float) -> float:
-    """Effort solving v f'(x) S / (f(x) + S)^2 = lam, or 0 at the corner.
+def _battle_effort(battle: Battle, rivals: float):
+    """The map from ``y = S / lam`` to the effort solving v f'(x) S / (f(x) +
+    S)^2 = lam against the rival score S = ``rivals``, or 0 at the corner.
 
-    The condition reads G(x) = (f(x) + S)^2 / f'(x) = v S / lam for the
-    strictly increasing G.  A target at or below G(0) = S^2 / f'(0) is the
-    corner 0; G(0) is 0 where f'(0) is infinite, and overflows to inf only
-    where it exceeds every float target.  Above it the family's ``g_inv``
-    gives the effort, and an infinite target an infinite one.  The target
-    divides before it multiplies, since v S can overflow where v S / lam
-    does not.
+    The condition reads G(x) = (f(x) + S)^2 / f'(x) = v y for the strictly
+    increasing G.  A target at or below G(0) = S^2 / f'(0), computed once
+    per map, is the corner 0: G(0) is 0 where f'(0) is infinite, and inf
+    only past every float target.  Above it the family's ``g_inv`` gives the
+    effort, and an infinite target an infinite one.  S is divided by lam
+    before v multiplies it, as v S can overflow where v S / lam does not.
     """
     pf = battle.production
-    target = battle.prize * (rivals / lam)
-    g0 = rivals * (rivals / pf.f_prime(0.0))
-    if target <= g0:
-        return 0.0
-    if target == math.inf:
-        # A bracket search far below the root on the total meets this; g_inv
-        # would make NaN of it.
-        return math.inf
-    return pf.g_inv(rivals, target, target - g0)
+
+    # The map's state sits in defaults, read as locals in the DE root's inner loop.
+    def effort(y: float, prize=battle.prize, g_inv=pf.g_inv, rivals=rivals,
+               g0=rivals * (rivals / pf.f_prime(0.0))) -> float:
+        target = prize * y
+        if target <= g0:
+            return 0.0
+        if target == math.inf:
+            # A bracket search far below the root on the total meets this;
+            # g_inv would make NaN of it.
+            return math.inf
+        return g_inv(rivals, target, target - g0)
+
+    return effort
 
 
 def _best_response_discriminatory(
     network: ConflictNetwork, player: PlayerId, profile: EffortProfile, floor
 ) -> tuple[dict[str, float], tuple[str, ...]]:
     """Per-battle best response to ``profile`` and the battles given the
-    floor effort ``floor()``; the root on the total is seeded from the
-    player's own efforts."""
+    floor effort ``floor()``: the DE root over each contested battle's map,
+    offset by the floor efforts and seeded from the player's own efforts."""
     active, degenerate = _contested(network, player, profile)
     x = floor() if degenerate else 0.0
     efforts = {bid: x for bid in degenerate}
@@ -216,25 +223,10 @@ def _best_response_discriminatory(
         efforts.update({b.id: 0.0 for b, _ in active})
         return efforts, degenerate
 
-    def consistency_gap(total: float) -> float:
-        lam = network.cost.c_prime(total)
-        if lam == 0.0:
-            # Every battle's effort is beyond float range, as in
-            # equilibrium._de_efforts.
-            return -math.inf
-        acc = floor_total
-        for b, s in active:
-            acc += _battle_effort(b, s, lam)
-        return total - acc
-
-    seed_total = sum(profile.efforts.get((player, b.id), 0.0) for b, _ in active)
-    total = brent_increasing(
-        consistency_gap, 0.0, _INNER_REL_TOL,
-        seed=seed_total if seed_total > 0 else None,
-    )
-    lam = network.cost.c_prime(total)
-    for b, s in active:
-        efforts[b.id] = _battle_effort(b, s, lam)
+    seed = sum(profile.efforts.get((player, b.id), 0.0) for b, _ in active)
+    terms = [(1.0, _battle_effort(b, s), s) for b, s in active]
+    xs = _de_efforts(terms, network.cost, _INNER_REL_TOL, seed if seed > 0 else 1.0, floor_total)
+    efforts.update(zip((b.id for b, _ in active), xs))
     return efforts, degenerate
 
 

@@ -168,6 +168,37 @@ def test_power_battle_with_a_subnormal_exponent_solves(tmp_path, capsys):
     assert "Newton steps" in err and "out of range" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_structured_solve_where_the_piecewise_slope_underflows(capsys, command):
+    # The slope a = A r s**(r - 1) = 5e-351 is 0 as a float.  Both regimes'
+    # efforts lie past the kink s / r = 2e100, where h(x) = x + 1e100, a
+    # shift negligible against them: X^2 = sum_k d_k v_k (k - 1) / k^2.
+    report = run_json(
+        capsys, command, "--example", "triangle", "--f", "piecewise:1e-300,0.5,1e100",
+        "--v", "5e300,7.2e301",
+    )
+    totals = (
+        (report["de"]["total"], report["ue"]["total"]) if command == "solve"
+        else (report["X_de"], report["X_ue"])
+    )
+    expected = math.sqrt(2 * 5e300 / 4 + 7.2e301 * 2 / 9)
+    assert totals == pytest.approx((expected, expected), rel=1e-12)
+
+
+@pytest.mark.parametrize("prizes", ["5,72", "5e300,7.2e301"])
+@pytest.mark.parametrize("family", ["piecewise:1,1e-320,1e300", "piecewise:1e-320,1e-320,1e308"])
+def test_iterative_solve_where_the_piecewise_slope_underflows(capsys, family, prizes):
+    # The slope underflows to 0 in both families; the battle condition then
+    # meets the power branch's g_inv Newton cap, since k = (1 - r) / r
+    # overflows at r = 1e-320: a named failure, not a division by the slope.
+    code, out, err = run_cli(
+        capsys, "solve", "--example", "triangle", "--method", "iterative", "--f", family,
+        "--v", prizes,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: power g_inv: 100 Newton steps left target ")
+
+
 @pytest.mark.parametrize(
     "example,flag", [("triangle", "cara:1"), ("simplex", "ratio:1")]
 )
@@ -978,10 +1009,11 @@ def test_sweep_builds_each_point_when_it_solves_it(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
 def test_arithmetic_error_in_an_iterative_solve_is_a_solver_failure(capsys, monkeypatch, error):
-    def fail(*args):
+    # Every battle's effort map raises, inside the root on the player's total.
+    def fail(y):
         raise error("forced")
 
-    monkeypatch.setattr(conflictnet.general_solver, "_battle_effort", fail)
+    monkeypatch.setattr(conflictnet.general_solver, "_battle_effort", lambda *args: fail)
     code, out, err = run_cli(
         capsys, "solve", "--example", "triangle", "--method", "iterative",
         "--f", "power:1,0.5",

@@ -124,6 +124,26 @@ def test_power_slope_at_a_subnormal_effort_with_a_tiny_exponent(pf):
     assert PiecewisePowerAffineProduction(A=1.0, r=1e-320, s=5e-324).slope == 1e-320 / 5e-324
 
 
+def test_piecewise_affine_branch_where_the_slope_underflows():
+    # a = A r s**(r - 1) = 5e-351 underflows to 0, while the shift h(x) - x
+    # = b / a = s (1 - r) / r = 1e100 and G(s) = (f(s) + S)^2 / a = 8e-150
+    # at S = 1e-250 are floats; neither is taken by dividing by the slope.
+    pf = PiecewisePowerAffineProduction(A=1e-300, r=0.5, s=1e100)
+    assert pf.slope == 0.0
+    assert pf.h(3e100) == pytest.approx(4e100, rel=1e-15)
+    assert pf.h_inv(4e100) == pytest.approx(3e100, rel=1e-15)
+    rivals = 1e-250
+    assert pf.g_inv(rivals, 7e-150, 7e-150) <= pf.s
+    # Past G(s) the effort solves (a x + b + S)^2 = a t, checked in logs
+    # with the slope that the float a lost.
+    target = 1e-140
+    x = pf.g_inv(rivals, target, target)
+    log_a = math.log(1e-300 * 0.5) - 0.5 * math.log(1e100)
+    score = pf.intercept + math.exp(log_a + math.log(x)) + rivals
+    assert x > pf.s
+    assert 2.0 * math.log(score) - log_a == pytest.approx(math.log(target), rel=1e-13)
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))
 def test_benchmark_families_meet_the_maintained_assumptions(name):
     assert_maintained_assumptions(BENCHMARK_PRODUCTIONS[name])

@@ -29,7 +29,7 @@ from conflictnet import (
     solve_ue,
 )
 
-from conflictnet import functions, general_solver
+from conflictnet import equilibrium, functions, general_solver
 from conflictnet.errors import NoConvergence
 from conflictnet.general_solver import _battle_effort
 from conflictnet.network import marginal_benefit
@@ -227,6 +227,23 @@ def test_iterative_de_best_response_where_marginal_cost_underflows(cost):
     net = ConflictNetwork(players=base.players, battles=base.battles, cost=cost)
     out = solve_nash_iterative(net, IterationConfig(max_iterations=20))
     assert out.iterations <= 20
+
+
+def test_de_best_response_solves_through_the_structured_root(monkeypatch):
+    # One DE consistency gap serves both engines: the best response's root
+    # on its total is the structured engine's, and general_solver makes no
+    # DE root of its own.
+    roots = {equilibrium: 0, general_solver: 0}
+    for module in roots:
+        def counting(*args, module=module, brent=module.brent_increasing, **kwargs):
+            roots[module] += 1
+            return brent(*args, **kwargs)
+
+        monkeypatch.setattr(module, "brent_increasing", counting)
+    net = generate_triangle()
+    response = best_response(net, 1, EffortProfile.constant(net, 1.0))
+    assert all(x > 0.0 for x in response.values())
+    assert roots == {equilibrium: 1, general_solver: 0}
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +539,7 @@ def test_battle_effort_below_the_smallest_float_is_the_corner():
     # G(x) = (x**0.999 + 1)**2 / (0.999 x**-0.001) exceeds the target
     # 10 * 1 / 100 even at x = 5e-324: the root is below every positive float.
     battle = Battle("b", (1, 2), 10.0, PowerProduction(1.0, 0.999))
-    assert _battle_effort(battle, 1.0, 100.0) == 0.0
+    assert _battle_effort(battle, 1.0)(1.0 / 100.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +688,12 @@ def test_battle_effort_at_or_below_the_corner_is_zero(name):
     battle = Battle("b", (1, 2), 3.0, pf)
     for rivals in (1e-12, 1e-3, 1.0, 1e3, 1e12):
         g0 = _corner(pf, rivals)
+        effort = _battle_effort(battle, rivals)
         for target in (g0 * (1.0 - 1e-9), g0 / 2.0, g0 * 1e-100):
             # Solve the target for the marginal cost, then read it back.
             lam = battle.prize * rivals / target
             assert battle.prize * (rivals / lam) <= g0
-            assert _battle_effort(battle, rivals, lam) == 0.0
+            assert effort(rivals / lam) == 0.0
 
 
 @pytest.mark.parametrize("pf,log_f_prime,rivals,target", [
@@ -694,7 +712,7 @@ def test_battle_effort_where_the_square_of_the_rival_score_overflows(
     # target: the effort is interior, not the corner.
     battle = Battle("b", (1, 2), 1.0, pf)
     lam = rivals / target
-    x = _battle_effort(battle, rivals, lam)
+    x = _battle_effort(battle, rivals)(rivals / lam)
     reference = _g_root_reference(pf, log_f_prime, rivals, rivals / lam)
     assert x > 0.0 and x == pytest.approx(reference, rel=1e-12)
 
@@ -704,17 +722,19 @@ def test_battle_effort_where_the_square_of_the_rival_score_overflows(
     CaraProduction(1.0), PiecewisePowerAffineProduction(2.0, 0.5, 1.0),
 ])
 def test_battle_effort_at_an_infinite_target_is_infinite(pf):
-    # S / lam = 1.4 / 3e-309 overflows, as it does where a bracket search
-    # on the total tries a total far below the root; g_inv alone gives NaN.
+    # y = S / lam = 1.4 / 3e-309 overflows, as it does where a bracket
+    # search on the total tries a total far below the root; g_inv alone
+    # gives NaN.
     battle = Battle("b", (1, 2), 5e-300, pf)
-    assert _battle_effort(battle, 1.4, 3e-309) == math.inf
+    assert _battle_effort(battle, 1.4)(1.4 / 3e-309) == math.inf
 
 
 def test_battle_effort_target_divides_before_it_multiplies():
-    # v S = 1e300 * 1e10 overflows, while v S / lam = 1e300 does not.
+    # v S = 1e300 * 1e10 overflows, while v S / lam = 1e300 does not: the
+    # map takes y = S / lam and multiplies it by v.
     pf = PowerProduction(1.0, 0.5)
     battle = Battle("b", (1, 2), 1e300, pf)
-    x = _battle_effort(battle, 1e10, 1e10)
+    x = _battle_effort(battle, 1e10)(1e10 / 1e10)
     assert x > 0.0 and _g(pf, 1e10, x) == pytest.approx(1e300, rel=1e-13)
 
 
@@ -726,13 +746,14 @@ def test_no_battle_effort_searches_a_root(monkeypatch):
         return brent_increasing(g, target, rel_tol, seed=seed)
 
     monkeypatch.setattr(general_solver, "brent_increasing", counting)
+    monkeypatch.setattr(equilibrium, "brent_increasing", counting)
     for pf in [
         RatioProduction(1.0), CaraProduction(1.0), PowerProduction(2.0, 1.0),
         PowerProduction(1.0, 0.5), PiecewisePowerAffineProduction(2.0, 0.5, 1.0),
         PiecewisePowerAffineProduction(2.0, 0.5, 0.01),
     ]:
         battle = Battle("b", (1, 2), 5.0, pf)
-        x = _battle_effort(battle, 0.5, 1.0)
+        x = _battle_effort(battle, 0.5)(0.5 / 1.0)
         assert x > 0.0, pf
         assert marginal_benefit(battle, x, 0.5) == pytest.approx(1.0, rel=1e-12)
     assert calls == []
