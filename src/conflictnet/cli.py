@@ -10,6 +10,13 @@ two sources for one thing is an input error.  Reports are JSON with sorted
 keys and full float precision; markdown and CSV renderings round to 6
 significant figures.
 
+A call does its fixed work once.  ``main`` parses the arguments after the
+command word with that command's own parser, so a parse error prints the
+command's usage (``conflictnet solve: error: ...``); the top-level parser
+runs only when the first argument is not a command.  Each built-in example
+is built once per process and shared, as networks are frozen; a call's
+overrides go into one copy.
+
 Exit codes: 0 success, 1 input error (including an output path that cannot
 be written), 2 solver failure (bracket failure, NaN evaluation,
 non-convergence, or an arithmetic error such as an overflow inside a solve).
@@ -73,6 +80,11 @@ _GRID_CHUNK = 1024
 # 2*sqrt(x) glued to x+1 at the breakpoint 1).
 _NAMED_PRODUCTIONS = {"piecewise-f3": "piecewise:2,0.5,1"}
 _FAMILY_ALIASES = {"piecewise": "piecewise_power_affine"}
+
+
+# Networks are frozen, so one build of each example serves every call of a
+# process; ``_network`` applies a call's overrides in a copy.
+_example = functools.cache(generate_example)
 
 
 class InputError(Exception):
@@ -153,7 +165,7 @@ def _network(
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read network {path}: {exc}") from None
     elif example is not None:
-        network = generate_example(example)
+        network = _example(example)
     else:
         raise InputError("need --input PATH or --example NAME")
 
@@ -457,7 +469,7 @@ def _cmd_examples(args) -> int:
     if not args.name:
         _write_report("\n".join(EXAMPLE_NAMES) + "\n", args.output)
         return EXIT_OK
-    _write_report(dumps_sorted(network_to_dict(generate_example(args.name))), args.output)
+    _write_report(dumps_sorted(network_to_dict(_example(args.name))), args.output)
     return EXIT_OK
 
 
@@ -483,9 +495,10 @@ def _add_network_flags(sub) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and then reused: parsing leaves
-    it unchanged and returns a fresh namespace on every call."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser by name, built on
+    first use and then reused: parsing leaves them unchanged and returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="conflictnet",
         description="Equilibria of multi-battle conflict networks under "
@@ -528,7 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
     examples.add_argument("--name", choices=EXAMPLE_NAMES, help="emit this example's JSON")
     examples.add_argument("--output", help="write the network here instead of stdout")
 
-    return parser
+    return parser, subs.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level CLI parser, which reaches each command through its subparser."""
+    return _parsers()[0]
 
 
 _COMMANDS = {
@@ -542,13 +560,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command in commands:
+            args = commands[command].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
+            command = args.command
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command](args)
     except (InputError, ConflictNetError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONVERGE if isinstance(exc, _SOLVER_FAILURES) else EXIT_INPUT

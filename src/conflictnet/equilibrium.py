@@ -197,6 +197,16 @@ def _solve_totals(sizes, prizes, count: int, cost) -> tuple[float, float]:
     return de_total, count * _ue_effort(terms, count, cost, REL_TOL, start)
 
 
+def _benefit(pf, x: float, t: float) -> float:
+    """Marginal benefit ``t f'(x) / f(x)`` at effort ``x > 0``, taken as
+    ``t / h(x)`` where ``f'(x)`` underflows to 0 though ``f'(x) / f(x) = 1 /
+    h(x)`` need not: a piecewise family's affine branch with a tiny slope."""
+    slope = pf.f_prime(x)
+    if slope == 0.0:
+        return t / pf.h(x)
+    return t * slope / pf.f(x)
+
+
 def solve_de(ss: SemiSymmetricStructure) -> DEResult:
     """Solve the discriminatory-effort equilibrium.
 
@@ -216,7 +226,7 @@ def solve_de(ss: SemiSymmetricStructure) -> DEResult:
     # An effort of 0 is the corner left by a target below float range; its
     # first-order condition holds as an inequality, and f'(0)/f(0) is 1/0.
     residuals = {
-        k: 0.0 if efforts[k] == 0.0 else abs(t * pf.f_prime(efforts[k]) / pf.f(efforts[k]) - lam)
+        k: 0.0 if efforts[k] == 0.0 else abs(_benefit(pf, efforts[k], t) - lam)
         for k, (_, pf, t) in zip(ss.sizes, terms)
     }
     return DEResult(
@@ -246,7 +256,7 @@ def solve_ue(ss: SemiSymmetricStructure) -> UEResult:
     effort = _ue_effort(terms, D, ss.cost, REL_TOL, _closed_form_start(terms, ss.cost))
     total = D * effort
     lam = ss.cost.c_prime(total) * D
-    benefit = sum(d * t * pf.f_prime(effort) / pf.f(effort) for d, pf, t in terms)
+    benefit = sum(_benefit(pf, effort, d * t) for d, pf, t in terms)
     return UEResult(
         effort=effort,
         marginal_cost=lam,

@@ -101,7 +101,13 @@ def _build(at: str, constructor, *args):
 
 
 def network_from_dict(doc: dict) -> ConflictNetwork:
-    """Check the document's shape and build the network."""
+    """Check the document's shape and build the network.
+
+    Every battle's shape is checked at its own pointer, but each distinct
+    production spec is built once: battles with equal specs share one
+    instance, as the built-in examples' battles do.  Productions are frozen,
+    so sharing changes no result.
+    """
     _object(doc, ("players", "cost", "battles"), "")
     players = _ids(doc["players"], "/players")
     # Reports key players by str(id), so two ids must not share a text.
@@ -117,6 +123,7 @@ def network_from_dict(doc: dict) -> ConflictNetwork:
     if not isinstance(doc["battles"], list):
         raise SchemaViolation("/battles", "expected a list of battles")
     battles = []
+    productions: dict = {}
     for i, spec in enumerate(doc["battles"]):
         at = f"/battles/{i}"
         _object(spec, ("id", "participants", "prize", "production"), at)
@@ -124,11 +131,13 @@ def network_from_dict(doc: dict) -> ConflictNetwork:
             raise SchemaViolation(f"{at}/id", "expected a string")
         participants = _ids(spec["participants"], f"{at}/participants")
         prize = _number(spec["prize"], f"{at}/prize")
-        production = _build(
-            f"{at}/production",
-            production_from_spec,
-            _function_spec(spec["production"], f"{at}/production"),
-        )
+        production_spec = _function_spec(spec["production"], f"{at}/production")
+        key = (production_spec["family"], frozenset(production_spec["params"].items()))
+        production = productions.get(key)
+        if production is None:
+            production = productions[key] = _build(
+                f"{at}/production", production_from_spec, production_spec
+            )
         battles.append(_build(at, Battle, spec["id"], participants, prize, production))
     return _build("", ConflictNetwork, players, tuple(battles), cost)
 

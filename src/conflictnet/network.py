@@ -316,31 +316,41 @@ def check_semi_symmetry(network: ConflictNetwork) -> SemiSymmetricStructure:
 
     Semi-symmetry requires that every player participates in the same number
     of size-k battles for each size k, and that prize and production function
-    are constant within each size class.  Raises ``NotSemiSymmetric`` naming
-    every violated condition.
+    are constant within each size class.  One pass over the battles gathers
+    each size class and its per-player counts.  Raises ``NotSemiSymmetric``
+    naming every violated condition: the counts of each size in size order,
+    then each size's prizes and production functions.
     """
-    sizes = sorted({b.size for b in network.battles})
+    players = network.players
+    classes: dict[int, list[Battle]] = {}
+    counts: dict[int, dict[PlayerId, int]] = {}
+    for b in network.battles:
+        k = len(b.participants)
+        if k not in classes:
+            classes[k] = []
+            counts[k] = dict.fromkeys(players, 0)
+        classes[k].append(b)
+        per_player = counts[k]
+        for p in b.participants:
+            per_player[p] += 1
+    sizes = sorted(classes)
     violations: list[str] = []
 
     degrees: dict[int, int] = {}
     for k in sizes:
-        counts = {
-            p: sum(1 for b in network.battles_of(p) if b.size == k)
-            for p in network.players
-        }
-        reference = counts[network.players[0]]
-        for p, c in counts.items():
+        reference = counts[k][players[0]]
+        for p, c in counts[k].items():
             if c != reference:
                 violations.append(
                     f"player {p!r} attends {c} size-{k} battles, "
-                    f"player {network.players[0]!r} attends {reference}"
+                    f"player {players[0]!r} attends {reference}"
                 )
         degrees[k] = reference
 
     prizes: dict[int, float] = {}
     productions: dict[int, ProductionFunction] = {}
     for k in sizes:
-        class_battles = [b for b in network.battles if b.size == k]
+        class_battles = classes[k]
         distinct_prizes = sorted({b.prize for b in class_battles})
         if len(distinct_prizes) > 1:
             violations.append(f"size-{k} prizes not constant: {distinct_prizes}")

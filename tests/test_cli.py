@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, report formats, and the sweep harness."""
 
+import argparse
 import csv
 import itertools
 import json
@@ -15,6 +16,7 @@ import pytest
 
 import conflictnet.analysis
 import conflictnet.cli
+import conflictnet.io
 import conflictnet.sweep
 from conflictnet import (
     BracketFailure,
@@ -26,12 +28,14 @@ from conflictnet import (
     SchemaViolation,
     check_semi_symmetry,
     dump_network,
+    generate_example,
     generate_simplex,
     generate_triangle,
     network_from_dict,
     network_to_dict,
 )
 from conflictnet.cli import main
+from conflictnet.functions import production_from_spec
 from conflictnet.io import dumps_sorted
 from conflictnet.sweep import SweepAxis, SweepSpec, run_sweep
 
@@ -183,6 +187,11 @@ def test_structured_solve_where_the_piecewise_slope_underflows(capsys, command):
     )
     expected = math.sqrt(2 * 5e300 / 4 + 7.2e301 * 2 / 9)
     assert totals == pytest.approx((expected, expected), rel=1e-12)
+    if command == "solve":
+        # f' is the slope, 0, so the residuals take the benefit as t / h(x).
+        de, ue = report["de"], report["ue"]
+        assert max(de["residuals"].values()) <= 1e-12 * de["marginal_cost"]
+        assert ue["residual"] <= 1e-12 * ue["marginal_cost"]
 
 
 @pytest.mark.parametrize("prizes", ["5,72", "5e300,7.2e301"])
@@ -684,8 +693,60 @@ def test_examples_emits_loadable_network(capsys):
 
 
 def test_unknown_flags_are_input_errors(capsys):
-    code, _, _ = run_cli(capsys, "solve", "--example", "triangle", "--bogus")
-    assert code == 1
+    # The command's own parser reports the flag, under the command's usage.
+    code, out, err = run_cli(capsys, "solve", "--example", "triangle", "--bogus")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: conflictnet solve ")
+    assert err.endswith("\nconflictnet solve: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--example", "triangle", "--f", "ratio:1"],
+    ["compare", "--example", "simplex", "--format", "md"],
+    ["validate", "--input", "missing.json"],
+])
+def test_a_call_parses_its_arguments_once(monkeypatch, capsys, argv):
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    run_cli(capsys, *argv)
+    assert parsers == [f"conflictnet {argv[0]}"]
+
+
+def test_a_repeated_example_call_builds_one_network(monkeypatch, capsys):
+    # The example is built once per process; each call builds only the copy
+    # that carries its overrides.
+    argv = ["solve", "--example", "triangle", "--f", "ratio:1"]
+    first = run_cli(capsys, *argv)
+    built = []
+    post_init = ConflictNetwork.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ConflictNetwork, "__post_init__", counted)
+    assert run_cli(capsys, *argv) == first
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("example,overrides", [
+    ("triangle", [["--f", "ratio:1", "--v", "7,80"], ["--tullock", "r2=0.5,r3=1"], ["--v", "1,2"]]),
+    ("simplex", [["--f", "cara:2"], ["--v", "1,2,3"], ["--f", "power:2,0.5", "--v", "4,5,6"]]),
+])
+def test_a_cached_example_keeps_no_earlier_calls_overrides(tmp_path, capsys, example, overrides):
+    path = tmp_path / f"{example}.json"
+    dump_network(generate_example(example), path)
+    expected = run_cli(capsys, "compare", "--input", str(path))
+    assert expected[0] == 0
+    for flags in overrides:
+        assert run_cli(capsys, "compare", "--example", example, *flags)[0] == 0
+        assert run_cli(capsys, "compare", "--example", example) == expected, flags
 
 
 def test_missing_network_source_is_an_input_error(capsys):
@@ -700,13 +761,29 @@ def test_schema_violation_carries_pointer():
     assert info.value.pointer.startswith("/")
 
 
-def test_bad_production_parameters_point_at_their_battle():
-    doc = network_to_dict(generate_triangle())
-    doc["battles"][1]["production"] = {"family": "power", "params": {"A": 1, "r": 1.5}}
+@pytest.mark.parametrize("example,bad", [("triangle", 1), ("simplex", 3)])
+def test_bad_production_parameters_point_at_their_battle(example, bad):
+    # Battle 0 holds a different, valid spec, built before the bad one.
+    doc = network_to_dict(generate_example(example))
+    doc["battles"][0]["production"] = {"family": "ratio", "params": {"c": 1}}
+    doc["battles"][bad]["production"] = {"family": "power", "params": {"A": 1, "r": 1.5}}
     with pytest.raises(SchemaViolation) as info:
         network_from_dict(doc)
-    assert info.value.pointer == "/battles/1/production"
+    assert info.value.pointer == f"/battles/{bad}/production"
     assert "(0, 1]" in str(info.value)
+
+
+def test_equal_production_specs_build_one_shared_instance(monkeypatch, capsys):
+    doc = json.loads(run_cli(capsys, "examples", "--name", "simplex")[1])
+    built = []
+    monkeypatch.setattr(
+        conflictnet.io, "production_from_spec",
+        lambda spec: built.append(spec) or production_from_spec(spec),
+    )
+    network = network_from_dict(doc)
+    assert len(network.battles) == 9 and len(built) == 1
+    assert all(b.production is network.battles[0].production for b in network.battles)
+    assert network == generate_simplex()
 
 
 _DROP = object()
@@ -1172,6 +1249,10 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch
         ["validate", str(network)],
         ["solve", "--example", "triangle", "--bogus"],
         ["--help"],
+        # No command word: the top-level parser answers these.
+        [],
+        ["bogus"],
+        ["compare", "--help"],
         # The defaults of the flags the calls above set.
         ["solve", "--example", "triangle", "--f", "cara:1"],
         ["compare", "--example", "simplex", "--f", "ratio:1"],
@@ -1183,7 +1264,7 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch
         if key not in expected:
             expected[key] = _fresh_process_run(argv)
         assert run_cli(capsys, *argv) == expected[key], argv
-    assert [expected[tuple(argv)][0] for argv in calls] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert [expected[tuple(argv)][0] for argv in calls] == [0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0]
     assert conflictnet.cli.build_parser() is conflictnet.cli.build_parser()
 
 

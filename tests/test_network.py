@@ -311,6 +311,32 @@ def test_production_mismatch_within_size_class_is_reported():
     assert violations[0].startswith("size-2 production functions not constant: [")
 
 
+def test_every_violation_is_reported_in_size_order():
+    # Battles listed out of size order: the counts of each size come first,
+    # in size and player order, then each size's prizes and productions.
+    pf = PowerProduction(1.0, 1.0)
+    net = ConflictNetwork(
+        players=(1, 2, 3, 4),
+        battles=(
+            Battle("t1", (1, 2, 3), 7.0, pf),
+            Battle("e1", (1, 2), 5.0, pf),
+            Battle("e2", (3, 4), 5.0, RatioProduction(1.0)),
+            Battle("t2", (2, 3, 4), 8.0, pf),
+            Battle("e3", (1, 3), 5.0, pf),
+        ),
+        cost=PowerCost(),
+    )
+    violations = _violations(net)
+    assert violations[:4] == (
+        "player 2 attends 1 size-2 battles, player 1 attends 2",
+        "player 4 attends 1 size-2 battles, player 1 attends 2",
+        "player 2 attends 2 size-3 battles, player 1 attends 1",
+        "player 3 attends 2 size-3 battles, player 1 attends 1",
+    )
+    assert violations[4].startswith("size-2 production functions not constant: [")
+    assert violations[5:] == ("size-3 prizes not constant: [7.0, 8.0]",)
+
+
 def test_structure_invariants_enforced():
     pf = PowerProduction(1.0, 1.0)
     with pytest.raises(ValueError, match="size must be >= 2"):
