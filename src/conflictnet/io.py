@@ -26,6 +26,8 @@ battle order is preserved because it is part of the input's identity.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 from .functions import cost_from_spec, production_from_spec
 from .network import Battle, ConflictNetwork
@@ -54,9 +56,9 @@ class SchemaViolation(ValueError):
 def _object(value, keys: tuple[str, ...], at: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaViolation(at, f"expected an object with keys {list(keys)}")
-    missing = [k for k in keys if k not in value]
-    extra = [k for k in value if k not in keys]
-    if missing or extra:
+    if value.keys() != set(keys):
+        missing = [k for k in keys if k not in value]
+        extra = [k for k in value if k not in keys]
         raise SchemaViolation(at, f"missing keys {missing}, unexpected keys {extra}")
     return value
 
@@ -65,6 +67,8 @@ def _ids(value, at: str) -> tuple:
     if not isinstance(value, list):
         raise SchemaViolation(at, "expected a list of player ids")
     for i, pid in enumerate(value):
+        if type(pid) is int or type(pid) is str:
+            continue
         # A float such as 1.0 is a JSON integer too.
         integral = isinstance(pid, int) or isinstance(pid, float) and pid.is_integer()
         if not isinstance(pid, str) and (isinstance(pid, bool) or not integral):
@@ -159,8 +163,74 @@ def network_to_dict(network: ConflictNetwork) -> dict:
 
 
 def dumps_sorted(payload) -> str:
-    """Deterministic JSON text: sorted keys, no trailing whitespace drift."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: ``json.dumps(payload, sort_keys=True,
+    indent=2)`` and a final newline.
+
+    One recursive pass writes that text: with ``indent`` set, ``json.dumps``
+    takes its pure-Python encoder, whose generator per container made a
+    report's rendering cost about as much as solving both regimes.
+    """
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append ``value``'s JSON text to ``out``, ``newline`` being the line
+    break and indent of the lines that hold ``value``, as ``json`` does."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, dict):
+            opening, closing = "{", "}"
+            for key, item in sorted(value.items()):
+                out.append(opening + inner + encode_basestring_ascii(_json_key(key)) + ": ")
+                _write_json(item, out, inner)
+                opening = ","
+        else:
+            opening, closing = "[", "]"
+            for item in value:
+                out.append(opening + inner)
+                _write_json(item, out, inner)
+                opening = ","
+        out.append(newline + closing)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """An object key's text, as ``json`` converts a key that is not a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is None or key is True or key is False:
+        return _JSON_CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def reject_nonfinite_constant(token: str):

@@ -57,12 +57,13 @@ class Battle:
 
     def __post_init__(self):
         object.__setattr__(self, "participants", tuple(self.participants))
-        if len(set(self.participants)) < 2:
+        distinct = len(set(self.participants))
+        if distinct < 2:
             raise FieldError(
                 "participants",
                 f"battle {self.id!r} needs at least 2 distinct participants",
             )
-        if len(set(self.participants)) != len(self.participants):
+        if distinct != len(self.participants):
             raise FieldError(
                 "participants", f"battle {self.id!r} lists a participant twice"
             )
@@ -232,7 +233,8 @@ def payoff(network: ConflictNetwork, profile: EffortProfile, player: PlayerId) -
 
 def _is_prize(v) -> bool:
     """A valid prize: a real number, not a bool, positive and finite."""
-    return isinstance(v, Real) and not isinstance(v, bool) and 0 < v < math.inf
+    real = type(v) is float or isinstance(v, Real) and not isinstance(v, bool)
+    return real and 0 < v < math.inf
 
 
 def _check_prize(k: int, v: float) -> None:

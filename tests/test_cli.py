@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conflictnet.analysis
 import conflictnet.cli
@@ -258,6 +260,39 @@ def test_serialization_round_trip_solves_identically(tmp_path, capsys):
     from_file = run_json(capsys, "solve", "--input", str(path))
     builtin = run_json(capsys, "solve", "--example", "simplex")
     assert from_file == builtin
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_reports_are_written_as_json_dumps_writes_them(payload):
+    assert dumps_sorted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {2: "a", 10: "b"}, {1.5: 0, -math.inf: 1}, {True: 1}, {None: []}, [{}, [], ()],
+])
+def test_non_string_keys_and_empty_containers_are_written_as_json_dumps_writes_them(payload):
+    assert dumps_sorted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_unserializable_report_values_raise_as_in_json_dumps():
+    for payload in ({"x": {1, 2}}, {(1, 2): 0}):
+        with pytest.raises(TypeError) as ours:
+            dumps_sorted(payload)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(payload, sort_keys=True, indent=2)
+        assert str(ours.value) == str(theirs.value)
 
 
 # ---------------------------------------------------------------------------
@@ -761,15 +796,24 @@ def test_schema_violation_carries_pointer():
     assert info.value.pointer.startswith("/")
 
 
-@pytest.mark.parametrize("example,bad", [("triangle", 1), ("simplex", 3)])
-def test_bad_production_parameters_point_at_their_battle(example, bad):
-    # Battle 0 holds a different, valid spec, built before the bad one.
-    doc = network_to_dict(generate_example(example))
-    doc["battles"][0]["production"] = {"family": "ratio", "params": {"c": 1}}
-    doc["battles"][bad]["production"] = {"family": "power", "params": {"A": 1, "r": 1.5}}
+def test_bad_production_parameters_point_at_their_battle():
+    doc = network_to_dict(generate_triangle())
+    doc["battles"][1]["production"] = {"family": "power", "params": {"A": 1, "r": 1.5}}
     with pytest.raises(SchemaViolation) as info:
         network_from_dict(doc)
-    assert info.value.pointer == f"/battles/{bad}/production"
+    assert info.value.pointer == "/battles/1/production"
+    assert "(0, 1]" in str(info.value)
+
+
+def test_a_bad_production_past_a_different_built_one_points_at_its_battle():
+    # Battle 0's valid spec is built first; battles 1-2 and 4-8 share the
+    # example's spec, and battle 3 alone holds the bad one.
+    doc = network_to_dict(generate_simplex())
+    doc["battles"][0]["production"] = {"family": "ratio", "params": {"c": 1}}
+    doc["battles"][3]["production"] = {"family": "power", "params": {"A": 1, "r": 1.5}}
+    with pytest.raises(SchemaViolation) as info:
+        network_from_dict(doc)
+    assert info.value.pointer == "/battles/3/production"
     assert "(0, 1]" in str(info.value)
 
 
