@@ -67,7 +67,7 @@ def _ids(value, at: str) -> tuple:
     if not isinstance(value, list):
         raise SchemaViolation(at, "expected a list of player ids")
     for i, pid in enumerate(value):
-        if type(pid) is int or type(pid) is str:
+        if type(pid) is int or type(pid) is str:  # the common ids, checked first
             continue
         # A float such as 1.0 is a JSON integer too.
         integral = isinstance(pid, int) or isinstance(pid, float) and pid.is_integer()

@@ -233,7 +233,8 @@ def payoff(network: ConflictNetwork, profile: EffortProfile, player: PlayerId) -
 
 def _is_prize(v) -> bool:
     """A valid prize: a real number, not a bool, positive and finite."""
-    real = type(v) is float or isinstance(v, Real) and not isinstance(v, bool)
+    # A float, the common case, skips the abstract-class check.
+    real = type(v) is float or (isinstance(v, Real) and not isinstance(v, bool))
     return real and 0 < v < math.inf
 
 
