@@ -13,13 +13,17 @@ uses directly instead of re-evaluating the contest success function.  Each
 condition is solved in one place, :func:`_de_efforts` or :func:`_ue_effort`,
 by one root search from a start its caller hands in, keeping no state.  Both
 work from the ``(d_b, f_b, t_b)`` terms of :func:`_terms`, the DE root with
-``h_b^{-1}`` for ``f_b`` (:func:`_h_inverses`).  The structured solvers, the
+``h_b^{-1}`` for ``f_b`` (:func:`_h_inverses`) and the UE root on the
+weighted ``(d_b t_b, h_b)`` (:func:`_weighted_h`).  The structured solvers, the
 iterative engine's start on one player's battles and prize grids start
 them at :func:`_closed_form_start`, exact for power families; grids call
 :func:`_solve_totals`, which takes a point's ``(k, d_k, f_k)`` per size and
 prizes, shares one start between the two regimes and returns their totals
-alone, so a grid point builds no structure.  The iterative DE best response
-is the same DE root over per-battle maps: one consistency gap for both.
+alone, so a grid point builds no structure.  The iterative best responses
+are the same two roots over one term per contested battle, on the battle
+condition ``Phi_b(x) = v_b / lam`` of :mod:`conflictnet.network` in place
+of ``h_b(x) = t_b / lam``: one consistency gap and one UE gap for both
+engines.
 """
 
 from __future__ import annotations
@@ -146,29 +150,35 @@ def _h_inverses(terms):
     return [(d, pf.h_inv, t) for d, pf, t in terms]
 
 
-def _ue_effort(terms, count: int, cost, rel_tol: float, start: float) -> float:
+def _weighted_h(terms):
+    """:func:`_ue_effort`'s ``(d_k t_k, h_k)`` of ``(d_k, f_k, t_k)`` terms."""
+    return tuple((d * t, pf.h) for d, pf, t in terms)
+
+
+def _ue_effort(weighted, count: int, cost, rel_tol: float, start: float) -> float:
     """The uniform effort x spent on each of ``count`` battles.
 
     It is the one root of the strictly increasing first-order gap ``n C'(n
-    x) - sum_b w_b / h_b(x)`` over :func:`_terms`' terms, with ``w_b =
-    d_b t_b`` and ``n = count``, searched from the closed-form start total
-    ``start`` spread over the ``n`` battles.  Where some ``h_b(x)``
-    underflows to 0 the marginal benefit is beyond float range and the gap
-    is ``-inf``; where the total ``n x`` overflows the gap is ``+inf``, and
-    a root at that edge is an equilibrium past the float range.
+    x) - sum_b w_b / H_b(x)`` over the ``(w_b, H_b)`` pairs of
+    ``weighted``, each ``H_b`` strictly increasing, with ``n = count``,
+    searched from the start total ``start`` spread over the ``n`` battles.
+    The structured solvers pass :func:`_weighted_h`'s ``(d_b t_b, h_b)``;
+    the iterative best response passes ``(v_b, Phi_b)``.  Where some
+    ``H_b(x)`` underflows to 0 the marginal benefit is beyond float range
+    and the gap is ``-inf``; where the total ``n x`` overflows the gap is
+    ``+inf``, and a root at that edge is an equilibrium past the float range.
 
     Raises:
         BracketFailure: the total at the root leaves the float range.
     """
     c_prime = cost.c_prime
-    weighted_h = tuple((d * t, pf.h) for d, pf, t in terms)
 
     def gap(x: float) -> float:
         total = count * x
         if total == math.inf:
             return math.inf
         benefit = 0.0
-        for w, h in weighted_h:
+        for w, h in weighted:
             hx = h(x)
             if hx == 0.0:
                 return -math.inf
@@ -194,7 +204,7 @@ def _solve_totals(sizes, prizes, count: int, cost) -> tuple[float, float]:
     start = _closed_form_start(terms, cost)
     efforts = _de_efforts(_h_inverses(terms), cost, REL_TOL, start)
     de_total = sum(d * x for (d, _, _), x in zip(terms, efforts))
-    return de_total, count * _ue_effort(terms, count, cost, REL_TOL, start)
+    return de_total, count * _ue_effort(_weighted_h(terms), count, cost, REL_TOL, start)
 
 
 def _benefit(pf, x: float, t: float) -> float:
@@ -253,7 +263,8 @@ def solve_ue(ss: SemiSymmetricStructure) -> UEResult:
     """
     terms = _terms(ss.size_classes, [ss.prizes[k] for k in ss.sizes])
     D = ss.total_degree
-    effort = _ue_effort(terms, D, ss.cost, REL_TOL, _closed_form_start(terms, ss.cost))
+    start = _closed_form_start(terms, ss.cost)
+    effort = _ue_effort(_weighted_h(terms), D, ss.cost, REL_TOL, start)
     total = D * effort
     lam = ss.cost.c_prime(total) * D
     benefit = sum(_benefit(pf, effort, d * t) for d, pf, t in terms)

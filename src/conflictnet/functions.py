@@ -4,10 +4,11 @@ Every production family ships an analytic first derivative, and derived
 quantities such as the inverse semi-elasticity ``h = f / f'`` and its
 inverse ``h_inv`` are implemented in closed form per family rather than as
 generic quotients or root finds, since solver accuracy depends on an exact
-``h``.  ``g_inv`` inverts a battle's first-order condition without a
-bracketed search: in closed form for ratio, cara, linear power and the affine
-piecewise branch, and for power with ``r < 1`` by a monotone Newton
-iteration on the log of the own-to-rival score ratio; none squares a score.
+``h``.  ``g_inv`` inverts a battle's first-order condition, in its share
+form ``h(x) / (p (1 - p)) = v / lam``, without a bracketed search: in
+closed form for ratio, cara, linear power and the affine piecewise branch,
+and for power with ``r < 1`` by a monotone Newton iteration on the log of
+the own-to-rival score ratio; none squares a score or forms ``v S``.
 Each family also labels the curvature of its ``h`` analytically
 (:meth:`ProductionFunction.h_curvature`), and that label is the regime
 comparison's verdict: nothing samples ``h`` to check it.  All families
@@ -78,15 +79,18 @@ class ProductionFunction(ABC):
         """
 
     @abstractmethod
-    def g_inv(self, rivals: float, target: float, excess: float) -> float:
-        """Effort ``x`` with ``G(x) = (f(x) + S)^2 / f'(x) = target`` against
-        a rivals' score sum ``S = rivals > 0``.
+    def g_inv(self, rivals: float, u: float, excess: float) -> float:
+        """Effort ``x`` with ``Phi(x) = u`` against a rivals' score sum
+        ``S = rivals > 0``, where ``Phi(x) = h(x) / (p (1 - p)) = (f(x) +
+        S)^2 / (S f'(x))`` and ``p = f(x) / (f(x) + S)`` is the share.
 
-        ``G`` is the increasing form of a battle's first-order condition
-        ``v f'(x) S / (f(x) + S)^2 = lam`` (target ``v S / lam``).  Callers
-        pass only targets above the corner ``G(0) = S^2 / f'(0)``, with
-        ``excess = target - G(0) > 0``, so that the corner is computed in one
-        place.  A root below the smallest float is the corner 0.
+        ``Phi`` is the increasing form of a battle's first-order condition
+        ``v p (1 - p) / h(x) = lam``, so ``u = v / lam``; at symmetry, ``p =
+        1/k``, it is the structured engine's ``h(x) = t / lam``.  Callers
+        pass only ``u`` above the corner ``Phi(0) = S / f'(0)``, with
+        ``excess = u - Phi(0) > 0``, so that the corner is computed in one
+        place (:func:`conflictnet.network.battle_condition`).  A root below
+        the smallest float is the corner 0.
         """
 
     def h_curvature(self) -> str:
@@ -117,14 +121,14 @@ _G_NEWTON_STEPS = 100
 _G_NEWTON_TOL = 4.0 * sys.float_info.epsilon
 
 
-def _power_g_inv(A: float, r: float, rivals: float, target: float, excess: float) -> float:
+def _power_g_inv(A: float, r: float, rivals: float, u: float, excess: float) -> float:
     """``g_inv`` of ``f(x) = A x**r``, shared by the power and piecewise families."""
     if r == 1.0:
-        # (A x + S)^2 = A t, rationalised against the corner S^2 / A.
-        return excess / (math.sqrt(A) * math.sqrt(target) + rivals)
-    # In the log share y = log(A x^r / S), G = t reads
+        # (A x + S)^2 = A S u, rationalised against the corner S / A.
+        return excess / (1.0 + math.sqrt(A) * math.sqrt(u) / math.sqrt(rivals))
+    # In the log share y = log(A x^r / S), Phi = u reads
     # F(y) = 2 softplus(y) + k y - C = 0 with k = (1 - r) / r and
-    # C = log(t A r / S^2) + k log(A / S).  F is increasing and convex, and
+    # C = log(u A r / S) + k log(A / S).  F is increasing and convex, and
     # F(C / (k + 2)) = 2 log1p(exp(-C / (k + 2))) > 0, so Newton's method
     # from there falls monotonically to the root; a step that is not
     # clearly positive is rounding.  Nothing is squared or exponentiated
@@ -134,14 +138,14 @@ def _power_g_inv(A: float, r: float, rivals: float, target: float, excess: float
     log_a = math.log(A)
     # Where F' is near k (r near 1, a small share) the root moves by 1/k
     # times any error in C, so its large first term is one log, not a sum of
-    # logs that cancel.  t A r / S^2 = (1 + u)^2 x^(1 - r) leaves the normal
-    # floats only where u is huge or r is below 0.05; F' is then far from 0
-    # and the sum of logs will do.
-    q = target / rivals / rivals * (A * r)
+    # logs that cancel.  u A r / S = (1 + f / S)^2 x^(1 - r) leaves the
+    # normal floats only where f / S is huge or r is below 0.05; F' is then
+    # far from 0 and the sum of logs will do.
+    q = u / rivals * (A * r)
     if sys.float_info.min <= q < math.inf:
         c = math.log(q)
     else:
-        c = math.log(target) - 2.0 * log_s + log_a + math.log(r)
+        c = math.log(u) - log_s + log_a + math.log(r)
     c += k * (log_a - log_s)
     y = c / (k + 2.0)
     for _ in range(_G_NEWTON_STEPS):
@@ -155,7 +159,7 @@ def _power_g_inv(A: float, r: float, rivals: float, target: float, excess: float
         if step <= _G_NEWTON_TOL * (abs(y) + abs(c)):
             return math.exp((log_s + y - log_a) / r)
     raise NoConvergence(
-        f"power g_inv: {_G_NEWTON_STEPS} Newton steps left target {target!r} "
+        f"power g_inv: {_G_NEWTON_STEPS} Newton steps left target {u!r} "
         f"against rivals {rivals!r} unsolved"
     )
 
@@ -203,8 +207,8 @@ class PowerProduction(ProductionFunction):
             _check_h_target(y)
         return self.r * y
 
-    def g_inv(self, rivals, target, excess):
-        return _power_g_inv(self.A, self.r, rivals, target, excess)
+    def g_inv(self, rivals, u, excess):
+        return _power_g_inv(self.A, self.r, rivals, u, excess)
 
     def h_curvature(self):
         return "linear"
@@ -248,12 +252,12 @@ class RatioProduction(ProductionFunction):
         # float precision.
         return math.sqrt(y) * math.sqrt(self.c)
 
-    def g_inv(self, rivals, target, excess):
-        # G(x) = ((1 + S) x + S c)^2 / c is a perfect square, so
-        # x = (sqrt(c t) - S c) / (1 + S), rationalised against the corner
-        # S^2 c.  The two divisions stay apart: past S of 1e154 their
-        # product overflows.
-        root = math.sqrt(target) / math.sqrt(self.c) + rivals
+    def g_inv(self, rivals, u, excess):
+        # Phi(x) = ((1 + S) x + S c)^2 / (c S) is a perfect square, so
+        # x = (sqrt(c S u) - S c) / (1 + S), rationalised against the corner
+        # S c.  The two divisions stay apart: past S of 1e154 their product
+        # overflows.
+        root = math.sqrt(u) / (math.sqrt(self.c) * math.sqrt(rivals)) + 1.0
         return excess / (1.0 + rivals) / root
 
     def h_curvature(self):
@@ -305,24 +309,27 @@ class CaraProduction(ProductionFunction):
             return math.log1p(z) / self.alpha
         return (math.log(self.alpha) + math.log(y)) / self.alpha
 
-    def g_inv(self, rivals, target, excess):
-        # With u = exp(alpha x), G = t reads ((1 + S) u - 1)^2 = alpha t u,
-        # and the effort is its larger root.  Put w = sqrt(u) = 1 + d,
-        # p = sqrt(alpha t) and B = 1 + S: then B d^2 + (2B - p) d = p - S,
+    def g_inv(self, rivals, u, excess):
+        # With w = exp(alpha x), Phi = u reads ((1 + S) w - 1)^2 = alpha S u w,
+        # and the effort is its larger root.  Put sqrt(w) = 1 + d,
+        # p = sqrt(alpha S u) and B = 1 + S: then B d^2 + (2B - p) d = p - S,
         # whose discriminant (2B - p)^2 + 4B (p - S) = p^2 + 4B hypot takes
         # without overflow.  Each side of p = 2B uses the root formula that
-        # adds terms of one sign, and p - S = alpha (t - S^2 / alpha) / (p + S)
+        # adds terms of one sign, and p - S = alpha (u - S / alpha) / (p / S + 1)
         # is rationalised against the corner.
         b = 1.0 + rivals
-        p = math.sqrt(self.alpha) * math.sqrt(target)
+        ratio = math.sqrt(self.alpha) * math.sqrt(u) / math.sqrt(rivals)
+        p = ratio * rivals
         disc = math.hypot(p, 2.0 * math.sqrt(b))
         if p <= 2.0 * b:
-            d = 2.0 * self.alpha * (excess / (p + rivals)) / (2.0 * b - p + disc)
+            d = 2.0 * self.alpha * (excess / (ratio + 1.0)) / (2.0 * b - p + disc)
         else:
             d = (p - 2.0 * b + disc) / (2.0 * b)
             if d == math.inf:
                 # Past the float range d is p / B to float precision.
-                return (math.log(self.alpha) + math.log(target) - 2.0 * math.log(b)) / self.alpha
+                return (
+                    math.log(self.alpha) + math.log(u) + math.log(rivals) - 2.0 * math.log(b)
+                ) / self.alpha
         return 2.0 * math.log1p(d) / self.alpha
 
     def h_curvature(self):
@@ -377,7 +384,10 @@ class PiecewisePowerAffineProduction(ProductionFunction):
     def f(self, x):
         if x <= self.s:
             return self.A * x**self.r
-        return self.slope * x + self.intercept
+        if self.slope:
+            return self.slope * x + self.intercept
+        # The slope underflowed, though a x need not: A r x / s^(1 - r).
+        return self.A * self.r * x / self.s ** (1.0 - self.r) + self.intercept
 
     def f_prime(self, x):
         if x > self.s:
@@ -398,20 +408,21 @@ class PiecewisePowerAffineProduction(ProductionFunction):
             return self.r * y
         return y - self._h_shift
 
-    def g_inv(self, rivals, target, excess):
-        # Past G(s) the affine branch solves (a x + b + S)^2 = a t, written
-        # as s plus its excess over the kink.
+    def g_inv(self, rivals, u, excess):
+        # Past Phi(s) the affine branch solves (a x + b + S)^2 = a S u,
+        # written as s plus its excess over the kink.
         A, r, s = self.A, self.r, self.s
         score = A * s**r + rivals
         a = self.slope
-        # G(s) = score^2 / a.  Where a underflowed, G(s) is score^2 s^(1 - r)
-        # / (A r), and the excess takes a as score^2 / G(s).
-        kink = score * (score / a) if a else score * (score / A) * (s ** (1.0 - r) / r)
-        if target <= kink:
-            return _power_g_inv(A, r, rivals, target, excess)
+        # Phi(s) = score^2 / (S a).  Where a underflowed, Phi(s) is score^2
+        # s^(1 - r) / (S A r), and the excess takes a as score^2 / (S Phi(s)).
+        kink = score * (score / rivals)
+        kink = kink / a if a else kink / A * (s ** (1.0 - r) / r)
+        if u <= kink:
+            return _power_g_inv(A, r, rivals, u, excess)
         if a:
-            return s + (target - kink) / (math.sqrt(a) * math.sqrt(target) + score)
-        return s + math.sqrt(kink) * (math.sqrt(target) - math.sqrt(kink)) / score
+            return s + (u - kink) / (math.sqrt(a) * math.sqrt(u) / math.sqrt(rivals) + score / rivals)
+        return s + math.sqrt(kink) * (math.sqrt(u) - math.sqrt(kink)) * (rivals / score)
 
     def h_curvature(self):
         return "linear" if self.r == 1.0 else "concave"

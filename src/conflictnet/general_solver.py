@@ -2,15 +2,17 @@
 
 The structured solvers in :mod:`conflictnet.equilibrium` exploit
 semi-symmetry; this module makes no structural assumption.  Payoffs are
-concave in own efforts, so a player's best response is a monotone search on
-the player's total: for a candidate marginal cost each battle's effort solves
-its own first-order condition, on the contest share and marginal of
-:mod:`conflictnet.network`.  Under DE that search is the structured
-engine's DE root over per-battle maps (:func:`_battle_effort`); the UE
-best response keeps its own gap, as its marginal benefit is not of the
-structured UE gap's form ``w / h(x)``.  Each family's ``g_inv`` inverts the
-battle condition without a bracketed search, so the root on the total is
-the only inner root find.
+concave in own efforts, so a player's best response is one monotone root.
+Each contested battle's first-order condition is the battle condition
+``Phi_b(x) = h_b(x) / (p (1 - p)) = v_b / lam`` of
+:func:`conflictnet.network.battle_condition`, with ``p`` the contest share
+against the rivals' fixed score; at symmetry it is the structured engine's
+``h(x) = t / lam``.  So both best responses are the structured engine's
+roots over one term per battle: under DE its root on the total over
+per-battle maps of ``v_b / lam`` (:func:`_battle_effort`), under UE its
+root on the effort over the ``(v_b, Phi_b)`` pairs.  Each family's
+``g_inv`` inverts ``Phi`` without a bracketed search, and this module calls
+no root finder itself.
 Equilibria are then computed by simultaneous best-response iteration; the
 sweep that ends it also certifies the profile it answered, by the largest
 payoff gain a switch to its responses would bring.  The iteration starts
@@ -39,11 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _closed_form_start, _de_efforts, _h_inverses, _terms, _ue_effort
+from .equilibrium import (
+    _closed_form_start, _de_efforts, _h_inverses, _terms, _ue_effort, _weighted_h,
+)
 from .errors import DimensionTooLarge
 from .network import Battle, ConflictNetwork, EffortProfile, PlayerId
-from .network import marginal_benefit, payoff, rival_score
-from .rootfind import brent_increasing
+from .network import battle_condition, marginal_benefit, payoff, rival_score
 
 __all__ = [
     "IterationConfig",
@@ -143,7 +146,7 @@ def _symmetric_ue_start(network: ConflictNetwork) -> EffortProfile:
     for p in network.players:
         terms = _own_terms(network, p)
         start = _closed_form_start(terms, network.cost)
-        x = _ue_effort(terms, len(terms), network.cost, _INNER_REL_TOL, start)
+        x = _ue_effort(_weighted_h(terms), len(terms), network.cost, _INNER_REL_TOL, start)
         for b in network.battles_of(p):
             efforts[(p, b.id)] = x
     return EffortProfile(efforts)
@@ -177,29 +180,27 @@ def _contested(
 
 
 def _battle_effort(battle: Battle, rivals: float):
-    """The map from ``y = S / lam`` to the effort solving v f'(x) S / (f(x) +
-    S)^2 = lam against the rival score S = ``rivals``, or 0 at the corner.
+    """The map from ``u = v / lam`` to the effort solving the battle
+    condition ``Phi(x) = u`` against the rival score S = ``rivals``, or 0 at
+    the corner.
 
-    The condition reads G(x) = (f(x) + S)^2 / f'(x) = v y for the strictly
-    increasing G.  A target at or below G(0) = S^2 / f'(0), computed once
-    per map, is the corner 0: G(0) is 0 where f'(0) is infinite, and inf
-    only past every float target.  Above it the family's ``g_inv`` gives the
-    effort, and an infinite target an infinite one.  S is divided by lam
-    before v multiplies it, as v S can overflow where v S / lam does not.
+    A ``u`` at or below ``Phi(0) = S / f'(0)``, computed once per map, is the
+    corner 0: ``Phi(0)`` is 0 where f'(0) is infinite.  Above it the
+    family's ``g_inv`` gives the effort, and an infinite ``u`` an infinite
+    one.
     """
     pf = battle.production
 
     # The map's state sits in defaults, read as locals in the DE root's inner loop.
-    def effort(y: float, prize=battle.prize, g_inv=pf.g_inv, rivals=rivals,
-               g0=rivals * (rivals / pf.f_prime(0.0))) -> float:
-        target = prize * y
-        if target <= g0:
+    def effort(u: float, g_inv=pf.g_inv, rivals=rivals,
+               corner=battle_condition(pf, rivals, 0.0)) -> float:
+        if u <= corner:
             return 0.0
-        if target == math.inf:
+        if u == math.inf:
             # A bracket search far below the root on the total meets this;
             # g_inv would make NaN of it.
             return math.inf
-        return g_inv(rivals, target, target - g0)
+        return g_inv(rivals, u, u - corner)
 
     return effort
 
@@ -224,7 +225,7 @@ def _best_response_discriminatory(
         return efforts, degenerate
 
     seed = sum(profile.efforts.get((player, b.id), 0.0) for b, _ in active)
-    terms = [(1.0, _battle_effort(b, s), s) for b, s in active]
+    terms = [(1.0, _battle_effort(b, s), b.prize) for b, s in active]
     xs = _de_efforts(terms, network.cost, _INNER_REL_TOL, seed if seed > 0 else 1.0, floor_total)
     efforts.update(zip((b.id for b, _ in active), xs))
     return efforts, degenerate
@@ -251,8 +252,9 @@ def _best_response_uniform(
     network: ConflictNetwork, player: PlayerId, profile: EffortProfile, floor
 ) -> tuple[dict[str, float], tuple[str, ...]]:
     """Best single effort level applied to all of the player's battles, or
-    ``floor()`` when every one is degenerate; the root is seeded from the
-    player's current effort."""
+    ``floor()`` when every one is degenerate: the structured UE root over
+    each contested battle's ``(v_b, Phi_b)``, seeded from the player's
+    current effort (1 where it is 0)."""
     own = network.battles_of(player)
     count = len(own)
     active, degenerate = _contested(network, player, profile)
@@ -264,16 +266,11 @@ def _best_response_uniform(
     if mb0 <= count * network.cost.c_prime(0.0):
         return {b.id: 0.0 for b in own}, degenerate
 
-    def gap(x: float) -> float:
-        benefit = 0.0
-        for b, s in active:
-            benefit += marginal_benefit(b, x, s)
-        return count * network.cost.c_prime(count * x) - benefit
-
+    conditions = [
+        (b.prize, functools.partial(battle_condition, b.production, s)) for b, s in active
+    ]
     seed = profile.effort(player, own[0].id)
-    effort = brent_increasing(
-        gap, 0.0, _INNER_REL_TOL, seed=seed if seed > 0 else None
-    )
+    effort = _ue_effort(conditions, count, network.cost, _INNER_REL_TOL, count * (seed or 1.0))
     return {b.id: effort for b in own}, degenerate
 
 

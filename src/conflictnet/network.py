@@ -5,8 +5,9 @@ and per-battle production functions, and one shared cost function on each
 player's total effort.  Winning probabilities follow the logit form
 ``p_i = f(x_i) / sum_j f(x_j)`` with the uniform convention ``1/n`` when every
 participant exerts zero effort; every caller shares the one definition
-below.  All types are immutable after construction and every operation is
-a pure function, so concurrent use needs no locking.
+below, and both engines share one battle condition, ``Phi(x) = v / lam``
+(:func:`battle_condition`).  All types are immutable after construction and
+every operation is a pure function, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "SemiSymmetricStructure",
     "rival_score",
     "contest_share",
+    "battle_condition",
     "marginal_benefit",
     "winning_probabilities",
     "payoff",
@@ -182,16 +184,31 @@ def contest_share(own: float, rivals: float, size: int) -> float:
     return own / total
 
 
+def battle_condition(production: ProductionFunction, rivals: float, x: float) -> float:
+    """``Phi(x) = h(x) / (p (1 - p)) = (f(x) + S)^2 / (S f'(x))`` at effort
+    ``x`` against the rivals' score sum ``S = rivals > 0``, with ``p = f(x) /
+    (f(x) + S)``; a battle's marginal benefit is ``v / Phi(x)``.
+
+    ``Phi`` is strictly increasing from the corner ``Phi(0) = S / f'(0)``.
+    It reads ``h`` and the two shares, not ``f'``, and squares no score;
+    only where ``f(x)`` is 0, at ``x = 0`` or where it underflows, is it the
+    limit ``S / f'(x)``.
+    """
+    f = production.f(x)
+    if f == 0.0:
+        return rivals / production.f_prime(x)
+    score = f + rivals
+    return production.h(x) * (score / f) * (score / rivals)
+
+
 def marginal_benefit(battle: Battle, x: float, rivals: float) -> float:
     """Slope ``v f'(x) S / (f(x) + S)^2`` of ``v * contest_share`` in own
-    effort, for ``S > 0``.  At ``x = 0``, where ``f(0) = 0``, it is
-    ``v f'(0) / S``: ``inf`` when ``f'(0)`` is.  The square of ``f(x) + S``
-    is never formed, so scores past 1e154 do not overflow."""
-    fp = battle.production.f_prime(x)
+    effort, for ``S > 0``: ``v / Phi(x)`` of :func:`battle_condition`.  At
+    ``x = 0``, where ``f(0) = 0``, it is ``v f'(0) / S``: ``inf`` when
+    ``f'(0)`` is."""
     if x == 0.0:
-        return battle.prize * fp / rivals
-    score = battle.production.f(x) + rivals
-    return battle.prize * fp * (rivals / score) / score
+        return battle.prize * battle.production.f_prime(0.0) / rivals
+    return battle.prize / battle_condition(battle.production, rivals, x)
 
 
 def winning_probabilities(battle: Battle, efforts: Iterable[float]) -> np.ndarray:

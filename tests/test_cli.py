@@ -1156,9 +1156,8 @@ def _assert_iterative_matches_structured(capsys, network, *iterative_flags):
 
 @pytest.mark.parametrize("family", ["cara:1", "ratio:1", "power:1,1", "piecewise-f3"])
 def test_iterative_solve_at_prizes_1e300_matches_the_structured_engine(capsys, family):
-    # No battle effort forms (f + S)^2, or f' = alpha e^{-alpha x}, which
-    # underflows to 0 at these prizes, and the target v S / lam divides
-    # before it multiplies.
+    # No battle effort forms (f + S)^2, v S, or f' = alpha e^{-alpha x},
+    # which underflows to 0 at these prizes.
     network = ["solve", "--example", "triangle", "--v", "1e300,3e300", "--f", family]
     structured = _assert_iterative_matches_structured(capsys, network)
     if family == "cara:1":
@@ -1199,6 +1198,35 @@ def test_iterative_solve_at_prizes_1e_minus_30_from_a_random_start_uses_the_floo
     network = ["solve", "--example", "triangle", "--v", "1e-30,3e-30", "--f", family]
     _assert_iterative_matches_structured(capsys, network, "--seed", "0")
     assert floor_calls
+
+
+def test_iterative_solve_past_an_underflowing_piecewise_slope_matches_the_structured_engine(
+    capsys,
+):
+    # The slope a = 5e-351 is a float 0, so f'(x) is 0 on the affine branch
+    # where the efforts near 1.43e150 lie.  The battle condition reads h and
+    # the shares, not f', and f keeps its term a x = 7.2e-201 there.
+    network = [
+        "solve", "--example", "triangle", "--f", "piecewise:1e-300,0.5,1e100",
+        "--v", "5e300,7.2e301",
+    ]
+    _assert_iterative_matches_structured(capsys, network)
+    report = run_json(capsys, *network, "--method", "iterative")
+    assert report["de"]["iterations"] == report["ue"]["iterations"] == 1
+
+
+def test_iterative_de_at_a_large_cost_scale_and_small_prizes_matches_the_structured_engine(
+    tmp_path, capsys
+):
+    # kappa = 1e300 with prizes near 1e-300 puts the efforts near 1e-200,
+    # where the scores' squares underflow.
+    path = cost_network_file(tmp_path, 1e300, 3.0, 1e-300)
+    network = ["solve", "--input", path, "--f", "power:1,1", "--regime", "de"]
+    iterative = run_json(capsys, *network, "--method", "iterative")
+    structured = run_json(capsys, *network, "--method", "semisymmetric")
+    assert iterative["de"]["converged"] is True and iterative["de"]["iterations"] == 1
+    for total in iterative["de"]["totals"].values():
+        assert total == pytest.approx(structured["de"]["total"], rel=1e-9, abs=0.0)
 
 
 def cost_network_file(tmp_path, kappa, p, scale):

@@ -33,6 +33,7 @@ def test_benchmark_wrap_points_resolve_except_the_known_stale_ones():
         "conflictnet.analysis.classify_h",
         "conflictnet.equilibrium.invert_h",
         "conflictnet.equilibrium.solve_increasing",
+        "conflictnet.general_solver.brent_increasing",
         "conflictnet.rootfind.solve_increasing",
         "conflictnet.sweep.solve_de",
         "conflictnet.sweep.solve_ue",

@@ -126,22 +126,35 @@ def test_power_slope_at_a_subnormal_effort_with_a_tiny_exponent(pf):
 
 def test_piecewise_affine_branch_where_the_slope_underflows():
     # a = A r s**(r - 1) = 5e-351 underflows to 0, while the shift h(x) - x
-    # = b / a = s (1 - r) / r = 1e100 and G(s) = (f(s) + S)^2 / a = 8e-150
-    # at S = 1e-250 are floats; neither is taken by dividing by the slope.
+    # = b / a = s (1 - r) / r = 1e100 and Phi(s) = (f(s) + S)^2 / (S a) =
+    # 8e100 at S = 1e-250 are floats; neither is taken by dividing by the
+    # slope.
     pf = PiecewisePowerAffineProduction(A=1e-300, r=0.5, s=1e100)
     assert pf.slope == 0.0
     assert pf.h(3e100) == pytest.approx(4e100, rel=1e-15)
     assert pf.h_inv(4e100) == pytest.approx(3e100, rel=1e-15)
     rivals = 1e-250
-    assert pf.g_inv(rivals, 7e-150, 7e-150) <= pf.s
-    # Past G(s) the effort solves (a x + b + S)^2 = a t, checked in logs
+    assert pf.g_inv(rivals, 7e100, 7e100) <= pf.s
+    # Past Phi(s) the effort solves (a x + b + S)^2 = a S u, checked in logs
     # with the slope that the float a lost.
-    target = 1e-140
-    x = pf.g_inv(rivals, target, target)
+    u = 1e110
+    x = pf.g_inv(rivals, u, u)
     log_a = math.log(1e-300 * 0.5) - 0.5 * math.log(1e100)
     score = pf.intercept + math.exp(log_a + math.log(x)) + rivals
     assert x > pf.s
-    assert 2.0 * math.log(score) - log_a == pytest.approx(math.log(target), rel=1e-13)
+    assert 2.0 * math.log(score) - log_a - math.log(rivals) == pytest.approx(
+        math.log(u), rel=1e-13
+    )
+    assert pf.f(x) == pytest.approx(score - rivals, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [1.4337e150, 3e100, 1e300])
+def test_piecewise_f_keeps_the_affine_term_where_the_slope_underflows(x):
+    # f(x) = a x + b with a = A r / s^(1 - r) = 5e-351, a float 0: at x =
+    # 1.4337e150 the term a x = 7.2e-201 dwarfs the intercept b = 5e-251.
+    pf = PiecewisePowerAffineProduction(A=1e-300, r=0.5, s=1e100)
+    a_x = math.exp(math.log(5e-301) - 0.5 * math.log(1e100) + math.log(x))
+    assert pf.f(x) == pytest.approx(a_x + pf.intercept, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_PRODUCTIONS))

@@ -32,7 +32,7 @@ from conflictnet import (
 from conflictnet import equilibrium, functions, general_solver
 from conflictnet.errors import NoConvergence
 from conflictnet.general_solver import _battle_effort
-from conflictnet.network import marginal_benefit
+from conflictnet.network import battle_condition
 from conflictnet.rootfind import brent_increasing
 
 from conftest import BENCHMARK_PRODUCTIONS
@@ -229,21 +229,42 @@ def test_iterative_de_best_response_where_marginal_cost_underflows(cost):
     assert out.iterations <= 20
 
 
+def _count_structured_roots(monkeypatch):
+    """Calls of the structured engine's root finder, by the solve making
+    them; general_solver has no root finder of its own to count."""
+    assert not hasattr(general_solver, "brent_increasing")
+    roots = {"_de_efforts": 0, "_ue_effort": 0, "brent_increasing": 0}
+    for name in roots:
+        def counting(*args, name=name, inner=getattr(equilibrium, name), **kwargs):
+            roots[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, name, counting)
+        if hasattr(general_solver, name):
+            monkeypatch.setattr(general_solver, name, counting)
+    return roots
+
+
 def test_de_best_response_solves_through_the_structured_root(monkeypatch):
     # One DE consistency gap serves both engines: the best response's root
     # on its total is the structured engine's, and general_solver makes no
-    # DE root of its own.
-    roots = {equilibrium: 0, general_solver: 0}
-    for module in roots:
-        def counting(*args, module=module, brent=module.brent_increasing, **kwargs):
-            roots[module] += 1
-            return brent(*args, **kwargs)
-
-        monkeypatch.setattr(module, "brent_increasing", counting)
+    # root of its own.
+    roots = _count_structured_roots(monkeypatch)
     net = generate_triangle()
     response = best_response(net, 1, EffortProfile.constant(net, 1.0))
     assert all(x > 0.0 for x in response.values())
-    assert roots == {equilibrium: 1, general_solver: 0}
+    assert roots == {"_de_efforts": 1, "_ue_effort": 0, "brent_increasing": 1}
+
+
+def test_ue_best_response_solves_through_the_structured_root(monkeypatch):
+    # The UE best response is the structured UE root over the battles'
+    # (v_b, Phi_b): one root per player and sweep, and none of its own.
+    net = generate_triangle()
+    start = general_solver._symmetric_ue_start(net)
+    roots = _count_structured_roots(monkeypatch)
+    responses, _ = general_solver._best_response_uniform(net, 1, start, lambda: 0.0)
+    assert roots == {"_de_efforts": 0, "_ue_effort": 1, "brent_increasing": 1}
+    assert all(x == pytest.approx(start.effort(1, bid), rel=1e-12) for bid, x in responses.items())
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +557,10 @@ def test_random_asymmetric_networks_reach_certified_profiles():
 # ---------------------------------------------------------------------------
 
 def test_battle_effort_below_the_smallest_float_is_the_corner():
-    # G(x) = (x**0.999 + 1)**2 / (0.999 x**-0.001) exceeds the target
-    # 10 * 1 / 100 even at x = 5e-324: the root is below every positive float.
+    # Phi(x) = (x**0.999 + 1)**2 / (0.999 x**-0.001) exceeds u = v / lam =
+    # 10 / 100 even at x = 5e-324: the root is below every positive float.
     battle = Battle("b", (1, 2), 10.0, PowerProduction(1.0, 0.999))
-    assert _battle_effort(battle, 1.0)(1.0 / 100.0) == 0.0
+    assert _battle_effort(battle, 1.0)(10.0 / 100.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +576,8 @@ def _power_log_f_prime(A, r, s=math.inf):
     )
 
 
-# Each family's inverse of G(x) = (f(x) + S)^2 / f'(x), beside the analytic
-# log f' and its slope, for the log-space reference.
+# Each family's inverse of Phi(x) = (f(x) + S)^2 / (S f'(x)), beside the
+# analytic log f' and its slope, for the log-space reference.
 G_INV_FAMILIES = {
     **{
         f"ratio:{c}": (RatioProduction(c),
@@ -585,27 +606,31 @@ _REFERENCE_REL_TOL = 1e-14
 
 
 def _corner(pf, rivals):
-    """G(0) = S^2 / f'(0), rounded as ``_battle_effort`` rounds it."""
-    return rivals * (rivals / pf.f_prime(0.0))
+    """Phi(0) = S / f'(0), rounded as ``_battle_effort`` rounds it."""
+    return rivals / pf.f_prime(0.0)
 
 
-def _g(pf, rivals, x):
-    return (pf.f(x) + rivals) ** 2 / pf.f_prime(x)
+def _phi(pf, rivals, x):
+    """Phi(x) as (f(x) + S)^2 / (S f'(x)), apart from ``battle_condition``:
+    the square is divided by S before it is formed, so that it overflows
+    only where Phi does."""
+    score = pf.f(x) + rivals
+    return score * (score / rivals) / pf.f_prime(x)
 
 
-def _g_root_reference(pf, log_f_prime, rivals, target):
-    """Brent on G, or on log G where G leaves the float range."""
+def _phi_root_reference(pf, log_f_prime, rivals, u):
+    """Brent on Phi, or on log Phi where Phi leaves the float range."""
     try:
-        return brent_increasing(lambda x: _g(pf, rivals, x), target, _REFERENCE_REL_TOL)
+        return brent_increasing(lambda x: _phi(pf, rivals, x), u, _REFERENCE_REL_TOL)
     except ArithmeticError:
         return brent_increasing(
-            lambda x: 2.0 * math.log(pf.f(x) + rivals) - log_f_prime(x),
-            math.log(target), _REFERENCE_REL_TOL,
+            lambda x: 2.0 * math.log(pf.f(x) + rivals) - log_f_prime(x) - math.log(rivals),
+            math.log(u), _REFERENCE_REL_TOL,
         )
 
 
 def _targets(pf, rivals):
-    """Targets from just above the corner to 1e250, and around each kink."""
+    """Targets u from just above the corner to 1e250, and around each kink."""
     g0 = _corner(pf, rivals)
     targets = [g0 * (1.0 + d) for d in (1e-9, 1e-6, 1e-3, 1.0)] if g0 > 0.0 else []
     if 4.0 * g0 < 1e250:
@@ -613,28 +638,29 @@ def _targets(pf, rivals):
     kinks = (pf.s,) if isinstance(pf, PiecewisePowerAffineProduction) else ()
     for kink in kinks:
         score = pf.f(kink) + rivals
-        g_kink = score * (score / pf.f_prime(kink))
+        g_kink = score * (score / rivals) / pf.f_prime(kink)
         targets += [g_kink * (1.0 + d) for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)]
     return [t for t in targets if g0 < t < 1e251]
 
 
 @pytest.mark.parametrize("name", sorted(G_INV_FAMILIES))
 def test_closed_form_battle_effort_matches_a_root_search_on_g(name):
+    # The reference root search runs on the battle condition Phi.
     pf, log_f_prime, log_f_prime_slope = G_INV_FAMILIES[name]
     for rivals in [*np.geomspace(1e-12, 1e12, 13), 1e100, 1e154]:
         rivals = float(rivals)
         g0 = _corner(pf, rivals)
         for target in _targets(pf, rivals):
             x = pf.g_inv(rivals, target, target - g0)
-            if pf.f_prime(0.0) == math.inf and _g(pf, rivals, math.ulp(0.0)) >= target:
-                # G rises from 0 so slowly that the root is below 5e-324.
+            if pf.f_prime(0.0) == math.inf and _phi(pf, rivals, math.ulp(0.0)) >= target:
+                # Phi rises from 0 so slowly that the root is below 5e-324.
                 assert x == 0.0, (rivals, target, x)
                 continue
             assert math.isfinite(x) and x > 0.0, (rivals, target, x)
-            reference = _g_root_reference(pf, log_f_prime, rivals, target)
+            reference = _phi_root_reference(pf, log_f_prime, rivals, target)
             # A target known to float precision fixes the root only to
-            # eps * kappa, kappa = t / (x G'(x)) its condition number: about
-            # t / (t - G(0)) next to the corner, below 1 away from it, and
+            # eps * kappa, kappa = u / (x Phi'(x)) its condition number: about
+            # u / (u - Phi(0)) next to the corner, below 1 away from it, and
             # up to 1 / (1 - r) for power where f is small against S.  At a
             # kink it is the larger of its two one-sided values.
             kappa = max(
@@ -653,7 +679,7 @@ def test_cara_battle_effort_where_exp_of_alpha_x_passes_the_float_range(alpha, t
     # root is taken in logs.
     pf = CaraProduction(alpha)
     x = pf.g_inv(1.0, target, target - _corner(pf, 1.0))
-    reference = _g_root_reference(pf, lambda x: math.log(alpha) - alpha * x, 1.0, target)
+    reference = _phi_root_reference(pf, lambda x: math.log(alpha) - alpha * x, 1.0, target)
     assert x == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
@@ -663,16 +689,16 @@ def test_cara_battle_effort_where_exp_of_alpha_x_passes_the_float_range(alpha, t
     (PiecewisePowerAffineProduction(2.0, 0.5, 1.0), 1.0, 1e-200),
 ], ids=["power:1,0.5", "power:3,0.9", "piecewise:2,0.5,1"])
 def test_battle_effort_whose_root_underflows_is_the_corner(pf, rivals, target):
-    # G(5e-324) is above the target, so the root lies below every positive
+    # Phi(5e-324) is above the target, so the root lies below every positive
     # float; the log-share Newton step underflows to 0 instead of raising.
-    assert _g(pf, rivals, math.ulp(0.0)) > target
+    assert _phi(pf, rivals, math.ulp(0.0)) > target
     assert pf.g_inv(rivals, target, target) == 0.0
 
 
 def test_power_battle_effort_raises_when_newton_runs_out_of_steps(monkeypatch):
     pf = PowerProduction(1.0, 0.5)
     x = pf.g_inv(1.0, 10.0, 10.0)
-    assert _g(pf, 1.0, x) == pytest.approx(10.0, rel=1e-14)
+    assert _phi(pf, 1.0, x) == pytest.approx(10.0, rel=1e-14)
     monkeypatch.setattr(functions, "_G_NEWTON_STEPS", 1)
     with pytest.raises(NoConvergence):
         pf.g_inv(1.0, 10.0, 10.0)
@@ -688,12 +714,13 @@ def test_battle_effort_at_or_below_the_corner_is_zero(name):
     battle = Battle("b", (1, 2), 3.0, pf)
     for rivals in (1e-12, 1e-3, 1.0, 1e3, 1e12):
         g0 = _corner(pf, rivals)
+        assert battle_condition(pf, rivals, 0.0) == g0
         effort = _battle_effort(battle, rivals)
         for target in (g0 * (1.0 - 1e-9), g0 / 2.0, g0 * 1e-100):
             # Solve the target for the marginal cost, then read it back.
-            lam = battle.prize * rivals / target
-            assert battle.prize * (rivals / lam) <= g0
-            assert effort(rivals / lam) == 0.0
+            lam = battle.prize / target
+            assert battle.prize / lam <= g0
+            assert effort(battle.prize / lam) == 0.0
 
 
 @pytest.mark.parametrize("pf,log_f_prime,rivals,target", [
@@ -708,13 +735,14 @@ def test_battle_effort_at_or_below_the_corner_is_zero(name):
 def test_battle_effort_where_the_square_of_the_rival_score_overflows(
     pf, log_f_prime, rivals, target
 ):
-    # S * S is inf, while the corner G(0) = S^2 / f'(0) is a float under the
-    # target: the effort is interior, not the corner.
+    # S * S is inf, while the battle condition at u = target / S squares no
+    # score: the effort is interior, not the corner.
     battle = Battle("b", (1, 2), 1.0, pf)
     lam = rivals / target
-    x = _battle_effort(battle, rivals)(rivals / lam)
-    reference = _g_root_reference(pf, log_f_prime, rivals, rivals / lam)
+    x = _battle_effort(battle, rivals)(1.0 / lam)
+    reference = _phi_root_reference(pf, log_f_prime, rivals, 1.0 / lam)
     assert x > 0.0 and x == pytest.approx(reference, rel=1e-12)
+    assert battle_condition(pf, rivals, x) == pytest.approx(1.0 / lam, rel=1e-12)
 
 
 @pytest.mark.parametrize("pf", [
@@ -722,20 +750,27 @@ def test_battle_effort_where_the_square_of_the_rival_score_overflows(
     CaraProduction(1.0), PiecewisePowerAffineProduction(2.0, 0.5, 1.0),
 ])
 def test_battle_effort_at_an_infinite_target_is_infinite(pf):
-    # y = S / lam = 1.4 / 3e-309 overflows, as it does where a bracket
+    # u = v / lam = 1 / 3e-309 overflows, as it does where a bracket
     # search on the total tries a total far below the root; g_inv alone
     # gives NaN.
-    battle = Battle("b", (1, 2), 5e-300, pf)
-    assert _battle_effort(battle, 1.4)(1.4 / 3e-309) == math.inf
+    battle = Battle("b", (1, 2), 1.0, pf)
+    assert _battle_effort(battle, 1.4)(1.0 / 3e-309) == math.inf
 
 
-def test_battle_effort_target_divides_before_it_multiplies():
-    # v S = 1e300 * 1e10 overflows, while v S / lam = 1e300 does not: the
-    # map takes y = S / lam and multiplies it by v.
-    pf = PowerProduction(1.0, 0.5)
+@pytest.mark.parametrize("pf,log_f_prime", [
+    (PowerProduction(1.0, 0.5), lambda x: math.log(0.5) - 0.5 * math.log(x)),
+    (PowerProduction(2.0, 1.0), lambda x: math.log(2.0)),
+    (RatioProduction(1.0), lambda x: -2.0 * math.log(x + 1.0)),
+    (CaraProduction(1.0), lambda x: -x),
+], ids=["power:1,0.5", "power:2,1", "ratio:1", "cara:1"])
+def test_battle_effort_where_the_rival_score_times_u_overflows(pf, log_f_prime):
+    # S u = 1e10 * 1e300 overflows, and so does v S for v = u at lam = 1;
+    # the battle condition and its inverse form neither.
     battle = Battle("b", (1, 2), 1e300, pf)
-    x = _battle_effort(battle, 1e10)(1e10 / 1e10)
-    assert x > 0.0 and _g(pf, 1e10, x) == pytest.approx(1e300, rel=1e-13)
+    x = _battle_effort(battle, 1e10)(1e300 / 1.0)
+    assert x > 0.0
+    assert x == pytest.approx(_phi_root_reference(pf, log_f_prime, 1e10, 1e300), rel=1e-12)
+    assert battle_condition(pf, 1e10, x) == pytest.approx(1e300, rel=1e-13)
 
 
 def test_no_battle_effort_searches_a_root(monkeypatch):
@@ -745,7 +780,6 @@ def test_no_battle_effort_searches_a_root(monkeypatch):
         calls.append(target)
         return brent_increasing(g, target, rel_tol, seed=seed)
 
-    monkeypatch.setattr(general_solver, "brent_increasing", counting)
     monkeypatch.setattr(equilibrium, "brent_increasing", counting)
     for pf in [
         RatioProduction(1.0), CaraProduction(1.0), PowerProduction(2.0, 1.0),
@@ -753,9 +787,9 @@ def test_no_battle_effort_searches_a_root(monkeypatch):
         PiecewisePowerAffineProduction(2.0, 0.5, 0.01),
     ]:
         battle = Battle("b", (1, 2), 5.0, pf)
-        x = _battle_effort(battle, 0.5)(0.5 / 1.0)
+        x = _battle_effort(battle, 0.5)(5.0 / 1.0)
         assert x > 0.0, pf
-        assert marginal_benefit(battle, x, 0.5) == pytest.approx(1.0, rel=1e-12)
+        assert battle_condition(pf, 0.5, x) == pytest.approx(5.0, rel=1e-12)
     assert calls == []
 
 
