@@ -421,7 +421,8 @@ class PiecewisePowerAffineProduction(ProductionFunction):
         if u <= kink:
             return _power_g_inv(A, r, rivals, u, excess)
         if a:
-            return s + (u - kink) / (math.sqrt(a) * math.sqrt(u) / math.sqrt(rivals) + score / rivals)
+            root = math.sqrt(a) * math.sqrt(u) / math.sqrt(rivals) + score / rivals
+            return s + (u - kink) / root
         return s + math.sqrt(kink) * (math.sqrt(u) - math.sqrt(kink)) * (rivals / score)
 
     def h_curvature(self):
